@@ -12,8 +12,11 @@ whose objective equals P + lam*N with P = sum of x over edges and
 N = sum over all pairs of (1 - x_ij). Integral x encode partitions, so the
 optimum lower-bounds the best clustering at every lam.
 
-solve_lp offers an exact rational mode (the in-package simplex) and a float
-mode (scipy HiGHS with tightened tolerances) for larger graphs. lp_curve
+LpProblem keeps the rows sparse, three entries per triangle row, and the exact
+mode hands them to the in-package simplex in that form; check_certificate
+then checks the primal point and the dual vector against the same rows.
+solve_lp offers that exact rational mode and a float mode (scipy HiGHS with
+tightened tolerances) for larger graphs. lp_curve
 recovers the full piecewise-linear value curve exactly by chord search:
 solve the endpoints, and if their cost lines disagree, solve at the
 intersection; matching value there certifies the two pieces by concavity.
@@ -33,7 +36,10 @@ from .simplex import solve_canonical
 
 @dataclass(frozen=True)
 class LpProblem:
-    """min c.x + constant  s.t. each row (sparse coeffs) . x >= rhs, x >= 0."""
+    """min c.x + constant  s.t. each row . x >= rhs, x >= 0.
+
+    Each row is a tuple of (var, coeff) pairs listing its nonzeros.
+    """
 
     n: int
     lam: Fraction
@@ -50,17 +56,6 @@ class LpProblem:
     @property
     def num_rows(self):
         return len(self.rows)
-
-    def dense(self):
-        """Materialize (c, A, b) for the >=-form program."""
-        nv = self.num_vars
-        A = []
-        for row in self.rows:
-            dense = [Fraction(0)] * nv
-            for j, coeff in row:
-                dense[j] = Fraction(coeff)
-            A.append(dense)
-        return list(self.c), A, list(self.rhs)
 
 
 def pair_index(n):
@@ -112,11 +107,40 @@ class LpSolution:
     exact: bool = True
 
 
-def _check_metric(x, n, idx, tol=0):
+def check_metric(x, n, tol=0):
+    """Raise ValueError unless x (per lex pair) obeys every triangle inequality."""
+    _, idx = pair_index(n)
     for i, j, k in combinations(range(n), 3):
         a, b, c = x[idx[(i, j)]], x[idx[(i, k)]], x[idx[(j, k)]]
         if a > b + c + tol or b > a + c + tol or c > a + b + tol:
-            raise AssertionError("triangle inequality violated at (%d,%d,%d)" % (i, j, k))
+            raise ValueError("triangle inequality fails at (%d,%d,%d)" % (i, j, k))
+
+
+def check_certificate(prob: LpProblem, x, y, value):
+    """Raise ValueError unless x and y prove that value is the optimum of prob.
+
+    x must be feasible (x >= 0 and every >= row, which covers the triangles
+    and x <= 1), y dual feasible (y >= 0 and A^T y <= c), and both must
+    attain value: c.x + constant = value = b.y + constant.
+    """
+    if any(v < 0 for v in x):
+        raise ValueError("x has a negative entry")
+    for coeffs, bi in zip(prob.rows, prob.rhs):
+        if sum(coeff * x[var] for var, coeff in coeffs) < bi:
+            raise ValueError("x violates a constraint")
+    if any(v < 0 for v in y):
+        raise ValueError("dual certificate has a negative entry")
+    aty = [0] * prob.num_vars
+    for coeffs, yi in zip(prob.rows, y):
+        if yi:
+            for var, coeff in coeffs:
+                aty[var] += coeff * yi
+    if any(a > ci for a, ci in zip(aty, prob.c)):
+        raise ValueError("dual certificate infeasible")
+    if sum(ci * xi for ci, xi in zip(prob.c, x)) + prob.constant != value:
+        raise ValueError("value is not the objective at x")
+    if sum(yi * bi for yi, bi in zip(y, prob.rhs)) + prob.constant != value:
+        raise ValueError("dual certificate does not prove optimality")
 
 
 def _line_of_x(g: Graph, x, idx):
@@ -137,25 +161,17 @@ def solve_lp(g: Graph, lam, mode="exact") -> LpSolution:
 
 def _solve_exact(g: Graph, lam) -> LpSolution:
     prob = build_lp(g, lam)
-    c, A, b = prob.dense()
     # flip to <= form; all rhs become 0 or 1, so the slack basis is feasible
-    G = [[-v for v in row] for row in A]
-    h = [-v for v in b]
-    res = solve_canonical(c, G, h)
+    G = [tuple((j, -coeff) for j, coeff in row) for row in prob.rows]
+    h = [-v for v in prob.rhs]
+    res = solve_canonical(prob.c, G, h)
     _, idx = pair_index(g.n)
-    _check_metric(res.x, g.n, idx)
-    if any(v < 0 or v > 1 for v in res.x):
-        raise AssertionError("x outside [0,1]")
     line = _line_of_x(g, res.x, idx)
     value = res.value + prob.constant
     if line.value_at(prob.lam) != value:
         raise AssertionError("objective decomposition mismatch")
     y = tuple(-u for u in res.dual_ub)
-    if any(v < 0 for v in y):
-        raise AssertionError("negative dual")
-    # strong duality for the >=-form program
-    if sum(yi * bi for yi, bi in zip(y, b)) + prob.constant != value:
-        raise AssertionError("strong duality violated")
+    check_certificate(prob, res.x, y, value)
     return LpSolution(
         n=g.n, lam=prob.lam, x=tuple(res.x), value=value, line=line, dual=y,
         exact=True,
@@ -190,7 +206,7 @@ def _solve_float(g: Graph, lam) -> LpSolution:
         raise AssertionError("HiGHS failed: %s" % res.message)
     _, idx = pair_index(g.n)
     x = tuple(min(1.0, max(0.0, float(v))) for v in res.x)
-    _check_metric(x, g.n, idx, tol=1e-8)
+    check_metric(x, g.n, tol=1e-8)
     line = _line_of_x(g, x, idx)
     value = float(res.fun) + lamf * len(prob.pairs)
     dual_tri = tuple(-float(u) for u in res.ineqlin.marginals)

@@ -15,10 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .graphs import Graph
-from .lp import LpSolution, pair_index
+from .lp import LpSolution, check_metric, pair_index
 from .objectives import Clustering, lamcc_score, lamprime_score
 from .sweeps import CoverFamily
 
@@ -32,15 +31,11 @@ def _check_rounding_input(x: LpSolution, g: Graph):
         raise ValueError("solution is for n=%d, graph has n=%d" % (x.n, n))
     if len(x.x) != n * (n - 1) // 2:
         raise ValueError("solution vector has wrong length")
-    _, idx = pair_index(n)
     for v in x.x:
         if v < -tol or v > 1 + tol:
             raise ValueError("entry %s outside [0, 1]" % (v,))
-    for i, j, k in combinations(range(n), 3):
-        a, b, c = x.x[idx[(i, j)]], x.x[idx[(i, k)]], x.x[idx[(j, k)]]
-        if a > b + c + tol or b > a + c + tol or c > a + b + tol:
-            raise ValueError("triangle inequality fails at (%d,%d,%d)" % (i, j, k))
-    return idx
+    check_metric(x.x, n, tol)
+    return pair_index(n)[1]
 
 
 def round_region_growing(x: LpSolution, g: Graph) -> Clustering:

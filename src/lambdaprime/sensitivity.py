@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import Graph
-from .lp import LpSolution, build_lp
+from .lp import LpSolution, build_lp, check_certificate
 from .rationals import GUARD, rat
 from .simplex import solve_canonical
 
@@ -60,41 +60,17 @@ class LambdaInterval:
         return Fraction(1) if self.hi_clamped else self.hi
 
 
-def _columns_times(rows, y, nv):
-    """A^T y for sparse rows over nv variables."""
-    out = [Fraction(0)] * nv
-    for coeffs, yi in zip(rows, y):
-        if yi:
-            for var, coeff in coeffs:
-                out[var] += coeff * yi
-    return out
-
-
 def verify_certificate(xstar: LpSolution, g: Graph):
     """Check that x* carries a complete optimality proof at its lambda."""
     if not xstar.exact:
         raise ValueError("sensitivity analysis needs an exact solution")
     prob = build_lp(g, xstar.lam)
-    nv = prob.num_vars
-    if len(xstar.x) != nv or len(xstar.dual) != prob.num_rows:
+    if len(xstar.x) != prob.num_vars or len(xstar.dual) != prob.num_rows:
         raise ValueError("solution shape does not match the graph")
-    x = [rat(v) for v in xstar.x]
-    if any(v < 0 or v > 1 for v in x):
-        raise ValueError("x outside [0,1]")
-    for coeffs, b in zip(prob.rows, prob.rhs):
-        if sum(coeff * x[var] for var, coeff in coeffs) < b:
-            raise ValueError("x violates a constraint")
-    value = sum(ci * xi for ci, xi in zip(prob.c, x)) + prob.constant
-    if value != xstar.value or xstar.line.value_at(prob.lam) != xstar.value:
+    if xstar.line.value_at(prob.lam) != xstar.value:
         raise ValueError("stored value is inconsistent")
-    y = [rat(v) for v in xstar.dual]
-    if any(v < 0 for v in y):
-        raise ValueError("dual certificate has a negative entry")
-    aty = _columns_times(prob.rows, y, nv)
-    if any(aty[p] > prob.c[p] for p in range(nv)):
-        raise ValueError("dual certificate infeasible")
-    if sum(yi * bi for yi, bi in zip(y, prob.rhs)) + prob.constant != value:
-        raise ValueError("dual certificate does not prove optimality")
+    check_certificate(prob, [rat(v) for v in xstar.x], [rat(v) for v in xstar.dual],
+                      rat(xstar.value))
     return prob
 
 
@@ -119,33 +95,26 @@ def orlp(xstar: LpSolution, s: int, lam0, eps, g: Graph, objective="lamprime"):
         raise ValueError("objective must be 'lamprime' or 'lamcc'")
 
     nrows_p1 = prob.num_rows
-    nv = nrows_p1 + 1  # y then theta
-    theta_col = nrows_p1
+    theta_col = nrows_p1  # columns: y, then theta
     npairs = prob.num_vars
     cap = (1 - lam0) if s > 0 else lam0
 
-    A = []
-    b = []
-    # pair rows: (A^T y)_p + s*theta <= c_p
-    for p in range(npairs):
-        A.append([Fraction(0)] * nv)
-        b.append(prob.c[p])
+    # pair rows: (A^T y)_p + s*theta <= c_p, the transpose of the LP rows
+    A = [[] for _ in range(npairs)]
     for r, coeffs in enumerate(prob.rows):
         for var, coeff in coeffs:
-            A[var][r] = Fraction(coeff)
-    for p in range(npairs):
-        A[p][theta_col] = Fraction(s)
+            A[var].append((r, coeff))
+    for row in A:
+        row.append((theta_col, s))
+    b = list(prob.c)
     # epsilon row, flipped to <=
     cx = xstar.value - prob.constant
-    row = [-(1 + eps) * bi for bi in prob.rhs] + [
-        -s * (eps * q_eff + sum(rat(v) for v in xstar.x))
-    ]
-    A.append(row)
+    A.append([(r, -(1 + eps) * bi) for r, bi in enumerate(prob.rhs) if bi] + [
+        (theta_col, -s * (eps * q_eff + sum(rat(v) for v in xstar.x)))
+    ])
     b.append(eps * lam0 * q_eff - cx)
     # domain cap on theta
-    cap_row = [Fraction(0)] * nv
-    cap_row[theta_col] = Fraction(1)
-    A.append(cap_row)
+    A.append(((theta_col, 1),))
     b.append(cap)
 
     obj = [Fraction(0)] * nrows_p1 + [Fraction(-1)]

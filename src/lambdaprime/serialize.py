@@ -118,6 +118,8 @@ def family_to_dict(fam: CoverFamily, include_vectors=True) -> dict:
     }
     if fam.objective != "lamprime":
         out["objective"] = fam.objective
+    if fam.algo:
+        out["algo"] = fam.algo
     return out
 
 
@@ -126,6 +128,9 @@ def family_from_dict(d: dict, n: int) -> CoverFamily:
     members = []
     for md in d["members"]:
         x = tuple(parse_rat(v) for v in md.get("x", []))
+        if "x" in md and len(x) != n * (n - 1) // 2:
+            raise ValueError("member x has %d entries, need %d for n=%d"
+                             % (len(x), n * (n - 1) // 2, n))
         line = CostLine(parse_rat(md["P"]), parse_rat(md["N"]))
         sol = LpSolution(
             n, parse_rat(md["lambda"]), x, parse_rat(md["value"]), line, ()
@@ -137,6 +142,7 @@ def family_from_dict(d: dict, n: int) -> CoverFamily:
         (parse_rat(d["domain"][0]), parse_rat(d["domain"][1])),
         int(d["lp_solve_count"]),
         d.get("objective", "lamprime"),
+        d.get("algo", ""),
     )
 
 

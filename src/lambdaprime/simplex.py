@@ -1,10 +1,13 @@
-"""Exact simplex for small dense LPs, used by the LP relaxation and the
+"""Exact simplex for small sparse LPs, used by the LP relaxation and the
 sensitivity machinery.
 
 Canonical form:   min c.x   s.t.  A x <= b,  x >= 0
 
-All arithmetic is exact. The tableau is kept fraction-free: rows and the
-objective are scaled to integers up front, and every pivot applies the
+Each row of A is a sequence of (column, coefficient) pairs; a column the row
+leaves out has coefficient zero. All arithmetic is exact. The tableau is kept
+fraction-free: each row is scaled to integers up front by the lcm of its
+coefficient and right-hand-side denominators, the objective by the lcm of its
+denominators, and every pivot applies the
 integer Gauss-Jordan update
 
     T'[i][j] = (T[i][j]*T[r][c] - T[i][c]*T[r][j]) // delta
@@ -51,56 +54,52 @@ _MAX_PIVOTS = 500_000
 
 
 class _Tableau:
-    def __init__(self, c, A, b):
-        nrows, nvars = len(A), len(c)
+    def __init__(self, c, rows, b):
+        nrows, nvars = len(rows), len(c)
         c = [rat(v) for v in c]
         self.sigma_c = lcm(*(v.denominator for v in c)) if c else 1
         zrow = [int(v * self.sigma_c) for v in c]
 
         self.nvars = nvars
         self.nrows = nrows
-        self.row_scale = []
-        self.negated = []
-        art_rows = []
-        rows = []
-        for i in range(nrows):
-            a = [rat(v) for v in A[i]]
-            bi = rat(b[i])
-            s = lcm(bi.denominator, *(v.denominator for v in a)) if a else bi.denominator
-            self.row_scale.append(s)
-            ints = [int(v * s) for v in a]
-            rhs = int(bi * s)
-            neg = rhs < 0
-            self.negated.append(neg)
-            if neg:
-                ints = [-v for v in ints]
-                rhs = -rhs
-                art_rows.append(i)
-            rows.append((ints, rhs))
-
-        self.n_art = len(art_rows)
+        b = [rat(v) for v in b]
+        self.n_art = sum(bi < 0 for bi in b)
         self.art_start = nvars + nrows
         ncols = nvars + nrows + self.n_art + 1
         self.rhs_col = ncols - 1
+        self.row_scale = []
+        self.negated = []
         self.T = []
-        art_seen = 0
         self.basis = []
-        for i, (ints, rhs) in enumerate(rows):
+        next_art = self.art_start
+        for i, coeffs in enumerate(rows):
+            a = [(j, rat(v)) for j, v in coeffs]
+            if len({j for j, _ in a}) < len(a):
+                raise ValueError("row %d repeats a column" % i)
+            if not all(0 <= j < nvars for j, _ in a):
+                raise ValueError("row %d has a column outside [0, %d)" % (i, nvars))
+            s = lcm(b[i].denominator, *(v.denominator for _, v in a))
+            self.row_scale.append(s)
+            # rows with negative rhs are negated and get a phase-1 artificial
+            sign = -1 if b[i] < 0 else 1
             row = [0] * ncols
-            row[:nvars] = ints
-            row[nvars + i] = -1 if self.negated[i] else 1
-            if self.negated[i]:
-                row[self.art_start + art_seen] = 1
-                self.basis.append(self.art_start + art_seen)
-                art_seen += 1
+            for j, v in a:
+                row[j] = sign * int(v * s)
+            row[nvars + i] = sign
+            self.negated.append(sign < 0)
+            if sign < 0:
+                row[next_art] = 1
+                self.basis.append(next_art)
+                next_art += 1
             else:
                 self.basis.append(nvars + i)
-            row[self.rhs_col] = rhs
+            row[self.rhs_col] = sign * int(b[i] * s)
             self.T.append(row)
 
         z = [0] * ncols
         z[:nvars] = zrow
         self.z = z
+        self.w = None  # phase-1 objective, live only during phase 1
         self.delta = 1
         self.pivots = 0
 
@@ -108,7 +107,7 @@ class _Tableau:
 
     def _all_rows(self):
         yield self.z
-        if getattr(self, "w", None) is not None:
+        if self.w is not None:
             yield self.w
         yield from self.T
 
@@ -224,8 +223,6 @@ class _Tableau:
             for row in self._all_rows():
                 del row[self.art_start : self.rhs_col]
             self.rhs_col = self.art_start
-        else:
-            self.w = None
         self._run(self.z, self.nvars + self.nrows)
 
     # -- extraction -----------------------------------------------------
@@ -243,13 +240,13 @@ class _Tableau:
         return SimplexResult(x, value, duals, self.pivots)
 
 
-def solve_canonical(c, A, b) -> SimplexResult:
-    """min c.x subject to A x <= b, x >= 0; exact rationals throughout."""
-    if len(A) != len(b):
-        raise ValueError("A and b disagree on row count")
-    for row in A:
-        if len(row) != len(c):
-            raise ValueError("A and c disagree on column count")
-    tab = _Tableau(c, A, b)
+def solve_canonical(c, rows, b) -> SimplexResult:
+    """min c.x subject to A x <= b, x >= 0; exact rationals throughout.
+
+    rows[i] lists the nonzeros of row i of A as (column, coefficient) pairs.
+    """
+    if len(rows) != len(b):
+        raise ValueError("rows and b disagree on row count")
+    tab = _Tableau(c, rows, b)
     tab.solve()
     return tab.result()

@@ -1,10 +1,12 @@
 """Metric LP relaxation: structure, exact solves, value curve."""
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
 from lambdaprime.exact import exact_opt_curve
+from lambdaprime import lp as lp_module
 from lambdaprime.graphs import gen_gnp, gen_path, gen_ring, gen_star, make_graph
 from lambdaprime.lp import build_lp, lp_curve, lp_optimum, solve_lp
 
@@ -63,8 +65,23 @@ def test_duals_are_certificates():
     s = solve_lp(g, Fraction(2, 7))
     assert all(y >= 0 for y in s.dual)
     prob = build_lp(g, Fraction(2, 7))
-    _, _, b = prob.dense()
-    assert sum(y * bi for y, bi in zip(s.dual, b)) + prob.constant == s.value
+    assert sum(y * bi for y, bi in zip(s.dual, prob.rhs)) + prob.constant == s.value
+
+
+def test_dual_infeasible_certificate_rejected(monkeypatch):
+    real = lp_module.solve_canonical
+
+    def forged(c, rows, b):
+        res = real(c, rows, b)
+        dual_ub = list(res.dual_ub)
+        # triangle row 0 has rhs 0, so b.y (strong duality) is unchanged
+        # while A^T y exceeds c on two pairs
+        dual_ub[0] -= 10
+        return dataclasses.replace(res, dual_ub=dual_ub)
+
+    monkeypatch.setattr(lp_module, "solve_canonical", forged)
+    with pytest.raises(ValueError):
+        solve_lp(gen_star(4), Fraction(1, 3))
 
 
 def test_lp_lower_bounds_partitions():

@@ -48,12 +48,20 @@ def test_family_round_trip_preserves_certification(tmp_path):
     back = family_from_dict(read_json(path), g.n)
     assert back.eps == fam.eps and back.domain == fam.domain
     assert back.lp_solve_count == fam.lp_solve_count
+    assert back.algo == fam.algo == "geometric"
     assert len(back.members) == len(fam.members)
     for a, b in zip(back.members, fam.members):
         assert a.interval == replace(b.interval, eps=fam.eps)
         assert a.solution.x == b.solution.x
         assert a.solution.line == b.solution.line
     assert certify_cover(back, g).ok
+
+
+def test_family_wrong_length_x_rejected():
+    d = family_to_dict(sweep_geometric(gen_star(4), 1))
+    d["members"][0]["x"] = d["members"][0]["x"][:-1]
+    with pytest.raises(ValueError):
+        family_from_dict(d, 4)
 
 
 def test_family_vectors_optional():
