@@ -109,7 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     vcover = vsub.add_parser("cover", help="coverage + worst-ratio audit")
     vcover.add_argument("--cover", required=True)
     vcover.add_argument("--graph", required=True)
-    vcover.add_argument("--grid", type=int, default=100)
     vcover.set_defaults(func=_cmd_verify_cover)
     vring = vsub.add_parser("ring", help="ring sandwich bounds on a grid")
     vring.add_argument("--k", type=int, required=True)
@@ -204,7 +203,7 @@ def _cmd_round(args) -> int:
 def _cmd_verify_cover(args) -> int:
     g = load_graph(args.graph)
     fam = family_from_dict(read_json(args.cover), g.n)
-    rep = certify_cover(fam, g, grid_density=args.grid)
+    rep = certify_cover(fam, g)
     print("coverage gap: %s" % (rep.gap,))
     print(
         "worst ratio %s at lambda=%s (bound %s, %d points)"

@@ -16,10 +16,9 @@ LpProblem keeps the rows sparse, three entries per triangle row, and the exact
 mode hands them to the in-package simplex in that form; check_certificate
 then checks the primal point and the dual vector against the same rows.
 solve_lp offers that exact rational mode and a float mode (scipy HiGHS with
-tightened tolerances) for larger graphs. lp_curve
-recovers the full piecewise-linear value curve exactly by chord search:
-solve the endpoints, and if their cost lines disagree, solve at the
-intersection; matching value there certifies the two pieces by concavity.
+tightened tolerances) for larger graphs. lp_curve recovers the full
+piecewise-linear value curve exactly: a chord search collects optimal
+solutions, and the curve is the lower envelope of their cost lines.
 """
 from __future__ import annotations
 
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .curves import PwlCurve, PwlPiece
+from .curves import PwlCurve, envelope_of
 from .graphs import Graph
 from .objectives import CostLine
 from .rationals import rat
@@ -114,6 +113,33 @@ def check_metric(x, n, tol=0):
         a, b, c = x[idx[(i, j)]], x[idx[(i, k)]], x[idx[(j, k)]]
         if a > b + c + tol or b > a + c + tol or c > a + b + tol:
             raise ValueError("triangle inequality fails at (%d,%d,%d)" % (i, j, k))
+
+
+def check_solution(sol: LpSolution, g: Graph):
+    """Raise ValueError unless sol is a point of g's metric LP as recorded.
+
+    Checks n, the length of x, the box 0 <= x <= 1 and every triangle
+    inequality; for an exact solution also that x realizes the stored cost
+    line and that the line takes the stored value at sol.lam. Returns the
+    pair index map of g.
+    """
+    tol = 0 if sol.exact else 1e-8
+    n = g.n
+    if sol.n != n:
+        raise ValueError("solution is for n=%d, graph has n=%d" % (sol.n, n))
+    if len(sol.x) != n * (n - 1) // 2:
+        raise ValueError("solution vector has wrong length")
+    for v in sol.x:
+        if v < -tol or v > 1 + tol:
+            raise ValueError("entry %s outside [0, 1]" % (v,))
+    check_metric(sol.x, n, tol)
+    idx = pair_index(n)[1]
+    if sol.exact:
+        if _line_of_x(g, sol.x, idx) != sol.line:
+            raise ValueError("cost line at lambda=%s is not the line of x" % sol.lam)
+        if sol.line.value_at(sol.lam) != sol.value:
+            raise ValueError("value at lambda=%s is not on the cost line" % sol.lam)
+    return idx
 
 
 def check_certificate(prob: LpProblem, x, y, value):
@@ -230,48 +256,33 @@ def lp_optimum(g: Graph, lam, mode="exact"):
 def lp_curve(g: Graph, lo=0, hi=1) -> PwlCurve:
     """Exact piecewise-linear LP value curve on [lo, hi].
 
-    Pieces are tagged with an LpSolution whose cost line is the piece. The
-    number of solver calls is proportional to the number of pieces, not to
+    Chord search: solve both ends of [a, b]; if their cost lines differ, solve
+    where they cross. If that value lies on the lines, concavity certifies
+    both pieces; otherwise recurse into both halves. Every solution's line
+    bounds the curve from above, so the curve is the lower envelope of the
+    lines found, each piece tagged with the earliest solution in lambda order
+    whose line it is. Solver calls grow with the number of pieces, not with
     any sampling density.
     """
     lo, hi = rat(lo), rat(hi)
     if not 0 <= lo < hi <= 1:
         raise ValueError("need 0 <= lo < hi <= 1")
-    cache = {}
+    sols = {lo: _solve_exact(g, lo), hi: _solve_exact(g, hi)}
 
-    def solve(lam):
-        if lam not in cache:
-            cache[lam] = _solve_exact(g, lam)
-        return cache[lam]
-
-    pieces = []
-
-    def chord(a, sa, b, sb):
-        la, lb = sa.line, sb.line
+    def chord(a, b):
+        la, lb = sols[a].line, sols[b].line
         if la == lb:
-            pieces.append(PwlPiece(la, a, b, tag=sa))
             return
-        # distinct optimal lines cross within [a, b]
         lx = la.intersect(lb)
-        if lx <= a:
-            pieces.append(PwlPiece(lb, a, b, tag=sb))
+        if not a < lx < b:
             return
-        if lx >= b:
-            pieces.append(PwlPiece(la, a, b, tag=sa))
-            return
-        sm = solve(lx)
+        sm = _solve_exact(g, lx)
         if sm.value == la.value_at(lx):
-            pieces.append(PwlPiece(la, a, lx, tag=sa))
-            pieces.append(PwlPiece(lb, lx, b, tag=sb))
             return
-        chord(a, sa, lx, sm)
-        chord(lx, sm, b, sb)
+        sols[lx] = sm
+        chord(a, lx)
+        chord(lx, b)
 
-    chord(lo, solve(lo), hi, solve(hi))
-    merged = []
-    for p in pieces:
-        if merged and merged[-1].line == p.line:
-            merged[-1] = PwlPiece(p.line, merged[-1].lo, p.hi, tag=merged[-1].tag)
-        else:
-            merged.append(p)
-    return PwlCurve(tuple(merged), lo, hi)
+    chord(lo, hi)
+    tags = [sols[lam] for lam in sorted(sols)]
+    return envelope_of([s.line for s in tags], (lo, hi), tags=tags)

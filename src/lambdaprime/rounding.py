@@ -17,30 +17,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import Graph
-from .lp import LpSolution, check_metric, pair_index
+from .lp import LpSolution, check_solution
 from .objectives import Clustering, lamcc_score, lamprime_score
 from .sweeps import CoverFamily
 
 _HALF = Fraction(1, 2)
 
 
-def _check_rounding_input(x: LpSolution, g: Graph):
-    tol = 0 if x.exact else 1e-8
-    n = g.n
-    if x.n != n:
-        raise ValueError("solution is for n=%d, graph has n=%d" % (x.n, n))
-    if len(x.x) != n * (n - 1) // 2:
-        raise ValueError("solution vector has wrong length")
-    for v in x.x:
-        if v < -tol or v > 1 + tol:
-            raise ValueError("entry %s outside [0, 1]" % (v,))
-    check_metric(x.x, n, tol)
-    return pair_index(n)[1]
-
-
 def round_region_growing(x: LpSolution, g: Graph) -> Clustering:
     """Cut cheapest-boundary balls in the LP metric until all nodes are placed."""
-    idx = _check_rounding_input(x, g)
+    idx = check_solution(x, g)
     seed = x.value / g.n
     edges = g.sorted_edges()
     unclustered = set(range(g.n))
@@ -99,8 +85,6 @@ def build_clustering_family(cover: CoverFamily, g: Graph) -> list:
     out = []
     for mem in cover.members:
         sol = mem.solution
-        if sol.n != g.n:
-            raise ValueError("cover was built for a different graph")
         c = round_region_growing(sol, g)
         lam = sol.lam
         if cover.objective == "lamcc":

@@ -18,21 +18,20 @@ Three constructions:
   approximate range, then greedily keeps a minimum subfamily that still
   covers the domain.
 
-certify_cover re-checks any family from scratch: exact interval coverage,
-plus an exact worst-ratio audit. Ratios of two piecewise-linear curves peak
-at breakpoints of either, so auditing all breakpoints (plus a geometric
-grid for good measure) bounds the ratio everywhere, not just at samples.
+certify_cover re-checks any family from scratch: each member's x against
+its recorded line and value, exact interval coverage, and an exact
+worst-ratio audit at the breakpoints of the LP curve and of the member
+envelope, which bounds the ratio everywhere (see certify_cover).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .analytic import lamcc_schedule
 from .curves import PwlCurve, envelope_of
 from .graphs import Graph
-from .lp import LpSolution, lp_curve, solve_lp
+from .lp import LpSolution, check_solution, lp_curve, solve_lp
 from .rationals import GUARD, ceil_log, floor_log, rat
 from .sensitivity import LambdaInterval, orlp
 
@@ -88,23 +87,17 @@ def _transfer_interval(lam_solve, eps):
     return LambdaInterval(lo, hi_raw, eps)
 
 
-def geometric_schedule(n, eps, start=None):
+def geometric_schedule(n, eps):
     """Raw solve points: 4/n^2 growing by (1+eps)^2, then 1/(1+eps) last.
 
-    start overrides the 4/n^2 floor (experimentation knob; the default is the
-    threshold below which one cluster is already optimal).
+    4/n^2 is the threshold below which one cluster is already optimal.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     eps = rat(eps)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
-    if start is None:
-        lam = Fraction(4, n * n)
-    else:
-        lam = rat(start)
-        if not (0 < lam < 1):
-            raise ValueError("start must lie in (0,1)")
+    lam = Fraction(4, n * n)
     q = floor_log((1 + eps) ** 2, 1 / lam) + 1
     out = [lam]
     for _ in range(q - 1):
@@ -114,12 +107,12 @@ def geometric_schedule(n, eps, start=None):
     return out
 
 
-def sweep_geometric(g: Graph, eps, objective="lamprime", lam_floor=None) -> CoverFamily:
+def sweep_geometric(g: Graph, eps, objective="lamprime") -> CoverFamily:
     eps = rat(eps)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
     if objective == "lamprime":
-        sched = geometric_schedule(g.n, eps, start=lam_floor)
+        sched = geometric_schedule(g.n, eps)
         members = []
         for lam in sched:
             lam_s = min(lam, 1 - GUARD)
@@ -143,19 +136,14 @@ def sweep_geometric(g: Graph, eps, objective="lamprime", lam_floor=None) -> Cove
     )
 
 
-def sweep_fe(g: Graph, eps, lam_floor=None) -> CoverFamily:
+def sweep_fe(g: Graph, eps) -> CoverFamily:
     """Frontier extension: greedy forward pushes with sensitivity certificates."""
     eps = rat(eps)
     if eps <= 0:
         raise ValueError("the frontier step needs epsilon > 0")
     if g.n < 3:
         raise ValueError("frontier sweep needs n >= 3")
-    if lam_floor is None:
-        lam0 = Fraction(4, g.n * g.n)
-    else:
-        lam0 = rat(lam_floor)
-        if not (0 < lam0 < 1):
-            raise ValueError("lam_floor must lie in (0,1)")
+    lam0 = Fraction(4, g.n * g.n)
     domain_lo = lam0
     members = []
     solves = 0
@@ -190,9 +178,9 @@ def sweep_fe(g: Graph, eps, lam_floor=None) -> CoverFamily:
     )
 
 
-def sweep_febe(g: Graph, eps, lam_floor=None) -> CoverFamily:
+def sweep_febe(g: Graph, eps) -> CoverFamily:
     """FE followed by backward widening and a greedy minimum subcover."""
-    fe = sweep_fe(g, eps, lam_floor=lam_floor)
+    fe = sweep_fe(g, eps)
     eps = fe.eps
     widened = []
     for mem in fe.members:
@@ -275,25 +263,27 @@ class CoverReport:
     points_checked: int
 
 
-def _geometric_grid(lo, hi, k):
-    if k < 2:
-        return [lo]
-    flo, fhi = math.log(float(lo)), math.log(float(hi))
-    pts = []
-    for i in range(k):
-        f = math.exp(flo + (fhi - flo) * i / (k - 1))
-        lam = Fraction(f).limit_denominator(10 ** 9)
-        pts.append(min(max(lam, lo), hi))
-    return pts
+def certify_cover(family: CoverFamily, g: Graph, curve=None):
+    """Re-check a family from scratch: members, coverage and the worst ratio.
 
-
-def certify_cover(family: CoverFamily, g: Graph, grid_density=100, curve=None):
-    """Re-check a family from scratch: coverage plus an exact ratio audit."""
+    Every member that carries x must pass check_solution, so its line is
+    realized by a feasible x and lies on or above the LP curve. The audit
+    then evaluates envelope/curve exactly at lo_d, hi_eff and every
+    breakpoint of either curve between them, and nothing else. Between two
+    consecutive audit points both curves are affine, say a + b*lam and
+    c + d*lam (for lamcc both are shifted by -lam*m, which keeps them
+    affine). Where the LP value c + d*lam is positive at both ends it is
+    positive in between (the curve is concave), so the ratio has derivative
+    (b*c - a*d)/(c + d*lam)^2 of one sign: it is monotone there, and its
+    extremes over the whole domain sit at audit points. A ratio below 1
+    means a member line dips below the LP curve, which only a forged member
+    without x can do; it fails the audit.
+    """
     if not family.members:
         raise ValueError("empty family")
     for mem in family.members:
-        if mem.solution.n != g.n:
-            raise ValueError("family was built for a different graph")
+        if mem.solution.x:
+            check_solution(mem.solution, g)
     gap = family.coverage_gap()
     lo_d, hi_d = family.domain
     bound = 1 + family.eps
@@ -303,19 +293,14 @@ def certify_cover(family: CoverFamily, g: Graph, grid_density=100, curve=None):
         curve = lp_curve(g)
     env = family_envelope(family)
     hi_eff = min(hi_d, 1 - GUARD)
-    points = set(_geometric_grid(lo_d, hi_eff, grid_density))
-    points.update(b for b in curve.breakpoints if lo_d <= b <= hi_eff)
-    points.update(b for b in env.breakpoints if lo_d <= b <= hi_eff)
+    points = {lo_d, hi_eff}
     points.update(
-        rat(m.solution.lam)
-        for m in family.members
-        if lo_d <= rat(m.solution.lam) <= hi_eff
+        b for b in curve.breakpoints + env.breakpoints if lo_d <= b <= hi_eff
     )
-    points.add(lo_d)
-    points.add(hi_eff)
     shift_m = g.m if family.objective == "lamcc" else 0
     worst = Fraction(0)
     worst_lam = lo_d
+    below = False
     for lam in sorted(points):
         lpv = curve.value_at(lam) - lam * shift_m
         mv = env.value_at(lam) - lam * shift_m
@@ -324,7 +309,8 @@ def certify_cover(family: CoverFamily, g: Graph, grid_density=100, curve=None):
                 continue
             raise ValueError("LP value vanishes at %s; ratio undefined" % lam)
         ratio = mv / lpv
+        below = below or ratio < 1
         if ratio > worst:
             worst, worst_lam = ratio, lam
-    ok = gap is None and worst <= bound
+    ok = gap is None and worst <= bound and not below
     return CoverReport(ok, gap, worst, worst_lam, bound, len(points))

@@ -130,7 +130,7 @@ def test_criterion_06_geometric_cover(corpus, cache):
         for eps in (F(1, 2), F(1)):
             fam = cache.geometric_cover(name, g, eps)
             assert len(fam.members) <= floor_log(1 + eps, g.n) + 2, name
-            rep = certify_cover(fam, g, grid_density=100, curve=curve)
+            rep = certify_cover(fam, g, curve=curve)
             assert rep.ok, (name, eps, rep.gap, rep.worst_ratio)
             assert rep.worst_ratio <= 1 + eps, (name, eps)
             worst = max(worst, rep.worst_ratio / (1 + eps))
@@ -212,7 +212,7 @@ def test_criterion_08_fe_febe_bounds(corpus, cache):
             assert len(fe.members) <= ceil_log(1 + eps, g.n), (name, eps)
             febe = sweep_febe(g, eps)
             assert len(febe.members) <= len(fe.members)
-            rep = certify_cover(febe, g, grid_density=60, curve=curve)
+            rep = certify_cover(febe, g, curve=curve)
             assert rep.ok, (name, eps)
             fe_keys = {(m.solution.lam, m.solution.line) for m in fe.members}
             assert all(

@@ -50,7 +50,6 @@ def test_sweep_then_verify_roundtrip(tmp_path):
     assert rc == 0
     rc = main([
         "verify", "cover", "--cover", str(cover), "--graph", str(gpath),
-        "--grid", "40",
     ])
     assert rc == 0
 
@@ -67,7 +66,6 @@ def test_sweep_fe_and_febe(tmp_path):
         assert rc == 0
         assert main([
             "verify", "cover", "--cover", str(out), "--graph", str(gpath),
-            "--grid", "30",
         ]) == 0
 
 
@@ -126,9 +124,55 @@ def test_verify_cover_detects_tampering(tmp_path):
     d = json.loads(cover.read_text())
     d["members"] = d["members"][:1]
     cover.write_text(json.dumps(d))
-    rc = main(["verify", "cover", "--cover", str(cover), "--graph", str(gpath),
-               "--grid", "20"])
+    rc = main(["verify", "cover", "--cover", str(cover), "--graph", str(gpath)])
     assert rc == 4
+
+
+def _ring8_cover(tmp_path, *flags):
+    gpath = tmp_path / "ring.txt"
+    main(["gen", "ring", "--k", "3", "--out", str(gpath)])
+    cover = tmp_path / "cover.json"
+    main(["sweep", "--graph", str(gpath), "--epsilon", "1", "--out", str(cover),
+          *flags])
+    return gpath, cover, json.loads(cover.read_text())
+
+
+def _zero_members(d):
+    for m in d["members"]:
+        m["P"] = m["N"] = m["value"] = "0"
+
+
+def _one_stretched_member(d):
+    m = d["members"][0]
+    m["P"], m["N"], m["value"] = "0", "1", m["lambda"]
+    m["interval"] = dict(d["members"][-1]["interval"], lo=d["domain"][0])
+    d["members"] = [m]
+
+
+@pytest.mark.parametrize("forge", [_zero_members, _one_stretched_member])
+def test_verify_cover_rejects_forged_lines(tmp_path, forge):
+    gpath, cover, d = _ring8_cover(tmp_path)
+    forge(d)
+    cover.write_text(json.dumps(d))
+    rc = main(["verify", "cover", "--cover", str(cover), "--graph", str(gpath)])
+    assert rc == 3
+
+
+def test_verify_cover_without_vectors_rejects_zero_lines(tmp_path):
+    gpath, cover, d = _ring8_cover(tmp_path, "--no-vectors")
+    _zero_members(d)
+    cover.write_text(json.dumps(d))
+    rc = main(["verify", "cover", "--cover", str(cover), "--graph", str(gpath)])
+    assert rc == 4
+
+
+def test_round_rejects_forged_value(tmp_path):
+    gpath, cover, d = _ring8_cover(tmp_path)
+    d["members"][0]["value"] = "0"
+    cover.write_text(json.dumps(d))
+    rc = main(["round", "--cover", str(cover), "--graph", str(gpath),
+               "--out", str(tmp_path / "c.json")])
+    assert rc == 3
 
 
 def test_curve_exact_outputs(tmp_path):

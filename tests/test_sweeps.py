@@ -1,15 +1,21 @@
 """Cover-family construction and certification."""
+import functools
 import itertools
 from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lambdaprime.graphs import gen_gnp, gen_path, gen_ring, gen_star, make_graph
+from lambdaprime.lp import LpSolution, lp_curve
+from lambdaprime.objectives import CostLine
 from lambdaprime.rationals import GUARD, ceil_log, floor_log
 from lambdaprime.sensitivity import LambdaInterval, eps_range, orlp
 from lambdaprime.sweeps import (
     CoverFamily,
+    CoverMember,
     certify_cover,
     family_envelope,
     forward_factor,
@@ -206,19 +212,6 @@ def test_febe_never_larger_than_fe_at_small_eps():
     assert len(sweep_febe(g, F(1, 10)).members) <= len(sweep_fe(g, F(1, 10)).members)
 
 
-def test_lam_floor_widens_domain():
-    g = gen_star(5)
-    fam = sweep_geometric(g, 1, lam_floor=F(1, 50))
-    assert fam.domain[0] == F(1, 50)
-    assert fam.coverage_gap() is None
-    assert certify_cover(fam, g).ok
-    fe = sweep_fe(g, 1, lam_floor=F(1, 50))
-    assert fe.domain[0] == F(1, 50)
-    assert fe.coverage_gap() is None
-    with pytest.raises(ValueError):
-        sweep_geometric(g, 1, lam_floor=F(3, 2))
-
-
 def test_family_envelope_matches_members():
     g = gen_star(5)
     fam = sweep_geometric(g, 1)
@@ -337,3 +330,95 @@ def test_family_requires_ordered_members():
             fam.domain,
             fam.lp_solve_count,
         )
+
+
+def test_line_below_curve_near_one_breakpoint_fails_audit():
+    # a member without x whose line passes just under the LP curve's kink at
+    # 1/6 and above it elsewhere: only that breakpoint shows a ratio below 1
+    g = gen_ring(3)
+    fam = sweep_geometric(g, 1)
+    curve = lp_curve(g)
+    b = F(1, 6)
+    assert b in curve.breakpoints
+    assert b not in family_envelope(fam).breakpoints
+    line = CostLine(curve.value_at(b) - F(1, 1000) - 10 * b, F(10))
+    forged = LpSolution(g.n, b, (), line.value_at(b), line, ())
+    members = sorted(fam.members + (CoverMember(forged, LambdaInterval(b, b, 1)),),
+                     key=lambda m: m.interval.lo)
+    rep = certify_cover(replace(fam, members=tuple(members)), g, curve=curve)
+    assert not rep.ok
+    assert rep.worst_ratio <= 2 and rep.gap is None
+
+
+def _tamper(sol, field, pick, delta):
+    if field == "P":
+        return replace(sol, line=replace(sol.line, P=sol.line.P + delta))
+    if field == "N":
+        return replace(sol, line=replace(sol.line, N=sol.line.N + delta))
+    if field == "value":
+        return replace(sol, value=sol.value + delta)
+    x = list(sol.x)
+    x[pick % len(x)] += delta
+    return replace(sol, x=tuple(x))
+
+
+@functools.lru_cache(maxsize=None)
+def _tamper_case(name):
+    g = {"ring8": gen_ring(3), "star5": gen_star(5)}[name]
+    return g, sweep_geometric(g, 1), lp_curve(g)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    name=st.sampled_from(["ring8", "star5"]),
+    field=st.sampled_from(["P", "N", "value", "x"]),
+    pick=st.integers(min_value=0, max_value=10 ** 6),
+    delta=st.fractions(min_value=-2, max_value=2, max_denominator=64).filter(bool),
+)
+def test_tampered_member_fails_certification(name, field, pick, delta):
+    g, fam, curve = _tamper_case(name)
+    assert certify_cover(fam, g, curve=curve).ok
+    i = pick % len(fam.members)
+    members = list(fam.members)
+    members[i] = replace(members[i], solution=_tamper(members[i].solution, field,
+                                                      pick, delta))
+    try:
+        rep = certify_cover(replace(fam, members=tuple(members)), g, curve=curve)
+    except ValueError:
+        return
+    assert not rep.ok
+
+
+@functools.lru_cache(maxsize=None)
+def _audit_case(name):
+    if name == "ring8_geometric":
+        g = gen_ring(3)
+        fam = sweep_geometric(g, 1)
+    elif name == "star5_febe":
+        g = gen_star(5)
+        fam = sweep_febe(g, F(1, 2))
+    else:
+        g = gen_gnp(7, 0.5, seed=2)
+        fam = sweep_geometric(g, 1, objective="lamcc")
+    curve = lp_curve(g)
+    return g, fam, curve, family_envelope(fam), certify_cover(fam, g, curve=curve)
+
+
+def _audit_ratio(g, fam, curve, env, lam):
+    shift = lam * g.m if fam.objective == "lamcc" else 0
+    return (env.value_at(lam) - shift) / (curve.value_at(lam) - shift)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    name=st.sampled_from(["ring8_geometric", "star5_febe", "gnp7_lamcc"]),
+    t=st.fractions(min_value=0, max_value=1, max_denominator=10 ** 4),
+)
+def test_audit_bounds_ratio_on_whole_domain(name, t):
+    g, fam, curve, env, rep = _audit_case(name)
+    assert rep.ok
+    lo = fam.domain[0]
+    hi = min(fam.domain[1], 1 - GUARD)
+    worst = _audit_ratio(g, fam, curve, env, rep.worst_lambda)
+    assert worst == rep.worst_ratio
+    assert _audit_ratio(g, fam, curve, env, lo + t * (hi - lo)) <= worst
