@@ -13,8 +13,10 @@ N = sum over all pairs of (1 - x_ij). Integral x encode partitions, so the
 optimum lower-bounds the best clustering at every lam.
 
 LpProblem keeps the rows sparse, three entries per triangle row, and the exact
-mode hands them to the in-package simplex in that form; check_certificate
-then checks the primal point and the dual vector against the same rows.
+mode hands them to the in-package simplex in that form. Each side of the
+optimality proof is checked in one place: check_solution owns the primal side
+(box, triangles, the cost line of x and the value on it), and
+check_certificate only the dual side (y >= 0, A^T y <= c, b.y = value).
 solve_lp offers that exact rational mode and a float mode (scipy HiGHS with
 tightened tolerances) for larger graphs. lp_curve recovers the full
 piecewise-linear value curve exactly: a chord search collects optimal
@@ -106,15 +108,6 @@ class LpSolution:
     exact: bool = True
 
 
-def check_metric(x, n, tol=0):
-    """Raise ValueError unless x (per lex pair) obeys every triangle inequality."""
-    _, idx = pair_index(n)
-    for i, j, k in combinations(range(n), 3):
-        a, b, c = x[idx[(i, j)]], x[idx[(i, k)]], x[idx[(j, k)]]
-        if a > b + c + tol or b > a + c + tol or c > a + b + tol:
-            raise ValueError("triangle inequality fails at (%d,%d,%d)" % (i, j, k))
-
-
 def check_solution(sol: LpSolution, g: Graph):
     """Raise ValueError unless sol is a point of g's metric LP as recorded.
 
@@ -129,31 +122,33 @@ def check_solution(sol: LpSolution, g: Graph):
         raise ValueError("solution is for n=%d, graph has n=%d" % (sol.n, n))
     if len(sol.x) != n * (n - 1) // 2:
         raise ValueError("solution vector has wrong length")
-    for v in sol.x:
+    x = sol.x
+    for v in x:
         if v < -tol or v > 1 + tol:
             raise ValueError("entry %s outside [0, 1]" % (v,))
-    check_metric(sol.x, n, tol)
     idx = pair_index(n)[1]
+    for i, j, k in combinations(range(n), 3):
+        a, b, c = x[idx[(i, j)]], x[idx[(i, k)]], x[idx[(j, k)]]
+        if a > b + c + tol or b > a + c + tol or c > a + b + tol:
+            raise ValueError("triangle inequality fails at (%d,%d,%d)" % (i, j, k))
     if sol.exact:
-        if _line_of_x(g, sol.x, idx) != sol.line:
+        if _line_of_x(g, x, idx) != sol.line:
             raise ValueError("cost line at lambda=%s is not the line of x" % sol.lam)
         if sol.line.value_at(sol.lam) != sol.value:
             raise ValueError("value at lambda=%s is not on the cost line" % sol.lam)
     return idx
 
 
-def check_certificate(prob: LpProblem, x, y, value):
-    """Raise ValueError unless x and y prove that value is the optimum of prob.
+def check_certificate(prob: LpProblem, y, value):
+    """Raise ValueError unless y proves that value is at most the optimum of prob.
 
-    x must be feasible (x >= 0 and every >= row, which covers the triangles
-    and x <= 1), y dual feasible (y >= 0 and A^T y <= c), and both must
-    attain value: c.x + constant = value = b.y + constant.
+    y must have one entry per row, be dual feasible (y >= 0 and A^T y <= c)
+    and attain value: b.y + constant = value. With a feasible x of that
+    value (check_solution) this proves value optimal.
     """
-    if any(v < 0 for v in x):
-        raise ValueError("x has a negative entry")
-    for coeffs, bi in zip(prob.rows, prob.rhs):
-        if sum(coeff * x[var] for var, coeff in coeffs) < bi:
-            raise ValueError("x violates a constraint")
+    if len(y) != prob.num_rows:
+        raise ValueError("dual certificate has %d entries, need %d"
+                         % (len(y), prob.num_rows))
     if any(v < 0 for v in y):
         raise ValueError("dual certificate has a negative entry")
     aty = [0] * prob.num_vars
@@ -163,8 +158,6 @@ def check_certificate(prob: LpProblem, x, y, value):
                 aty[var] += coeff * yi
     if any(a > ci for a, ci in zip(aty, prob.c)):
         raise ValueError("dual certificate infeasible")
-    if sum(ci * xi for ci, xi in zip(prob.c, x)) + prob.constant != value:
-        raise ValueError("value is not the objective at x")
     if sum(yi * bi for yi, bi in zip(y, prob.rhs)) + prob.constant != value:
         raise ValueError("dual certificate does not prove optimality")
 
@@ -192,16 +185,14 @@ def _solve_exact(g: Graph, lam) -> LpSolution:
     h = [-v for v in prob.rhs]
     res = solve_canonical(prob.c, G, h)
     _, idx = pair_index(g.n)
-    line = _line_of_x(g, res.x, idx)
-    value = res.value + prob.constant
-    if line.value_at(prob.lam) != value:
-        raise AssertionError("objective decomposition mismatch")
-    y = tuple(-u for u in res.dual_ub)
-    check_certificate(prob, res.x, y, value)
-    return LpSolution(
-        n=g.n, lam=prob.lam, x=tuple(res.x), value=value, line=line, dual=y,
+    sol = LpSolution(
+        n=g.n, lam=prob.lam, x=tuple(res.x), value=res.value + prob.constant,
+        line=_line_of_x(g, res.x, idx), dual=tuple(-u for u in res.dual_ub),
         exact=True,
     )
+    check_solution(sol, g)
+    check_certificate(prob, sol.dual, sol.value)
+    return sol
 
 
 _HIGHS_OPTS = {
@@ -232,15 +223,14 @@ def _solve_float(g: Graph, lam) -> LpSolution:
         raise AssertionError("HiGHS failed: %s" % res.message)
     _, idx = pair_index(g.n)
     x = tuple(min(1.0, max(0.0, float(v))) for v in res.x)
-    check_metric(x, g.n, tol=1e-8)
-    line = _line_of_x(g, x, idx)
-    value = float(res.fun) + lamf * len(prob.pairs)
     dual_tri = tuple(-float(u) for u in res.ineqlin.marginals)
     dual_ub = tuple(max(0.0, -float(u)) for u in res.upper.marginals)
-    return LpSolution(
-        n=g.n, lam=lamf, x=x, value=value, line=line,
-        dual=dual_tri + dual_ub, exact=False,
+    sol = LpSolution(
+        n=g.n, lam=lamf, x=x, value=float(res.fun) + lamf * len(prob.pairs),
+        line=_line_of_x(g, x, idx), dual=dual_tri + dual_ub, exact=False,
     )
+    check_solution(sol, g)
+    return sol
 
 
 def lp_value_at(x: LpSolution, lam):
@@ -253,8 +243,8 @@ def lp_optimum(g: Graph, lam, mode="exact"):
     return solve_lp(g, lam, mode=mode).value
 
 
-def lp_curve(g: Graph, lo=0, hi=1) -> PwlCurve:
-    """Exact piecewise-linear LP value curve on [lo, hi].
+def lp_curve(g: Graph) -> PwlCurve:
+    """Exact piecewise-linear LP value curve on [0, 1].
 
     Chord search: solve both ends of [a, b]; if their cost lines differ, solve
     where they cross. If that value lies on the lines, concavity certifies
@@ -264,9 +254,7 @@ def lp_curve(g: Graph, lo=0, hi=1) -> PwlCurve:
     whose line it is. Solver calls grow with the number of pieces, not with
     any sampling density.
     """
-    lo, hi = rat(lo), rat(hi)
-    if not 0 <= lo < hi <= 1:
-        raise ValueError("need 0 <= lo < hi <= 1")
+    lo, hi = Fraction(0), Fraction(1)
     sols = {lo: _solve_exact(g, lo), hi: _solve_exact(g, hi)}
 
     def chord(a, b):

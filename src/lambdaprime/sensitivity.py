@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import Graph
-from .lp import LpSolution, build_lp, check_certificate
+from .lp import LpSolution, build_lp, check_certificate, check_solution
 from .rationals import GUARD, rat
 from .simplex import solve_canonical
 
@@ -61,32 +61,32 @@ class LambdaInterval:
 
 
 def verify_certificate(xstar: LpSolution, g: Graph):
-    """Check that x* carries a complete optimality proof at its lambda."""
+    """Check that x* carries a complete optimality proof at its lambda.
+
+    x* must be exact; check_solution checks its primal side (x feasible,
+    realizing the stored line, with the stored value on it) and
+    check_certificate its stored dual against the LP rebuilt from g. Raises
+    ValueError on any failure and returns the LP.
+    """
     if not xstar.exact:
         raise ValueError("sensitivity analysis needs an exact solution")
+    check_solution(xstar, g)
     prob = build_lp(g, xstar.lam)
-    if len(xstar.x) != prob.num_vars or len(xstar.dual) != prob.num_rows:
-        raise ValueError("solution shape does not match the graph")
-    if xstar.line.value_at(prob.lam) != xstar.value:
-        raise ValueError("stored value is inconsistent")
-    check_certificate(prob, [rat(v) for v in xstar.x], [rat(v) for v in xstar.dual],
-                      rat(xstar.value))
+    check_certificate(prob, [rat(v) for v in xstar.dual], rat(xstar.value))
     return prob
 
 
 def orlp(xstar: LpSolution, s: int, lam0, eps, g: Graph, objective="lamprime"):
     """Largest admissible step from lam0 in direction s; (theta, clamped)."""
+    prob = verify_certificate(xstar, g)
     if s not in (1, -1):
         raise ValueError("s must be +1 or -1")
-    if not xstar.exact:
-        raise ValueError("sensitivity analysis needs an exact solution")
     lam0 = rat(lam0)
     eps = rat(eps)
     if eps < 0:
         raise ValueError("epsilon must be nonnegative")
     if rat(xstar.lam) != lam0:
         raise ValueError("x* was not solved at lambda0")
-    prob = verify_certificate(xstar, g)
     if objective == "lamprime":
         q_eff = Fraction(len(prob.pairs))
     elif objective == "lamcc":

@@ -44,36 +44,35 @@ def read_json(path):
         return json.load(fh)
 
 
-def _require_exact(sol: LpSolution):
+def solution_to_dict(sol: LpSolution, include_vectors=True) -> dict:
     if not sol.exact:
         raise ValueError("only exact solutions serialize losslessly")
-
-
-def solution_to_dict(sol: LpSolution) -> dict:
-    _require_exact(sol)
-    return {
+    d = {
         "lambda": format_rat(sol.lam),
         "value": format_rat(sol.value),
         "P": format_rat(sol.line.P),
         "N": format_rat(sol.line.N),
-        "x": [format_rat(v) for v in sol.x],
     }
+    if include_vectors:
+        d["x"] = [format_rat(v) for v in sol.x]
+    return d
 
 
-def _n_from_pairs(npairs: int) -> int:
-    n = int((1 + math.isqrt(1 + 8 * npairs)) // 2)
-    if n * (n - 1) // 2 != npairs:
-        raise ValueError("x length %d is not a pair count" % npairs)
-    return n
+def solution_from_dict(d: dict, n=None) -> LpSolution:
+    """Read a solution written by solution_to_dict; the dual is not stored.
 
-
-def solution_from_dict(d: dict) -> LpSolution:
-    x = tuple(parse_rat(v) for v in d["x"])
+    Without n (an `lp solve --json` file) x is required and n is the node
+    count whose pair count is the length of x. An x whose length is not
+    C(n, 2) is rejected; a dict written without vectors reads back with x = ().
+    """
+    if n is None:
+        n = (1 + math.isqrt(1 + 8 * len(d["x"]))) // 2
+    x = tuple(parse_rat(v) for v in d.get("x", ()))
+    if "x" in d and len(x) != n * (n - 1) // 2:
+        raise ValueError("x has %d entries, need %d for n=%d"
+                         % (len(x), n * (n - 1) // 2, n))
     line = CostLine(parse_rat(d["P"]), parse_rat(d["N"]))
-    return LpSolution(
-        _n_from_pairs(len(x)), parse_rat(d["lambda"]), x,
-        parse_rat(d["value"]), line, (),
-    )
+    return LpSolution(n, parse_rat(d["lambda"]), x, parse_rat(d["value"]), line, ())
 
 
 def interval_to_dict(iv: LambdaInterval) -> dict:
@@ -96,20 +95,11 @@ def interval_from_dict(d: dict, eps) -> LambdaInterval:
 
 
 def family_to_dict(fam: CoverFamily, include_vectors=True) -> dict:
-    members = []
-    for mem in fam.members:
-        sol = mem.solution
-        _require_exact(sol)
-        md = {
-            "lambda": format_rat(sol.lam),
-            "P": format_rat(sol.line.P),
-            "N": format_rat(sol.line.N),
-            "value": format_rat(sol.value),
-            "interval": interval_to_dict(mem.interval),
-        }
-        if include_vectors:
-            md["x"] = [format_rat(v) for v in sol.x]
-        members.append(md)
+    members = [
+        dict(solution_to_dict(mem.solution, include_vectors),
+             interval=interval_to_dict(mem.interval))
+        for mem in fam.members
+    ]
     out = {
         "epsilon": format_rat(fam.eps),
         "domain": [format_rat(fam.domain[0]), format_rat(fam.domain[1])],
@@ -125,17 +115,10 @@ def family_to_dict(fam: CoverFamily, include_vectors=True) -> dict:
 
 def family_from_dict(d: dict, n: int) -> CoverFamily:
     eps = parse_rat(d["epsilon"])
-    members = []
-    for md in d["members"]:
-        x = tuple(parse_rat(v) for v in md.get("x", []))
-        if "x" in md and len(x) != n * (n - 1) // 2:
-            raise ValueError("member x has %d entries, need %d for n=%d"
-                             % (len(x), n * (n - 1) // 2, n))
-        line = CostLine(parse_rat(md["P"]), parse_rat(md["N"]))
-        sol = LpSolution(
-            n, parse_rat(md["lambda"]), x, parse_rat(md["value"]), line, ()
-        )
-        members.append(CoverMember(sol, interval_from_dict(md["interval"], eps)))
+    members = [
+        CoverMember(solution_from_dict(md, n), interval_from_dict(md["interval"], eps))
+        for md in d["members"]
+    ]
     return CoverFamily(
         tuple(members),
         eps,

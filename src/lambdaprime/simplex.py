@@ -68,7 +68,6 @@ class _Tableau:
         ncols = nvars + nrows + self.n_art + 1
         self.rhs_col = ncols - 1
         self.row_scale = []
-        self.negated = []
         self.T = []
         self.basis = []
         next_art = self.art_start
@@ -86,7 +85,6 @@ class _Tableau:
             for j, v in a:
                 row[j] = sign * int(v * s)
             row[nvars + i] = sign
-            self.negated.append(sign < 0)
             if sign < 0:
                 row[next_art] = 1
                 self.basis.append(next_art)
@@ -230,7 +228,7 @@ class _Tableau:
     def result(self) -> SimplexResult:
         x = [Fraction(0)] * self.nvars
         for r, bv in enumerate(self.basis):
-            if bv is not None and bv < self.nvars:
+            if bv < self.nvars:
                 x[bv] = Fraction(self.T[r][self.rhs_col], self.delta)
         value = Fraction(-self.z[self.rhs_col], self.delta) / self.sigma_c
         duals = []

@@ -222,28 +222,20 @@ def sweep_febe(g: Graph, eps) -> CoverFamily:
 def forward_factor(family, eps):
     """Forward ratios w_i between consecutive ranges and p = max ceil-log.
 
-    family items are LambdaIntervals, CoverMembers, or (solution, interval)
-    pairs. w_i = lo_{i+1}/hi_i for all but the last range, w_last = 1/hi_last;
-    overlaps give w < 1 and contribute nothing through the max with 0.
+    family is a sequence of LambdaIntervals. w_i = lo_{i+1}/hi_i for all but
+    the last range, w_last = 1/hi_last; overlaps give w < 1 and contribute
+    nothing through the max with 0.
     """
     if not family:
         raise ValueError("empty family")
     eps = rat(eps)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
-    ivs = []
-    for item in family:
-        if isinstance(item, LambdaInterval):
-            ivs.append(item)
-        elif hasattr(item, "interval"):
-            ivs.append(item.interval)
-        else:
-            ivs.append(item[1])
     ws = []
-    for i, iv in enumerate(ivs):
+    for i, iv in enumerate(family):
         beta = iv.covered_hi()
-        if i + 1 < len(ivs):
-            ws.append(ivs[i + 1].covered_lo() / beta)
+        if i + 1 < len(family):
+            ws.append(family[i + 1].covered_lo() / beta)
         else:
             ws.append(1 / beta)
     p = 0

@@ -39,7 +39,7 @@ def test_ring_lp_domain():
 
 
 def test_ring_lp_matches_exact_curve():
-    curve = lp_curve(gen_ring(3), Fraction(1, 8), Fraction(1, 2))
+    curve = lp_curve(gen_ring(3))
     for j in range(11):
         lam = Fraction(1, 8) + j * Fraction(3, 80)
         assert ring_lp(3, lam)[0] == curve.value_at(lam)

@@ -166,6 +166,19 @@ def test_verify_cover_without_vectors_rejects_zero_lines(tmp_path):
     assert rc == 4
 
 
+def test_verify_cover_reports_coverage_only_without_vectors(tmp_path, capsys):
+    gpath, cover, d = _ring8_cover(tmp_path)
+    argv = ["verify", "cover", "--cover", str(cover), "--graph", str(gpath)]
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "OK"
+    del d["members"][0]["x"]
+    cover.write_text(json.dumps(d))
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "OK (coverage only: members without x were not checked against the LP)")
+
+
 def test_round_rejects_forged_value(tmp_path):
     gpath, cover, d = _ring8_cover(tmp_path)
     d["members"][0]["value"] = "0"

@@ -6,6 +6,7 @@ import pytest
 
 from lambdaprime.graphs import gen_gnp, gen_ring, gen_star
 from lambdaprime.lp import lp_curve, lp_optimum, solve_lp
+from lambdaprime.objectives import CostLine
 from lambdaprime.rationals import GUARD
 from lambdaprime.sensitivity import (
     LambdaInterval,
@@ -169,3 +170,11 @@ def test_corrupted_certificates_rejected():
     bad_x = dataclasses.replace(sol, x=tuple(Fraction(2) for _ in sol.x))
     with pytest.raises(ValueError):
         verify_certificate(bad_x, g)
+    # same value at lam0, but not the line of x
+    bad_line = dataclasses.replace(
+        sol, line=CostLine(sol.line.P + 1, sol.line.N - 1 / lam0))
+    assert bad_line.line.value_at(lam0) == sol.value
+    with pytest.raises(ValueError):
+        verify_certificate(bad_line, g)
+    with pytest.raises(ValueError):
+        orlp(bad_line, 1, lam0, 0, g)

@@ -5,9 +5,12 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lambdaprime.graphs import gen_ring, gen_star
-from lambdaprime.lp import lp_curve, solve_lp
+from lambdaprime.lp import LpSolution, lp_curve, solve_lp
+from lambdaprime.objectives import CostLine
 from lambdaprime.rounding import build_clustering_family
 from lambdaprime.serialize import (
     atomic_write_text,
@@ -21,7 +24,8 @@ from lambdaprime.serialize import (
     solution_to_dict,
     write_json,
 )
-from lambdaprime.sweeps import certify_cover, sweep_geometric
+from lambdaprime.sensitivity import LambdaInterval
+from lambdaprime.sweeps import CoverFamily, CoverMember, certify_cover, sweep_geometric
 
 
 def test_solution_round_trip():
@@ -62,6 +66,48 @@ def test_family_wrong_length_x_rejected():
     d["members"][0]["x"] = d["members"][0]["x"][:-1]
     with pytest.raises(ValueError):
         family_from_dict(d, 4)
+
+
+_RATS = st.fractions(min_value=-50, max_value=50, max_denominator=10 ** 6)
+_UNIT = st.fractions(min_value=0, max_value=1, max_denominator=10 ** 6).filter(
+    lambda v: 0 < v < 1)
+
+
+@st.composite
+def _families(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    eps = draw(st.fractions(min_value=0, max_value=4, max_denominator=100).filter(bool))
+    members = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        x = tuple(draw(_RATS) for _ in range(n * (n - 1) // 2))
+        line = CostLine(draw(_RATS), draw(_RATS))
+        sol = LpSolution(n, draw(_RATS), x, draw(_RATS), line, ())
+        lo, hi = sorted((draw(_UNIT), draw(_UNIT)))
+        iv = LambdaInterval(lo, hi, eps, lo_clamped=draw(st.booleans()),
+                            hi_clamped=draw(st.booleans()))
+        members.append(CoverMember(sol, iv))
+    members.sort(key=lambda m: m.interval.lo)
+    lo_d, hi_d = sorted((draw(_UNIT), draw(_UNIT)))
+    return CoverFamily(
+        tuple(members), eps, (lo_d, hi_d), draw(st.integers(0, 10 ** 4)),
+        draw(st.sampled_from(["lamprime", "lamcc"])),
+        draw(st.sampled_from(["", "geometric", "fe", "febe"])),
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(fam=_families(), include_vectors=st.booleans())
+def test_family_round_trip_is_lossless(fam, include_vectors):
+    for mem in fam.members:
+        # an `lp solve --json` dict carries x and no n
+        sd = json.loads(json.dumps(solution_to_dict(mem.solution)))
+        assert solution_from_dict(sd) == mem.solution
+    d = json.loads(json.dumps(family_to_dict(fam, include_vectors)))
+    back = family_from_dict(d, fam.members[0].solution.n)
+    if not include_vectors:
+        fam = replace(fam, members=tuple(
+            replace(m, solution=replace(m.solution, x=())) for m in fam.members))
+    assert back == fam
 
 
 def test_family_vectors_optional():

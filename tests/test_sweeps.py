@@ -249,15 +249,6 @@ def test_forward_factor_overlap_contributes_nothing():
     assert p == 0
 
 
-def test_forward_factor_accepts_members_and_pairs():
-    g = gen_ring(3)
-    fam = sweep_fe(g, 1)
-    from_members = forward_factor(fam.members, 1)
-    from_intervals = forward_factor([m.interval for m in fam.members], 1)
-    from_pairs = forward_factor([(m.solution, m.interval) for m in fam.members], 1)
-    assert from_members == from_intervals == from_pairs
-
-
 def test_forward_factor_rejects_bad_inputs():
     with pytest.raises(ValueError):
         forward_factor([], 1)
