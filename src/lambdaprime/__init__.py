@@ -19,7 +19,7 @@ from .objectives import (
 )
 from .curves import PwlCurve, PwlPiece, envelope_of
 from .exact import enumerate_partitions, exact_opt_curve, scaled_sparsest_cut
-from .lp import LpSolution, build_lp, lp_curve, lp_optimum, lp_value_at, solve_lp
+from .lp import LpSolution, build_lp, lp_curve, solve_lp
 from .sensitivity import LambdaInterval, eps_range, orlp, verify_certificate
 from .sweeps import (
     CoverFamily,

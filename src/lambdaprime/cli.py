@@ -221,6 +221,8 @@ def _cmd_verify_cover(args) -> int:
 
 
 def _cmd_verify_ring(args) -> int:
+    if args.grid < 1:
+        raise ValueError("grid must be at least 1")
     k = args.k
     n = 2 ** k
     lo, hi = Fraction(8, n * n), Fraction(1, 2)

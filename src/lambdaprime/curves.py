@@ -115,9 +115,6 @@ def envelope_of(lines, domain=(Fraction(0), Fraction(1)), tags=None) -> PwlCurve
         p_hi = hi if end is None else min(end, hi)
         if p_lo < p_hi:
             pieces.append(PwlPiece(items[idx], p_lo, p_hi, tags[idx]))
-    if not pieces:  # every crossing outside [lo, hi] on one side: find the
-        # single line active on the whole domain
-        mid = (lo + hi) / 2
-        best = min(cand, key=lambda i: items[i].value_at(mid))
-        pieces = [PwlPiece(items[best], lo, hi, tags[best])]
+    # xs is strictly increasing, so the hull pieces tile the real line and
+    # [lo, hi] (positive width) meets one of them in positive length
     return PwlCurve(tuple(pieces), lo, hi)

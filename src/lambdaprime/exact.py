@@ -49,15 +49,15 @@ def enumerate_partitions(g: Graph, n_max: int = PARTITION_CAP):
         yield Clustering(tuple(rgs))
 
 
-def exact_opt_curve(g: Graph, n_max: int = PARTITION_CAP):
+def exact_opt_curve(g: Graph):
     """(PwlCurve of OPT(lam) on (0,1), family of representative clusterings).
 
     The envelope is built incrementally: per negative-mass N we keep only the
     best (lowest-P, earliest-enumerated) line, at most C(n,2)+1 candidates,
     then take their exact lower envelope. family[i] realizes pieces[i].
     """
-    if g.n > n_max:
-        raise ValueError("n=%d exceeds enumeration cap %d" % (g.n, n_max))
+    if g.n > PARTITION_CAP:
+        raise ValueError("n=%d exceeds enumeration cap %d" % (g.n, PARTITION_CAP))
     n = g.n
     edges = sorted(g.edges)
     # best[N] = (P, order_index, rgs copy)
@@ -84,10 +84,10 @@ def exact_opt_curve(g: Graph, n_max: int = PARTITION_CAP):
     return curve, family
 
 
-def scaled_sparsest_cut(g: Graph, n_max: int = PARTITION_CAP):
+def scaled_sparsest_cut(g: Graph):
     """(lam*, argmin node set S). Exhaustive over 2^(n-1)-1 bipartitions."""
-    if g.n > n_max:
-        raise ValueError("n=%d exceeds enumeration cap %d" % (g.n, n_max))
+    if g.n > PARTITION_CAP:
+        raise ValueError("n=%d exceeds enumeration cap %d" % (g.n, PARTITION_CAP))
     if g.n < 2:
         raise ValueError("sparsest cut needs at least 2 nodes")
     n = g.n

@@ -233,16 +233,6 @@ def _solve_float(g: Graph, lam) -> LpSolution:
     return sol
 
 
-def lp_value_at(x: LpSolution, lam):
-    """Value of an existing solution's cost line at a different lambda."""
-    return x.line.value_at(lam)
-
-
-def lp_optimum(g: Graph, lam, mode="exact"):
-    """Convenience: solve and return only the optimal value."""
-    return solve_lp(g, lam, mode=mode).value
-
-
 def lp_curve(g: Graph) -> PwlCurve:
     """Exact piecewise-linear LP value curve on [0, 1].
 

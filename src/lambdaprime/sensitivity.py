@@ -123,11 +123,8 @@ def orlp(xstar: LpSolution, s: int, lam0, eps, g: Graph, objective="lamprime"):
     if theta != -res.value:
         raise AssertionError("inconsistent ORLP optimum")
     clamped = theta == cap
-    if clamped:
-        if s > 0:
-            theta = max(Fraction(0), (1 - GUARD) - lam0)
-        else:
-            theta = max(Fraction(0), lam0 - GUARD)
+    if clamped:  # stop GUARD short of the domain edge
+        theta = max(Fraction(0), cap - GUARD)
     return theta, clamped
 
 

@@ -25,7 +25,7 @@ envelope, which bounds the ratio everywhere (see certify_cover).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .analytic import lamcc_schedule
@@ -58,18 +58,27 @@ class CoverFamily:
 
     def coverage_gap(self):
         """First uncovered subinterval of the domain, or None."""
-        lo, hi = self.domain
-        if lo >= hi:
-            return None
-        cur = lo
-        for mem in self.members:
-            a = mem.interval.covered_lo()
-            if a > cur:
-                return (cur, a)
-            cur = max(cur, mem.interval.covered_hi())
-            if cur >= hi:
-                return None
-        return (cur, hi)
+        return _greedy_cover([m.interval for m in self.members], *self.domain)[1]
+
+
+def _greedy_cover(intervals, lo, hi):
+    """(taken, gap): a minimum cover of [lo, hi] by intervals, or its first gap.
+
+    From cur = lo, take the interval reaching furthest past cur among those
+    starting at or before it (the earliest index on ties), until cur >= hi.
+    taken lists the indices chosen. When nothing reaches past cur, gap is
+    (cur, the next covered_lo or hi); otherwise gap is None.
+    """
+    taken, cur = [], lo
+    while cur < hi:
+        reach = [i for i, iv in enumerate(intervals) if iv.covered_lo() <= cur]
+        best = max(reach, key=lambda i: intervals[i].covered_hi(), default=None)
+        if best is None or intervals[best].covered_hi() <= cur:
+            later = [iv.covered_lo() for iv in intervals if iv.covered_lo() > cur]
+            return taken, (cur, min(later, default=hi))
+        taken.append(best)
+        cur = intervals[best].covered_hi()
+    return taken, None
 
 
 def family_envelope(family: CoverFamily) -> PwlCurve:
@@ -103,7 +112,8 @@ def geometric_schedule(n, eps):
     for _ in range(q - 1):
         lam *= (1 + eps) ** 2
         out.append(lam)
-    out.append(1 / (1 + eps))
+    if out[-1] != 1 / (1 + eps):
+        out.append(1 / (1 + eps))
     return out
 
 
@@ -113,23 +123,18 @@ def sweep_geometric(g: Graph, eps, objective="lamprime") -> CoverFamily:
         raise ValueError("epsilon must be positive")
     if objective == "lamprime":
         sched = geometric_schedule(g.n, eps)
-        members = []
-        for lam in sched:
-            lam_s = min(lam, 1 - GUARD)
-            sol = solve_lp(g, lam_s)
-            members.append(CoverMember(sol, _transfer_interval(lam_s, eps)))
+        points = [min(lam, 1 - GUARD) for lam in sched]
+        intervals = [_transfer_interval(lam, eps) for lam in points]
         domain = (sched[0], Fraction(1))
     elif objective == "lamcc":
-        sched = lamcc_schedule(g.n, eps)
-        members = []
-        for i, lam in enumerate(sched):
-            sol = solve_lp(g, lam)
-            lo = sched[i - 1] if i > 0 else sched[0]
-            hi = sched[i + 1] if i + 1 < len(sched) else sched[-1]
-            members.append(CoverMember(sol, LambdaInterval(lo, hi, eps)))
-        domain = (sched[0], sched[-1])
+        points = lamcc_schedule(g.n, eps)
+        # each point covers up to its neighbours; the end points repeat
+        ends = points[:1] + points + points[-1:]
+        intervals = [LambdaInterval(a, b, eps) for a, b in zip(ends, ends[2:])]
+        domain = (points[0], points[-1])
     else:
         raise ValueError("objective must be 'lamprime' or 'lamcc'")
+    members = [CoverMember(solve_lp(g, lam), iv) for lam, iv in zip(points, intervals)]
     members.sort(key=lambda m: (m.interval.lo, m.interval.hi))
     return CoverFamily(
         tuple(members), eps, domain, len(members), objective, "geometric"
@@ -143,79 +148,41 @@ def sweep_fe(g: Graph, eps) -> CoverFamily:
         raise ValueError("the frontier step needs epsilon > 0")
     if g.n < 3:
         raise ValueError("frontier sweep needs n >= 3")
-    lam0 = Fraction(4, g.n * g.n)
-    domain_lo = lam0
-    members = []
-    solves = 0
-    lam_plus = None
-    clamped = False
-    while lam0 < 1:
+    domain = (Fraction(4, g.n * g.n), Fraction(1))
+    lam0, frontier, members = domain[0], False, []
+    while True:
         sol = solve_lp(g, lam0)
-        solves += 1
-        theta, clamped = orlp(sol, 1, lam0, eps, g)
-        lam_plus = lam0 + theta
-        lo = lam0 / (1 + eps)
+        if frontier:
+            # (1+eps)*lam0 >= 1: reuse of this solution covers [lam0, 1)
+            hi, clamped = 1 - GUARD, True
+        else:
+            theta, clamped = orlp(sol, 1, lam0, eps, g)
+            hi = lam0 + theta
+        iv = LambdaInterval(lam0 / (1 + eps), hi, eps, hi_clamped=clamped)
+        members.append(CoverMember(sol, iv))
         if clamped:
-            iv = LambdaInterval(lo, lam_plus, eps, hi_clamped=True)
-            members.append(CoverMember(sol, iv))
             break
-        members.append(CoverMember(sol, LambdaInterval(lo, lam_plus, eps)))
-        lam0 = (1 + eps) * lam_plus
-    if not clamped:
-        # frontier stopped short of 1: one extra solve at the frontier covers
-        # [lam_plus, 1) since (1+eps)*lam_plus >= 1
-        sol = solve_lp(g, lam_plus)
-        solves += 1
-        members.append(CoverMember(sol, _transfer_interval(lam_plus, eps)))
-    members.sort(key=lambda m: (m.interval.lo, m.interval.hi))
-    return CoverFamily(
-        tuple(members),
-        eps,
-        (domain_lo, Fraction(1)),
-        solves,
-        "lamprime",
-        "fe",
-    )
+        frontier = (1 + eps) * hi >= 1
+        lam0 = hi if frontier else (1 + eps) * hi
+    return CoverFamily(tuple(members), eps, domain, len(members), "lamprime", "fe")
 
 
 def sweep_febe(g: Graph, eps) -> CoverFamily:
     """FE followed by backward widening and a greedy minimum subcover."""
     fe = sweep_fe(g, eps)
-    eps = fe.eps
     widened = []
     for mem in fe.members:
         lam_i = rat(mem.solution.lam)
-        theta_b, cl_b = orlp(mem.solution, -1, lam_i, eps, g)
-        iv = LambdaInterval(
-            lam_i - theta_b,
-            mem.interval.hi,
-            eps,
-            lo_clamped=cl_b,
-            hi_clamped=mem.interval.hi_clamped,
-        )
+        theta_b, cl_b = orlp(mem.solution, -1, lam_i, fe.eps, g)
+        iv = replace(mem.interval, lo=lam_i - theta_b, lo_clamped=cl_b)
         widened.append(CoverMember(mem.solution, iv))
-    lo_d, hi_d = fe.domain
-    cur = lo_d
-    used = [False] * len(widened)
-    chosen = []
-    while cur < hi_d:
-        best = None
-        best_hi = None
-        for idx, mem in enumerate(widened):
-            if used[idx]:
-                continue
-            if mem.interval.covered_lo() <= cur <= mem.interval.covered_hi():
-                h = mem.interval.covered_hi()
-                if best is None or h > best_hi:
-                    best, best_hi = idx, h
-        if best is None or best_hi <= cur:
-            raise AssertionError("frontier cover has a gap at %s" % cur)
-        used[best] = True
-        chosen.append(widened[best])
-        cur = best_hi
-    chosen.sort(key=lambda m: (m.interval.lo, m.interval.hi))
+    taken, gap = _greedy_cover([m.interval for m in widened], *fe.domain)
+    if gap is not None:
+        raise AssertionError("frontier cover has a gap at %s" % gap[0])
+    chosen = sorted((widened[i] for i in taken),
+                    key=lambda m: (m.interval.lo, m.interval.hi))
     return CoverFamily(
-        tuple(chosen), eps, fe.domain, fe.lp_solve_count, "lamprime", "febe"
+        tuple(chosen), fe.eps, fe.domain, fe.lp_solve_count, "lamprime", "febe"
     )
 
 

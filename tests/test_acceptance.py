@@ -23,7 +23,7 @@ from lambdaprime.analytic import (
 )
 from lambdaprime.exact import scaled_sparsest_cut
 from lambdaprime.graphs import gen_ring, gen_star
-from lambdaprime.lp import lp_value_at, solve_lp
+from lambdaprime.lp import solve_lp
 from lambdaprime.objectives import (
     Clustering,
     lamcc_score,
@@ -171,10 +171,10 @@ def test_criterion_07_orlp_ranges(corpus, cache):
         lpc = cache.lp_curve(name, g)
         if not r1.hi_clamped:
             probe = r1.hi + min(GUARD, (1 - r1.hi) / 2)
-            assert lp_value_at(sol, probe) > (1 + eps) * lpc.value_at(probe), name
+            assert sol.line.value_at(probe) > (1 + eps) * lpc.value_at(probe), name
         if not r1.lo_clamped:
             probe = r1.lo - min(GUARD, r1.lo / 2)
-            assert lp_value_at(sol, probe) > (1 + eps) * lpc.value_at(probe), name
+            assert sol.line.value_at(probe) > (1 + eps) * lpc.value_at(probe), name
     print("criterion 07 PASS: %d coincident ranges; nesting+sharpness on %d graphs"
           % (qualifying, len(corpus)))
 
@@ -248,8 +248,8 @@ def test_criterion_09_transfer_bounds(corpus, cache):
         delta = ln / lt
         xt = curve.piece_at(lt).tag
         xn = curve.piece_at(ln).tag
-        assert lp_value_at(xt, ln) <= delta * curve.value_at(ln), (name, lt, ln)
-        assert lp_value_at(xn, lt) <= delta * curve.value_at(lt), (name, lt, ln)
+        assert xt.line.value_at(ln) <= delta * curve.value_at(ln), (name, lt, ln)
+        assert xn.line.value_at(lt) <= delta * curve.value_at(lt), (name, lt, ln)
         checked += 1
     eps = F(1, 2)
     for name, g in corpus[:8]:
@@ -258,7 +258,7 @@ def test_criterion_09_transfer_bounds(corpus, cache):
         for a, b in zip(sched, sched[1:]):
             assert lamcc_ratio(a, b) == 1 + eps
             xa = curve.piece_at(a).tag
-            transferred = lp_value_at(xa, b) - b * g.m
+            transferred = xa.line.value_at(b) - b * g.m
             lcc = curve.value_at(b) - b * g.m
             assert transferred <= (1 + eps) * lcc, (name, a, b)
     print("criterion 09 PASS: 200 random transfers + lamcc schedule on 8 graphs")

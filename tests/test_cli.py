@@ -218,6 +218,12 @@ def test_verify_ring_sandwich():
     assert main(["verify", "ring", "--k", "3", "--grid", "50"]) == 0
 
 
+@pytest.mark.parametrize("grid", ["0", "-2"])
+def test_verify_ring_rejects_empty_grid(grid, capsys):
+    assert main(["verify", "ring", "--k", "3", "--grid", grid]) == 3
+    assert "sandwich bounds hold" not in capsys.readouterr().out
+
+
 def test_bounds_ring(capsys):
     assert main(["bounds", "ring", "--k", "3", "--p", "1.1"]) == 0
     out = capsys.readouterr().out

@@ -8,7 +8,7 @@ import pytest
 from lambdaprime.exact import exact_opt_curve
 from lambdaprime import lp as lp_module
 from lambdaprime.graphs import gen_gnp, gen_path, gen_ring, gen_star, make_graph
-from lambdaprime.lp import build_lp, lp_curve, lp_optimum, solve_lp
+from lambdaprime.lp import build_lp, lp_curve, solve_lp
 
 
 def test_build_lp_shapes():
@@ -108,14 +108,14 @@ def test_lp_lower_bounds_partitions():
         curve, _ = exact_opt_curve(g)
         for _ in range(4):
             lam = Fraction(rng.randint(1, 19), 20)
-            assert lp_optimum(g, lam) <= curve.value_at(lam)
+            assert solve_lp(g, lam).value <= curve.value_at(lam)
 
 
 def test_lp_tight_where_integral():
     # blocks of 4 are LP-optimal for the 8-ring at its breakpoint
     g = gen_ring(3)
     curve, _ = exact_opt_curve(g)
-    assert lp_optimum(g, Fraction(1, 8)) == curve.value_at(Fraction(1, 8))
+    assert solve_lp(g, Fraction(1, 8)).value == curve.value_at(Fraction(1, 8))
 
 
 def test_ring8_curve_pieces():
@@ -142,7 +142,7 @@ def test_curve_matches_pointwise_solves():
         c = lp_curve(g)
         for _ in range(3):
             lam = Fraction(rng.randint(1, 29), 30)
-            assert c.value_at(lam) == lp_optimum(g, lam)
+            assert c.value_at(lam) == solve_lp(g, lam).value
 
 
 def test_curve_piece_tags_are_solutions():
@@ -158,7 +158,7 @@ def test_float_mode_tracks_exact():
     for lam in (Fraction(1, 8), Fraction(1, 5), Fraction(2, 5)):
         fx = solve_lp(g, lam, mode="float")
         assert not fx.exact
-        assert abs(fx.value - float(lp_optimum(g, lam))) < 1e-8
+        assert abs(fx.value - float(solve_lp(g, lam).value)) < 1e-8
 
 
 def test_float_mode_star():

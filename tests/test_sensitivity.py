@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from lambdaprime.graphs import gen_gnp, gen_ring, gen_star
-from lambdaprime.lp import lp_curve, lp_optimum, solve_lp
+from lambdaprime.lp import lp_curve, solve_lp
 from lambdaprime.objectives import CostLine
 from lambdaprime.rationals import GUARD
 from lambdaprime.sensitivity import (
@@ -74,7 +74,7 @@ def test_approximation_holds_on_interval():
     sol = solve_lp(g, lam0)
     iv = eps_range(sol, lam0, eps, g)
     for lam in (iv.lo, (iv.lo + iv.hi) / 2, iv.hi):
-        assert sol.line.value_at(lam) <= (1 + eps) * lp_optimum(g, lam)
+        assert sol.line.value_at(lam) <= (1 + eps) * solve_lp(g, lam).value
 
 
 def test_sharpness_just_beyond_endpoints():
@@ -85,10 +85,10 @@ def test_sharpness_just_beyond_endpoints():
     iv = eps_range(sol, lam0, eps, g)
     if not iv.hi_clamped:
         lam = iv.hi + GUARD
-        assert sol.line.value_at(lam) > (1 + eps) * lp_optimum(g, lam)
+        assert sol.line.value_at(lam) > (1 + eps) * solve_lp(g, lam).value
     if not iv.lo_clamped:
         lam = iv.lo - GUARD
-        assert sol.line.value_at(lam) > (1 + eps) * lp_optimum(g, lam)
+        assert sol.line.value_at(lam) > (1 + eps) * solve_lp(g, lam).value
     assert not (iv.lo_clamped and iv.hi_clamped)
 
 

@@ -23,6 +23,7 @@ from lambdaprime.sweeps import (
     sweep_fe,
     sweep_febe,
     sweep_geometric,
+    _greedy_cover,
 )
 
 
@@ -40,6 +41,16 @@ def test_schedule_length_bound():
             # interior points grow by exactly (1+eps)^2
             for a, b in zip(sched, sched[1:-1]):
                 assert b == a * (1 + eps) ** 2
+
+
+def test_schedule_never_repeats_its_last_point():
+    # 4(1+eps)^(2j+1) = n^2: the last geometric point is already 1/(1+eps)
+    assert geometric_schedule(4, 3) == [F(1, 4)]
+    assert geometric_schedule(16, 3) == [F(1, 64), F(1, 4)]
+    g = gen_path(4)
+    fam = sweep_geometric(g, 3)
+    assert len(fam.members) == fam.lp_solve_count == 1
+    assert certify_cover(fam, g).ok
 
 
 def test_schedule_huge_eps_two_points():
@@ -413,3 +424,52 @@ def test_audit_bounds_ratio_on_whole_domain(name, t):
     worst = _audit_ratio(g, fam, curve, env, rep.worst_lambda)
     assert worst == rep.worst_ratio
     assert _audit_ratio(g, fam, curve, env, lo + t * (hi - lo)) <= worst
+
+
+def _covered(intervals, lam):
+    return any(iv.covered_lo() <= lam <= iv.covered_hi() for iv in intervals)
+
+
+def _probes(intervals, lo, hi):
+    """Points of [lo, hi] deciding its coverage: coverage is constant between
+    consecutive interval ends, so the ends and the midpoints between them
+    suffice."""
+    ends = {lo, hi}
+    ends.update(e for iv in intervals for e in (iv.covered_lo(), iv.covered_hi())
+                if lo <= e <= hi)
+    ends = sorted(ends)
+    return ends + [(a + b) / 2 for a, b in zip(ends, ends[1:])]
+
+
+def _union_covers(intervals, lo, hi):
+    return all(_covered(intervals, lam) for lam in _probes(intervals, lo, hi))
+
+
+_unit = st.fractions(min_value=0, max_value=1, max_denominator=12)
+_inner = _unit.filter(lambda v: 0 < v < 1)
+_interval = st.builds(
+    lambda a, b, lc, hc: LambdaInterval(min(a, b), max(a, b), 1, lc, hc),
+    _inner, _inner, st.booleans(), st.booleans(),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    intervals=st.lists(_interval, max_size=6),
+    ends=st.tuples(_unit, _unit).filter(lambda t: t[0] != t[1]),
+)
+def test_greedy_cover_is_minimum_or_finds_a_gap(intervals, ends):
+    lo, hi = sorted(ends)
+    taken, gap = _greedy_cover(intervals, lo, hi)
+    assert (gap is None) == _union_covers(intervals, lo, hi)
+    if gap is not None:
+        a, b = gap
+        assert lo <= a < hi and a < b
+        inner = [lam for lam in _probes(intervals, a, b) if a < lam < b]
+        assert inner and not any(_covered(intervals, lam) for lam in inner)
+        return
+    assert _union_covers([intervals[i] for i in taken], lo, hi)
+    smallest = next(k for k in range(len(intervals) + 1)
+                    if any(_union_covers(c, lo, hi)
+                           for c in itertools.combinations(intervals, k)))
+    assert len(taken) == smallest
