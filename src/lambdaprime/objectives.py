@@ -5,10 +5,10 @@ The primary score is
     lamprime(C, lam) = sum_S ( cut(S)/2 + lam * C(|S|,2) )
 
 for a partition C, i.e. a penalty of 1 per cut edge plus lam per co-clustered
-pair. Its sibling differs by the constant lam*m: it charges (1-lam) per cut
-edge and lam per co-clustered *non*-edge. Any fixed solution (integral or
-fractional) reduces to a CostLine (P, N) whose value at lam is P + lam*N, which
-is what all the sweep machinery manipulates.
+pair. Its sibling lamcc is lamprime - lam*m (see objective_shift): it charges
+(1-lam) per cut edge and lam per co-clustered *non*-edge. Any fixed solution
+(integral or fractional) reduces to a CostLine (P, N) whose value at lam is
+P + lam*N, which is what all the sweep machinery manipulates.
 """
 from __future__ import annotations
 
@@ -121,6 +121,13 @@ def line_of(x, g: Graph) -> CostLine:
             P += val
         N += 1 - val
     return CostLine(P, N)
+
+
+def objective_shift(objective, m: int) -> int:
+    """The s in objective = lamprime - lam*s: 0 for lamprime, m for lamcc."""
+    if objective not in ("lamprime", "lamcc"):
+        raise ValueError("objective must be 'lamprime' or 'lamcc'")
+    return m if objective == "lamcc" else 0
 
 
 def lamprime_score(c: Clustering, g: Graph, lam) -> Fraction:

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .graphs import Graph
 from .lp import LpSolution, check_solution
-from .objectives import Clustering, lamcc_score, lamprime_score
+from .objectives import Clustering, lamprime_score, objective_shift
 from .sweeps import CoverFamily
 
 _HALF = Fraction(1, 2)
@@ -82,20 +82,16 @@ def build_clustering_family(cover: CoverFamily, g: Graph) -> list:
     """Round every cover member; report score/LP ratios at the solve points."""
     if not cover.members:
         raise ValueError("empty cover family")
+    shift = objective_shift(cover.objective, g.m)
     out = []
     for mem in cover.members:
         sol = mem.solution
         c = round_region_growing(sol, g)
-        lam = sol.lam
-        if cover.objective == "lamcc":
-            score = lamcc_score(c, g, lam)
-            lpv = sol.value - lam * g.m
-        else:
-            score = lamprime_score(c, g, lam)
-            lpv = sol.value
+        score = lamprime_score(c, g, sol.lam) - sol.lam * shift
+        lpv = sol.value - sol.lam * shift
         if lpv == 0:
             ratio = Fraction(1) if score == 0 else math.inf
         else:
             ratio = score / lpv
-        out.append(RoundedMember(c, mem.interval, lam, score, lpv, ratio))
+        out.append(RoundedMember(c, mem.interval, sol.lam, score, lpv, ratio))
     return out

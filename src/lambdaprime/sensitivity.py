@@ -19,8 +19,8 @@ approximate region an interval. With eps = 0 this recovers the exact optimal
 range of x*. The theta cap records when the range runs into the domain edge;
 callers treat a clamped endpoint as coverage through that edge.
 
-The scaled objective variant (value shifted by -lambda*m) only changes the
-constant Q to Q - m in the epsilon row.
+The scaled objective lamcc (value shifted by -lambda*m) only changes the
+constant Q to Q - objective_shift(objective, m) in the epsilon row.
 """
 from __future__ import annotations
 
@@ -29,6 +29,7 @@ from fractions import Fraction
 
 from .graphs import Graph
 from .lp import LpSolution, build_lp, check_certificate, check_solution
+from .objectives import objective_shift
 from .rationals import GUARD, rat
 from .simplex import solve_canonical
 
@@ -87,12 +88,7 @@ def orlp(xstar: LpSolution, s: int, lam0, eps, g: Graph, objective="lamprime"):
         raise ValueError("epsilon must be nonnegative")
     if rat(xstar.lam) != lam0:
         raise ValueError("x* was not solved at lambda0")
-    if objective == "lamprime":
-        q_eff = Fraction(len(prob.pairs))
-    elif objective == "lamcc":
-        q_eff = Fraction(len(prob.pairs) - g.m)
-    else:
-        raise ValueError("objective must be 'lamprime' or 'lamcc'")
+    q_eff = len(prob.pairs) - objective_shift(objective, g.m)
 
     nrows_p1 = prob.num_rows
     theta_col = nrows_p1  # columns: y, then theta

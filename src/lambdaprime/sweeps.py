@@ -32,6 +32,7 @@ from .analytic import lamcc_schedule
 from .curves import PwlCurve, envelope_of
 from .graphs import Graph
 from .lp import LpSolution, check_solution, lp_curve, solve_lp
+from .objectives import objective_shift
 from .rationals import GUARD, ceil_log, floor_log, rat
 from .sensitivity import LambdaInterval, orlp
 
@@ -52,9 +53,14 @@ class CoverFamily:
     algo: str = ""
 
     def __post_init__(self):
+        objective_shift(self.objective, 0)  # rejects an unknown objective
         los = [m.interval.lo for m in self.members]
         if los != sorted(los):
             raise ValueError("members must be ordered by interval.lo")
+        if self.domain[0] > self.domain[1]:
+            raise ValueError("domain must have lo <= hi")
+        if len(set(self.members)) < len(self.members):
+            raise ValueError("members must be distinct")
 
     def coverage_gap(self):
         """First uncovered subinterval of the domain, or None."""
@@ -121,19 +127,18 @@ def sweep_geometric(g: Graph, eps, objective="lamprime") -> CoverFamily:
     eps = rat(eps)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
+    objective_shift(objective, g.m)  # rejects an unknown objective before solving
     if objective == "lamprime":
         sched = geometric_schedule(g.n, eps)
         points = [min(lam, 1 - GUARD) for lam in sched]
         intervals = [_transfer_interval(lam, eps) for lam in points]
         domain = (sched[0], Fraction(1))
-    elif objective == "lamcc":
+    else:
         points = lamcc_schedule(g.n, eps)
         # each point covers up to its neighbours; the end points repeat
         ends = points[:1] + points + points[-1:]
         intervals = [LambdaInterval(a, b, eps) for a, b in zip(ends, ends[2:])]
         domain = (points[0], points[-1])
-    else:
-        raise ValueError("objective must be 'lamprime' or 'lamcc'")
     members = [CoverMember(solve_lp(g, lam), iv) for lam, iv in zip(points, intervals)]
     members.sort(key=lambda m: (m.interval.lo, m.interval.hi))
     return CoverFamily(
@@ -256,7 +261,7 @@ def certify_cover(family: CoverFamily, g: Graph, curve=None):
     points.update(
         b for b in curve.breakpoints + env.breakpoints if lo_d <= b <= hi_eff
     )
-    shift_m = g.m if family.objective == "lamcc" else 0
+    shift_m = objective_shift(family.objective, g.m)
     worst = Fraction(0)
     worst_lam = lo_d
     below = False

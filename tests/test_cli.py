@@ -179,6 +179,32 @@ def test_verify_cover_reports_coverage_only_without_vectors(tmp_path, capsys):
         "OK (coverage only: members without x were not checked against the LP)")
 
 
+def _unknown_objective(d):
+    d["objective"] = "modularity"
+
+
+def _reversed_domain(d):
+    d["domain"] = ["1/2", "1/4"]
+
+
+def _repeated_member(d):
+    d["members"].insert(1, d["members"][0])
+
+
+@pytest.mark.parametrize("flags,forge", [
+    (("--objective", "lamcc"), _unknown_objective),
+    (("--algo", "febe"), _reversed_domain),
+    ((), _repeated_member),
+])
+def test_malformed_cover_is_rejected(tmp_path, flags, forge):
+    gpath, cover, d = _ring8_cover(tmp_path, *flags)
+    forge(d)
+    cover.write_text(json.dumps(d))
+    files = ["--cover", str(cover), "--graph", str(gpath)]
+    assert main(["verify", "cover", *files]) == 3
+    assert main(["round", *files, "--out", str(tmp_path / "c.json")]) == 3
+
+
 def test_round_rejects_forged_value(tmp_path):
     gpath, cover, d = _ring8_cover(tmp_path)
     d["members"][0]["value"] = "0"

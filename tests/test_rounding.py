@@ -9,7 +9,7 @@ import pytest
 from lambdaprime.analytic import star_lp_solution
 from lambdaprime.graphs import gen_gnp, gen_path, gen_ring, gen_star
 from lambdaprime.lp import LpSolution, pair_index, solve_lp
-from lambdaprime.objectives import Clustering, lamprime_score, line_of
+from lambdaprime.objectives import Clustering, lamcc_score, lamprime_score, line_of
 from lambdaprime.rounding import build_clustering_family, round_region_growing
 from lambdaprime.sweeps import sweep_geometric
 
@@ -129,6 +129,9 @@ def test_family_scaled_objective():
         assert rm.lp_value == replace(rm).lp_value  # dataclass round-trips
         assert rm.score >= rm.lp_value
         assert rm.ratio >= 1
+    for rm, mem in zip(fam, cover.members):
+        assert rm.score == lamcc_score(rm.clustering, g, rm.lam)
+        assert rm.lp_value == mem.solution.value - rm.lam * g.m
 
 
 def test_family_of_size_one():

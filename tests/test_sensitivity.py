@@ -140,6 +140,37 @@ def test_scaled_objective_matches_at_zero_eps():
     assert iv_big.lo <= iv_small.lo and iv_small.hi <= iv_big.hi
 
 
+@pytest.mark.parametrize("g,unclamped", [
+    (gen_gnp(6, 0.5, seed=7), 4), (gen_star(5), 4), (gen_ring(3), 6),
+], ids=["gnp6", "star5", "ring8"])
+def test_scaled_objective_ranges_are_sharp(g, unclamped):
+    # criterion 07's probe with both sides shifted by lam*m: at the ends of
+    # the lamcc range the shifted line is within (1+eps) of the shifted LP,
+    # GUARD past an unclamped end it is not
+    curve = lp_curve(g)
+
+    def excess(line, lam, eps):
+        return line.value_at(lam) - lam * g.m - (1 + eps) * (
+            curve.value_at(lam) - lam * g.m)
+
+    ends = 0
+    for lam0 in (Fraction(1, 4), Fraction(2, 5)):
+        sol = solve_lp(g, lam0)
+        for eps in (Fraction(1, 4), Fraction(1, 2)):
+            iv = eps_range(sol, lam0, eps, g, objective="lamcc")
+            assert excess(sol.line, iv.lo, eps) <= 0
+            assert excess(sol.line, iv.hi, eps) <= 0
+            if not iv.hi_clamped:
+                probe = iv.hi + min(GUARD, (1 - iv.hi) / 2)
+                assert excess(sol.line, probe, eps) > 0
+                ends += 1
+            if not iv.lo_clamped:
+                probe = iv.lo - min(GUARD, iv.lo / 2)
+                assert excess(sol.line, probe, eps) > 0
+                ends += 1
+    assert ends == unclamped
+
+
 def test_input_validation():
     g = gen_star(4)
     lam0 = Fraction(1, 3)
