@@ -5,7 +5,8 @@ closed form min_t (n/t)(1 + lam*C(t,2)) over integer t, with the continuous
 relaxation g(lam) = n(sqrt(2 lam) - lam/2) as a lower bound and sqrt(2)*g as
 an upper bound. At the special values lam_i = 2/2^(2(k-i)) the continuous
 minimizer t_i = 2^(k-i) is an integer, so g = LP = OPT there, and the
-piecewise function f interpolates between those integral solutions.
+piecewise function f interpolates between those integral solutions;
+ring_sandwich lists the whole chain of bounds at one lambda.
 
 Stars admit a half-integral LP optimum (center-leaf distances 1/2) on an
 explicit lambda interval. The lamcc helpers translate a geometric schedule
@@ -119,6 +120,22 @@ def ms_gamma(x):
     if x < 1:
         raise ValueError("gamma needs x >= 1")
     return (2 * x * x - 1 + 2 * x * math.sqrt(x * x - 1)) ** 2
+
+
+def ring_sandwich(k, lam):
+    """The chain q <= g <= LP <= sqrt2*g <= (4*sqrt2/3)*q on the 2^k-ring at
+    lam in [8/n^2, 1/2], as (name, smaller side, larger side) float triples;
+    every link holds up to float rounding."""
+    q = ring_q(k, lam)
+    g = ring_g(k, lam)
+    lp = float(ring_lp(k, lam)[0])
+    s2g = math.sqrt(2) * g
+    return [
+        ("q <= g", q, g),
+        ("g <= lp", g, lp),
+        ("lp <= sqrt2*g", lp, s2g),
+        ("sqrt2*g <= (4*sqrt2/3)*q", s2g, MS_CONSTANT * q),
+    ]
 
 
 def ring_lower_bound(k, p):

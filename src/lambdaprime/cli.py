@@ -7,19 +7,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from fractions import Fraction
 
-from .analytic import (
-    MS_CONSTANT,
-    ms_gamma,
-    ring_g,
-    ring_lower_bound,
-    ring_lp,
-    ring_q,
-)
+from .analytic import MS_CONSTANT, ms_gamma, ring_lower_bound, ring_sandwich
 from .exact import exact_opt_curve
 from .graphs import gen_ring, gen_star, load_graph, save_graph
 from .lp import solve_lp
@@ -164,8 +156,8 @@ def _cmd_lp_solve(args) -> int:
         print(json.dumps(solution_to_dict(sol), indent=2))
     else:
         print(
-            "lambda=%s value=%s P=%s N=%s"
-            % (sol.lam, sol.value, sol.line.P, sol.line.N)
+            "lambda=%s value=%s P=%s N=%s pivots=%d"
+            % (sol.lam, sol.value, sol.line.P, sol.line.N, sol.pivots)
         )
     return 0
 
@@ -229,16 +221,7 @@ def _cmd_verify_ring(args) -> int:
     slack = 1e-9
     for i in range(args.grid):
         lam = lo + (hi - lo) * i / (args.grid - 1) if args.grid > 1 else lo
-        q = ring_q(k, lam)
-        gval = ring_g(k, lam)
-        lpv = float(ring_lp(k, lam)[0])
-        chain = [
-            ("q <= g", q, gval),
-            ("g <= lp", gval, lpv),
-            ("lp <= sqrt2*g", lpv, math.sqrt(2) * gval),
-            ("sqrt2*g <= (4*sqrt2/3)*q", math.sqrt(2) * gval, MS_CONSTANT * q),
-        ]
-        for name, a, b in chain:
+        for name, a, b in ring_sandwich(k, lam):
             if a > b + slack * max(1.0, abs(b)):
                 print("FAIL at lambda=%s: %s (%r > %r)" % (lam, name, a, b))
                 return 4

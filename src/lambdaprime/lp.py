@@ -19,12 +19,13 @@ optimality proof is checked in one place: check_solution owns the primal side
 check_certificate only the dual side (y >= 0, A^T y <= c, b.y = value).
 solve_lp offers that exact rational mode and a float mode (scipy HiGHS with
 tightened tolerances) for larger graphs. lp_curve recovers the full
-piecewise-linear value curve exactly: a chord search collects optimal
-solutions, and the curve is the lower envelope of their cost lines.
+piecewise-linear value curve exactly: the cost c0 - lam*1 is affine in lam,
+so one parametric simplex walk over [0, 1] visits an optimal vertex of every
+piece, and the curve is the lower envelope of their cost lines.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
@@ -32,7 +33,7 @@ from .curves import PwlCurve, envelope_of
 from .graphs import Graph
 from .objectives import CostLine
 from .rationals import rat
-from .simplex import solve_canonical
+from .simplex import solve_canonical, walk_canonical
 
 
 @dataclass(frozen=True)
@@ -106,6 +107,8 @@ class LpSolution:
     line: CostLine
     dual: tuple  # y >= 0 for the >=-form rows
     exact: bool = True
+    # simplex pivots that reached x (0 when unknown); not part of the value
+    pivots: int = field(default=0, compare=False)
 
 
 def check_solution(sol: LpSolution, g: Graph):
@@ -178,17 +181,21 @@ def solve_lp(g: Graph, lam, mode="exact") -> LpSolution:
     raise ValueError("mode must be 'exact' or 'float'")
 
 
+def _le_form(prob: LpProblem):
+    """prob's rows flipped to A x <= b; every b is 0 or 1, so the slack
+    basis is feasible."""
+    return ([tuple((j, -coeff) for j, coeff in row) for row in prob.rows],
+            [-v for v in prob.rhs])
+
+
 def _solve_exact(g: Graph, lam) -> LpSolution:
     prob = build_lp(g, lam)
-    # flip to <= form; all rhs become 0 or 1, so the slack basis is feasible
-    G = [tuple((j, -coeff) for j, coeff in row) for row in prob.rows]
-    h = [-v for v in prob.rhs]
-    res = solve_canonical(prob.c, G, h)
+    res = solve_canonical(prob.c, *_le_form(prob))
     _, idx = pair_index(g.n)
     sol = LpSolution(
         n=g.n, lam=prob.lam, x=tuple(res.x), value=res.value + prob.constant,
         line=_line_of_x(g, res.x, idx), dual=tuple(-u for u in res.dual_ub),
-        exact=True,
+        exact=True, pivots=res.pivots,
     )
     check_solution(sol, g)
     check_certificate(prob, sol.dual, sol.value)
@@ -236,31 +243,32 @@ def _solve_float(g: Graph, lam) -> LpSolution:
 def lp_curve(g: Graph) -> PwlCurve:
     """Exact piecewise-linear LP value curve on [0, 1].
 
-    Chord search: solve both ends of [a, b]; if their cost lines differ, solve
-    where they cross. If that value lies on the lines, concavity certifies
-    both pieces; otherwise recurse into both halves. Every solution's line
-    bounds the curve from above, so the curve is the lower envelope of the
-    lines found, each piece tagged with the earliest solution in lambda order
-    whose line it is. Solver calls grow with the number of pieces, not with
-    any sampling density.
+    The cost is c0 - lam*1 (c0 is 1 on edges, 0 elsewhere), so one
+    walk_canonical from the slack basis, optimal at lam = 0, visits an
+    optimal vertex of every piece. Each distinct cost line is tagged with
+    the solution at the start of its first vertex range. The result is
+    gated like a single exact solve: check_solution on every tag, so each
+    line is realized by a feasible x and bounds the curve from above, and
+    check_certificate at 0, 1 and every breakpoint, so the curve is a lower
+    bound there; by concavity it is one between them too.
     """
-    lo, hi = Fraction(0), Fraction(1)
-    sols = {lo: _solve_exact(g, lo), hi: _solve_exact(g, hi)}
-
-    def chord(a, b):
-        la, lb = sols[a].line, sols[b].line
-        if la == lb:
-            return
-        lx = la.intersect(lb)
-        if not a < lx < b:
-            return
-        sm = _solve_exact(g, lx)
-        if sm.value == la.value_at(lx):
-            return
-        sols[lx] = sm
-        chord(a, lx)
-        chord(lx, b)
-
-    chord(lo, hi)
-    tags = [sols[lam] for lam in sorted(sols)]
-    return envelope_of([s.line for s in tags], (lo, hi), tags=tags)
+    prob = build_lp(g, 0)  # prob.c is c0
+    _, idx = pair_index(g.n)
+    tags = {}  # cost line -> solution at the start of its first vertex range
+    duals = {}  # lam -> marginals of the <= rows at lam
+    for rng in walk_canonical(prob.c, [-1] * prob.num_vars, *_le_form(prob)):
+        duals.update(rng.dual_ub)
+        line = _line_of_x(g, rng.x, idx)
+        if line not in tags:
+            tags[line] = LpSolution(
+                n=g.n, lam=rng.lo, x=tuple(rng.x), value=line.value_at(rng.lo),
+                line=line, dual=tuple(-u for u in duals[rng.lo]), exact=True,
+                pivots=rng.pivots,
+            )
+    for sol in tags.values():
+        check_solution(sol, g)
+    curve = envelope_of(list(tags), (0, 1), tags=list(tags.values()))
+    for lam in [curve.domain_lo] + curve.breakpoints + [curve.domain_hi]:
+        check_certificate(build_lp(g, lam), [-u for u in duals[lam]],
+                          curve.value_at(lam))
+    return curve

@@ -20,12 +20,17 @@ Pivot choice is Dantzig's rule with deterministic lowest-index tie-breaks,
 falling back to Bland's rule permanently once the objective stalls, which
 restores the termination guarantee on degenerate problems. Rows with negative
 right-hand sides get phase-1 artificials.
+
+walk_canonical solves a whole family min (c0 + lam*c1).x over lam in [0, 1]
+in one tableau (parametric cost ranging): the tableau carries a second cost
+row for c1, and each pivot moves to the next basis along lam.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .rationals import rat
 
@@ -50,14 +55,25 @@ class SimplexResult:
     pivots: int
 
 
+class VertexRange(NamedTuple):
+    """One vertex of walk_canonical and the lam-interval where it is optimal."""
+
+    lo: Fraction
+    hi: Fraction
+    x: list  # the vertex, Fractions
+    dual_ub: dict  # lo and hi -> marginals of b at that lam (min convention)
+    pivots: int  # pivots from the slack basis to the vertex
+
+
 _MAX_PIVOTS = 500_000
 
 
 class _Tableau:
-    def __init__(self, c, rows, b):
+    def __init__(self, c, rows, b, slope=None):
         nrows, nvars = len(rows), len(c)
         c = [rat(v) for v in c]
-        self.sigma_c = lcm(*(v.denominator for v in c)) if c else 1
+        slope = None if slope is None else [rat(v) for v in slope]
+        self.sigma_c = lcm(*(v.denominator for v in c + (slope or []))) if c else 1
         zrow = [int(v * self.sigma_c) for v in c]
 
         self.nvars = nvars
@@ -97,6 +113,10 @@ class _Tableau:
         z = [0] * ncols
         z[:nvars] = zrow
         self.z = z
+        self.z1 = None  # cost-slope row, live only in walk_canonical
+        if slope is not None:
+            self.z1 = [0] * ncols
+            self.z1[:nvars] = [int(v * self.sigma_c) for v in slope]
         self.w = None  # phase-1 objective, live only during phase 1
         self.delta = 1
         self.pivots = 0
@@ -105,6 +125,8 @@ class _Tableau:
 
     def _all_rows(self):
         yield self.z
+        if self.z1 is not None:
+            yield self.z1
         if self.w is not None:
             yield self.w
         yield from self.T
@@ -225,17 +247,26 @@ class _Tableau:
 
     # -- extraction -----------------------------------------------------
 
-    def result(self) -> SimplexResult:
+    def _x(self):
         x = [Fraction(0)] * self.nvars
         for r, bv in enumerate(self.basis):
             if bv < self.nvars:
                 x[bv] = Fraction(self.T[r][self.rhs_col], self.delta)
+        return x
+
+    def _duals(self, lam=Fraction(0)):
+        """Marginals of b for the cost c + lam*slope (min convention)."""
+        p, q = lam.numerator, lam.denominator
+        z, z1 = self.z, self.z1 or [0] * len(self.z)
+        den = q * self.delta * self.sigma_c
+        return [
+            Fraction(-(z[j] * q + p * z1[j]) * s, den)
+            for j, s in enumerate(self.row_scale, start=self.nvars)
+        ]
+
+    def result(self) -> SimplexResult:
         value = Fraction(-self.z[self.rhs_col], self.delta) / self.sigma_c
-        duals = []
-        for i in range(self.nrows):
-            zi = Fraction(self.z[self.nvars + i], self.delta)
-            duals.append(-zi * self.row_scale[i] / self.sigma_c)
-        return SimplexResult(x, value, duals, self.pivots)
+        return SimplexResult(self._x(), value, self._duals(), self.pivots)
 
 
 def solve_canonical(c, rows, b) -> SimplexResult:
@@ -248,3 +279,65 @@ def solve_canonical(c, rows, b) -> SimplexResult:
     tab = _Tableau(c, rows, b)
     tab.solve()
     return tab.result()
+
+
+def walk_canonical(c0, c1, rows, b):
+    """The optimal vertices of min (c0 + lam*c1).x s.t. A x <= b, x >= 0 as
+    lam runs over [0, 1], in order: one VertexRange per vertex that is
+    optimal on an interval of positive width. Their intervals tile [0, 1].
+
+    Parametric cost ranging (Gass & Saaty, NRLQ 2, 1955). Needs b >= 0 and
+    c0 >= 0, so that the slack basis is feasible and optimal at lam = 0. The
+    tableau keeps the reduced costs of c0 and c1 as two rows z0 and z1; the
+    reduced cost of column j at lam is z0[j] + lam*z1[j], so a basis optimal
+    at lo stays optimal up to hi = min z0[j]/-z1[j] over the columns with
+    z1[j] < 0 (basic columns have z0 = z1 = 0). The walk enters the column
+    that attains hi, lowest index on ties, picks the leaving row with the
+    ratio test, and repeats from lam = hi until hi reaches 1. Consecutive
+    bases with the same vertex make one VertexRange; a dual is computed
+    once per vertex, at its lo, and once more at 1.
+
+    Termination under degeneracy: pivoting in a column of zero reduced cost
+    at lam keeps every reduced cost at lam, so while hi == lo the candidates
+    are exactly the columns of zero reduced cost at lo with z1[j] < 0. Taking
+    the lowest index among them, with the ratio test's lowest-basic-index
+    tie-break, is Bland's rule for min c1.x over the face of lo-optimal
+    points, which cannot cycle; it ends at a basis whose hi exceeds lo. lam
+    never decreases, and a basis once left at hi is not optimal beyond hi,
+    so no basis repeats.
+    """
+    if len(rows) != len(b) or len(c0) != len(c1):
+        raise ValueError("rows, b, c0 and c1 disagree on their lengths")
+    if any(rat(v) < 0 for v in b) or any(rat(v) < 0 for v in c0):
+        raise ValueError("the slack basis must be optimal at lam = 0")
+    tab = _Tableau(c0, rows, b, slope=c1)
+    z0, z1 = tab.z, tab.z1
+    ncols = tab.nvars + tab.nrows
+    lo = Fraction(0)
+    cur = None  # the vertex being walked; its hi is not known yet
+    while True:
+        col = None
+        for j in range(ncols):
+            # z0[j]/-z1[j] < z0[col]/-z1[col], cross-multiplied
+            if z1[j] < 0 and (col is None or z0[j] * z1[col] > z0[col] * z1[j]):
+                col = j
+        hi = Fraction(1)
+        if col is not None:
+            hi = min(Fraction(z0[col], -z1[col]), hi)
+        if hi > lo:
+            x = tab._x()
+            if cur is None or x != cur.x:
+                y = tab._duals(lo)
+                if cur is not None:
+                    cur.dual_ub[lo] = y
+                    yield cur._replace(hi=lo)
+                cur = VertexRange(lo, None, x, {lo: y}, tab.pivots)
+        if hi == 1:
+            cur.dual_ub[hi] = tab._duals(hi)
+            yield cur._replace(hi=hi)
+            return
+        r = tab._leaving(col)
+        if r is None:
+            raise Unbounded("column %d unbounded beyond lam=%s" % (col, hi))
+        tab.pivot(r, col)
+        lo = hi

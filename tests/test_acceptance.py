@@ -11,14 +11,13 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 from lambdaprime.analytic import (
-    MS_CONSTANT,
     lamcc_ratio,
     lamcc_schedule,
     ms_gamma,
     ring_g,
     ring_lower_bound,
     ring_lp,
-    ring_q,
+    ring_sandwich,
     ring_special_lambdas,
 )
 from lambdaprime.exact import scaled_sparsest_cut
@@ -106,18 +105,13 @@ def test_criterion_04_special_lambda_coincidence(cache):
 
 def test_criterion_05_sandwich_bounds():
     """q <= g <= lp <= sqrt2*g <= (4*sqrt2/3)*q on 200-point grids, 1e-9 rel."""
-    s2 = math.sqrt(2)
     slack = 1e-9
     for k in (3, 4, 5):
         n = 2 ** k
         lo, hi = F(8, n * n), F(1, 2)
         for i in range(200):
             lam = lo + (hi - lo) * i / 199
-            q = ring_q(k, lam)
-            gv = ring_g(k, lam)
-            lpv = float(ring_lp(k, lam)[0])
-            chain = [(q, gv), (gv, lpv), (lpv, s2 * gv), (s2 * gv, MS_CONSTANT * q)]
-            for a, b in chain:
+            for _, a, b in ring_sandwich(k, lam):
                 assert a <= b + slack * max(1.0, abs(b)), (k, lam, a, b)
     print("criterion 05 PASS: sandwich holds on k=3,4,5 (200-point grids)")
 

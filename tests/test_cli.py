@@ -6,6 +6,7 @@ import pytest
 
 from lambdaprime.cli import main
 from lambdaprime.graphs import gen_path, load_graph, save_graph
+from lambdaprime.lp import solve_lp
 
 
 def test_gen_ring_and_star(tmp_path):
@@ -37,6 +38,9 @@ def test_lp_solve_summary_line(tmp_path, capsys):
     assert main(["lp", "solve", "--graph", str(gpath), "--lambda", "0.3"]) == 0
     out = capsys.readouterr().out
     assert "value=13/5" in out
+    pivots = solve_lp(load_graph(gpath), F(3, 10)).pivots
+    assert pivots > 0
+    assert out.split()[-1] == "pivots=%d" % pivots
 
 
 def test_sweep_then_verify_roundtrip(tmp_path):

@@ -2,13 +2,18 @@
 import dataclasses
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lambdaprime.exact import exact_opt_curve
 from lambdaprime import lp as lp_module
 from lambdaprime.graphs import gen_gnp, gen_path, gen_ring, gen_star, make_graph
 from lambdaprime.lp import build_lp, lp_curve, solve_lp
+from lambdaprime.objectives import CostLine
+from lambdaprime.serialize import solution_to_dict
 
 
 def test_build_lp_shapes():
@@ -151,6 +156,82 @@ def test_curve_piece_tags_are_solutions():
         sol = p.tag
         assert sol.line == p.line
         assert sol.value == p.line.value_at(sol.lam)
+
+
+@st.composite
+def _small_graphs(draw):
+    n = draw(st.integers(1, 6))
+    pairs = list(combinations(range(n), 2))
+    return make_graph(n, [p for p in pairs if draw(st.booleans())])
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(_small_graphs())
+def test_curve_agrees_with_solve_lp_everywhere_that_matters(g):
+    c = lp_curve(g)
+    mids = [(p.lo + p.hi) / 2 for p in c.pieces]
+    for lam in [Fraction(0), Fraction(1)] + c.breakpoints + mids:
+        assert c.value_at(lam) == solve_lp(g, lam).value, lam
+    for p in c.pieces:
+        assert p.tag.line == p.line
+        assert p.tag.lam == p.lo
+
+
+@pytest.mark.parametrize("g, line", [
+    (make_graph(1, []), CostLine(0, 0)),
+    (make_graph(2, []), CostLine(0, 0)),
+    (make_graph(2, [(0, 1)]), CostLine(0, 1)),
+    (make_graph(5, []), CostLine(0, 0)),
+    (make_graph(5, combinations(range(5), 2)), CostLine(0, 10)),
+], ids=["n1", "n2", "n2_edge", "edgeless5", "k5"])
+def test_one_piece_curves(g, line):
+    c = lp_curve(g)
+    assert [(p.line, p.lo, p.hi) for p in c.pieces] == [(line, 0, 1)]
+
+
+def test_curve_certified_at_ends_and_breakpoints(monkeypatch):
+    real = lp_module.check_certificate
+    seen = []
+
+    def recording(prob, y, value):
+        seen.append(prob.lam)
+        return real(prob, y, value)
+
+    monkeypatch.setattr(lp_module, "check_certificate", recording)
+    c = lp_curve(gen_ring(3))
+    assert len(c.breakpoints) == 3
+    assert {Fraction(0), Fraction(1), *c.breakpoints} <= set(seen)
+
+
+@pytest.mark.parametrize("where", ["zero", "breakpoint", "one"])
+def test_corrupted_curve_dual_rejected(monkeypatch, where):
+    g = gen_ring(3)
+    lam = {"zero": Fraction(0), "one": Fraction(1),
+           "breakpoint": lp_curve(g).breakpoints[0]}[where]
+    real = lp_module.walk_canonical
+
+    def forged(*args):
+        for rng in real(*args):
+            if lam in rng.dual_ub:
+                # triangle row 0 has rhs 0, so b.y is unchanged while A^T y
+                # exceeds c on two pairs
+                y = list(rng.dual_ub[lam])
+                y[0] -= 10
+                rng.dual_ub[lam] = y
+            yield rng
+
+    monkeypatch.setattr(lp_module, "walk_canonical", forged)
+    with pytest.raises(ValueError):
+        lp_curve(g)
+
+
+def test_solution_reports_pivots_outside_its_value():
+    s = solve_lp(gen_star(5), Fraction(3, 10))
+    assert s.pivots > 0
+    assert dataclasses.replace(s, pivots=0) == s
+    assert "pivots" not in solution_to_dict(s)
+    tag_pivots = [p.tag.pivots for p in lp_curve(gen_star(5)).pieces]
+    assert tag_pivots == sorted(set(tag_pivots)) and tag_pivots[-1] > 0
 
 
 def test_float_mode_tracks_exact():

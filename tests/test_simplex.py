@@ -14,6 +14,7 @@ from lambdaprime.simplex import (
     SimplexResult,
     Unbounded,
     solve_canonical,
+    walk_canonical,
 )
 
 
@@ -164,3 +165,53 @@ def test_repeated_column_rejected():
 def test_float_coefficient_rejected():
     with pytest.raises(TypeError):
         solve_canonical([1, 2], [((0, 1), (1, 0.5))], [1])
+
+
+def _assert_certificate(A, b, c, x, u):
+    """x and the marginals u prove each other optimal for min c.x, Ax <= b."""
+    value = sum(ci * xi for ci, xi in zip(c, x))
+    assert all(sum(ai * xi for ai, xi in zip(row, x)) <= bi for row, bi in zip(A, b))
+    assert all(xi >= 0 for xi in x) and all(ui <= 0 for ui in u)
+    assert sum(ui * bi for ui, bi in zip(u, b)) == value
+    for j in range(len(c)):
+        assert c[j] - sum(A[i][j] * u[i] for i in range(len(b))) >= 0
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_walk_tiles_unit_interval_with_certified_vertices(seed):
+    rng = random.Random(2000 + seed)
+    nvars = rng.randint(1, 5)
+    A = [[rng.randint(-3, 3) for _ in range(nvars)] for _ in range(rng.randint(0, 5))]
+    b = [rng.choice((0, 0, 1, 2)) for _ in A]  # zero rhs makes degenerate vertices
+    # x <= 1 keeps every lam bounded
+    A += [[int(i == j) for i in range(nvars)] for j in range(nvars)]
+    b += [1] * nvars
+    c0 = [Fraction(rng.randint(0, 4), rng.randint(1, 3)) for _ in range(nvars)]
+    c1 = [Fraction(rng.randint(-6, 3), rng.randint(1, 3)) for _ in range(nvars)]
+    ranges = list(walk_canonical(c0, c1, _rows(A), b))
+    assert ranges[0].lo == 0 and ranges[-1].hi == 1
+    for prev, cur in zip(ranges, ranges[1:]):
+        assert prev.hi == cur.lo and prev.x != cur.x and prev.pivots < cur.pivots
+    for r in ranges:
+        assert r.lo < r.hi and set(r.dual_ub) == {r.lo, r.hi}
+        for lam in (r.lo, (r.lo + r.hi) / 2, r.hi):
+            c = [a + lam * d for a, d in zip(c0, c1)]
+            value = sum(ci * xi for ci, xi in zip(c, r.x))
+            assert value == solve_canonical(c, _rows(A), b).value
+        for lam, u in r.dual_ub.items():
+            _assert_certificate(A, b, [a + lam * d for a, d in zip(c0, c1)], r.x, u)
+
+
+def test_walk_needs_optimal_slack_basis():
+    with pytest.raises(ValueError):
+        next(walk_canonical([1], [-1], [((0, 1),)], [-1]))
+    with pytest.raises(ValueError):
+        next(walk_canonical([-1], [0], [((0, 1),)], [1]))
+    with pytest.raises(ValueError):
+        next(walk_canonical([1, 0], [-1], [((0, 1),)], [1]))
+
+
+def test_walk_unbounded_beyond_breakpoint():
+    # min (1 - 2 lam) x with no upper bound: unbounded for lam > 1/2
+    with pytest.raises(Unbounded):
+        list(walk_canonical([1], [-2], [((0, -1),)], [0]))
