@@ -174,8 +174,9 @@ def _cmd_sweep(args) -> int:
         fam = runner(g, args.epsilon)
     write_json(family_to_dict(fam, include_vectors=not args.no_vectors), args.out)
     print(
-        "%s cover: %d members, %d LP solves -> %s"
-        % (args.algo, len(fam.members), fam.lp_solve_count, args.out)
+        "%s cover: %d members, %d LP solves -> %s pivots=%d"
+        % (args.algo, len(fam.members), fam.lp_solve_count, args.out,
+           sum(m.solution.pivots for m in fam.members))
     )
     return 0
 

@@ -107,7 +107,8 @@ class LpSolution:
     line: CostLine
     dual: tuple  # y >= 0 for the >=-form rows
     exact: bool = True
-    # simplex pivots that reached x (0 when unknown); not part of the value
+    # simplex pivots that reached x, HiGHS iterations in float mode (0 when
+    # unknown); not part of the value
     pivots: int = field(default=0, compare=False)
 
 
@@ -235,6 +236,7 @@ def _solve_float(g: Graph, lam) -> LpSolution:
     sol = LpSolution(
         n=g.n, lam=lamf, x=x, value=float(res.fun) + lamf * len(prob.pairs),
         line=_line_of_x(g, x, idx), dual=dual_tri + dual_ub, exact=False,
+        pivots=int(res.nit),
     )
     check_solution(sol, g)
     return sol

@@ -16,6 +16,15 @@ where delta is the previous pivot element; the division is exact (tableau
 entries stay minors of the integer input), and the true tableau is T/delta
 throughout. Python ints make this ~30x faster than a Fraction tableau.
 
+A pivot touches only the entries the update can change, and the skipped
+ones keep exactly the integers the full update would give. When
+T[r][c] == delta, as in most pivots, v*T[r][c]//delta == v, so a row with
+T[i][c] == 0 keeps every entry, and a row with T[i][c] != 0 changes only in
+the columns where the pivot row is nonzero. Otherwise every row is rescaled,
+but a position where both T[i][j] and T[r][j] are zero stays zero. A
+negative pivot is handled by negating the pivot row first, which negates the
+update of every other row and keeps delta positive.
+
 Pivot choice is Dantzig's rule with deterministic lowest-index tie-breaks,
 falling back to Bland's rule permanently once the objective stalls, which
 restores the termination guarantee on degenerate problems. Rows with negative
@@ -132,32 +141,37 @@ class _Tableau:
         yield from self.T
 
     def pivot(self, r, col):
-        T = self.T
-        piv = T[r][col]
+        tr = self.T[r]
+        piv = tr[col]
         if piv == 0:
             raise SimplexError("zero pivot")
         delta = self.delta
-        tr = T[r]
-        for row in self._all_rows():
-            if row is tr:
-                continue
-            f = row[col]
-            if f == 0:
-                if piv != delta:
-                    for j, v in enumerate(row):
-                        if v:
-                            row[j] = v * piv // delta
-                continue
-            for j, v in enumerate(row):
-                row[j] = (v * piv - f * tr[j]) // delta
+        if piv == delta:
+            # only the pivot row's nonzero columns of rows with f != 0 change;
+            # (v*delta - f*t)//delta is exact, so it equals v - f*t//delta
+            nz = [(j, t) for j, t in enumerate(tr) if t]
+            for row in self._all_rows():
+                f = row[col]
+                if f and row is not tr:
+                    for j, t in nz:
+                        row[j] -= f * t // delta
+        else:
+            if piv < 0:
+                # negate the pivot row first: the update below then yields
+                # every other row negated too, and delta stays positive
+                tr[:] = [-t for t in tr]
+                piv = -piv
+            for row in self._all_rows():
+                if row is tr:
+                    continue
+                f = row[col]
+                if f:
+                    row[:] = [(v * piv - f * t) // delta if v or t else 0
+                              for v, t in zip(row, tr)]
+                else:
+                    row[:] = [v * piv // delta if v else 0 for v in row]
         self.delta = piv
         self.basis[r] = col
-        if self.delta < 0:
-            for row in self._all_rows():
-                for j, v in enumerate(row):
-                    if v:
-                        row[j] = -v
-            self.delta = -self.delta
         self.pivots += 1
         if self.pivots > _MAX_PIVOTS:
             raise SimplexError("pivot limit exceeded")

@@ -7,6 +7,7 @@ import pytest
 from lambdaprime.cli import main
 from lambdaprime.graphs import gen_path, load_graph, save_graph
 from lambdaprime.lp import solve_lp
+from lambdaprime.sweeps import sweep_febe
 
 
 def test_gen_ring_and_star(tmp_path):
@@ -39,6 +40,19 @@ def test_lp_solve_summary_line(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "value=13/5" in out
     pivots = solve_lp(load_graph(gpath), F(3, 10)).pivots
+    assert pivots > 0
+    assert out.split()[-1] == "pivots=%d" % pivots
+
+
+def test_sweep_summary_line(tmp_path, capsys):
+    gpath = tmp_path / "star.txt"
+    main(["gen", "star", "--n", "5", "--out", str(gpath)])
+    capsys.readouterr()
+    assert main(["sweep", "--graph", str(gpath), "--epsilon", "1/2",
+                 "--algo", "febe", "--out", str(tmp_path / "cover.json")]) == 0
+    out = capsys.readouterr().out
+    fam = sweep_febe(load_graph(gpath), F(1, 2))
+    pivots = sum(m.solution.pivots for m in fam.members)
     assert pivots > 0
     assert out.split()[-1] == "pivots=%d" % pivots
 

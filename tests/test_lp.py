@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from lambdaprime.exact import exact_opt_curve
 from lambdaprime import lp as lp_module
+from lambdaprime import simplex
 from lambdaprime.graphs import gen_gnp, gen_path, gen_ring, gen_star, make_graph
 from lambdaprime.lp import build_lp, lp_curve, solve_lp
 from lambdaprime.objectives import CostLine
@@ -232,6 +233,36 @@ def test_solution_reports_pivots_outside_its_value():
     assert "pivots" not in solution_to_dict(s)
     tag_pivots = [p.tag.pivots for p in lp_curve(gen_star(5)).pieces]
     assert tag_pivots == sorted(set(tag_pivots)) and tag_pivots[-1] > 0
+
+
+@pytest.mark.parametrize("name, lam, pivots", [
+    ("gnp7_05", Fraction(1, 5), 11),
+    ("gnp7_05", Fraction(1, 3), 21),
+    ("gnp8_03", Fraction(1, 5), 67),
+    ("gnp8_03", Fraction(1, 3), 138),
+])
+def test_pivot_path_is_pinned(corpus, name, lam, pivots):
+    # the dense Bareiss kernel's counts: a kernel change that alters the
+    # pivot path, not just its speed, moves them
+    assert solve_lp(dict(corpus)[name], lam).pivots == pivots
+
+
+def test_ring8_walk_pivots_are_pinned(monkeypatch):
+    calls = []
+    real = simplex._Tableau.pivot
+
+    def counted(tab, r, col):
+        calls.append(col)
+        real(tab, r, col)
+
+    monkeypatch.setattr(simplex._Tableau, "pivot", counted)
+    c = lp_curve(gen_ring(3))
+    assert len(calls) == 97
+    assert [p.tag.pivots for p in c.pieces] == [30, 54, 68, 90]
+
+
+def test_float_mode_reports_highs_iterations():
+    assert solve_lp(gen_ring(3), Fraction(1, 5), mode="float").pivots > 0
 
 
 def test_float_mode_tracks_exact():

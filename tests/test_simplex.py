@@ -3,6 +3,7 @@
 The cases are written as dense matrices for readability and handed to the
 solver as sparse rows through _rows.
 """
+import copy
 import random
 from fractions import Fraction
 
@@ -11,9 +12,11 @@ from scipy.optimize import linprog
 
 from lambdaprime.simplex import (
     Infeasible,
+    SimplexError,
     SimplexResult,
     Unbounded,
     solve_canonical,
+    _Tableau,
     walk_canonical,
 )
 
@@ -177,9 +180,8 @@ def _assert_certificate(A, b, c, x, u):
         assert c[j] - sum(A[i][j] * u[i] for i in range(len(b))) >= 0
 
 
-@pytest.mark.parametrize("seed", range(30))
-def test_walk_tiles_unit_interval_with_certified_vertices(seed):
-    rng = random.Random(2000 + seed)
+def _random_walk_lp(rng):
+    """c0, c1, A, b of a random walk_canonical input, bounded on [0, 1]."""
     nvars = rng.randint(1, 5)
     A = [[rng.randint(-3, 3) for _ in range(nvars)] for _ in range(rng.randint(0, 5))]
     b = [rng.choice((0, 0, 1, 2)) for _ in A]  # zero rhs makes degenerate vertices
@@ -188,6 +190,12 @@ def test_walk_tiles_unit_interval_with_certified_vertices(seed):
     b += [1] * nvars
     c0 = [Fraction(rng.randint(0, 4), rng.randint(1, 3)) for _ in range(nvars)]
     c1 = [Fraction(rng.randint(-6, 3), rng.randint(1, 3)) for _ in range(nvars)]
+    return c0, c1, A, b
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_walk_tiles_unit_interval_with_certified_vertices(seed):
+    c0, c1, A, b = _random_walk_lp(random.Random(2000 + seed))
     ranges = list(walk_canonical(c0, c1, _rows(A), b))
     assert ranges[0].lo == 0 and ranges[-1].hi == 1
     for prev, cur in zip(ranges, ranges[1:]):
@@ -215,3 +223,84 @@ def test_walk_unbounded_beyond_breakpoint():
     # min (1 - 2 lam) x with no upper bound: unbounded for lam > 1/2
     with pytest.raises(Unbounded):
         list(walk_canonical([1], [-2], [((0, -1),)], [0]))
+
+
+def _dense_pivot(tab, r, col):
+    """The dense integer Gauss-Jordan (Bareiss) update over every entry of
+    every row: the reference that _Tableau.pivot must match integer for
+    integer."""
+    piv, delta, tr = tab.T[r][col], tab.delta, tab.T[r]
+    for row in tab._all_rows():
+        if row is tr:
+            continue
+        f = row[col]
+        if f == 0:
+            if piv != delta:
+                for j, v in enumerate(row):
+                    if v:
+                        row[j] = v * piv // delta
+            continue
+        for j, v in enumerate(row):
+            row[j] = (v * piv - f * tr[j]) // delta
+    tab.delta = piv
+    tab.basis[r] = col
+    if tab.delta < 0:
+        for row in tab._all_rows():
+            for j, v in enumerate(row):
+                if v:
+                    row[j] = -v
+        tab.delta = -tab.delta
+
+
+def _random_phase1_lp(rng):
+    """c, A, b with negative rhs entries (phase 1, the w row) and equality
+    rows written as two opposite inequalities: such a pair can leave an
+    artificial basic at zero after phase 1, which then leaves through a
+    negative pivot."""
+    nvars = rng.randint(1, 5)
+    A, b = [], []
+    for _ in range(rng.randint(1, 4)):
+        row = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+               if rng.random() < 0.6 else Fraction(0) for _ in range(nvars)]
+        bi = Fraction(rng.randint(-3, 6), rng.randint(1, 2))
+        A.append(row)
+        b.append(bi)
+        if rng.random() < 0.5:
+            A.append([-v for v in row])
+            b.append(-bi)
+    c = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(nvars)]
+    return c, A, b
+
+
+def _state(tab):
+    return tab.T, tab.z, tab.z1, tab.w, tab.delta, tab.basis
+
+
+def test_pivot_matches_dense_bareiss_update(monkeypatch):
+    branches = set()
+    real = _Tableau.pivot
+
+    def checked(tab, r, col):
+        piv, delta = tab.T[r][col], tab.delta
+        if piv < 0:
+            branches.add("piv < 0")
+        elif piv != delta:
+            branches.add("piv != delta")
+        elif any(row[col] == 0 for row in tab._all_rows()):
+            branches.add("piv == delta, some f == 0")
+        ref = copy.deepcopy(tab)
+        _dense_pivot(ref, r, col)
+        real(tab, r, col)
+        assert _state(tab) == _state(ref)
+
+    monkeypatch.setattr(_Tableau, "pivot", checked)
+    for seed in range(40):
+        c, A, b = _random_phase1_lp(random.Random(3000 + seed))
+        try:
+            solve_canonical(c, _rows(A), b)
+        except SimplexError:
+            pass  # infeasible or unbounded: the pivots before it were checked
+    for seed in range(10):
+        c0, c1, A, b = _random_walk_lp(random.Random(2000 + seed))
+        list(walk_canonical(c0, c1, _rows(A), b))
+    assert branches == {"piv < 0", "piv != delta", "piv == delta, some f == 0"}
