@@ -19,8 +19,8 @@ from .objectives import (
 )
 from .curves import PwlCurve, PwlPiece, envelope_of
 from .exact import enumerate_partitions, exact_opt_curve, scaled_sparsest_cut
-from .lp import LpSolution, build_lp, lp_curve, solve_lp
-from .sensitivity import LambdaInterval, eps_range, orlp, verify_certificate
+from .lp import LpSolution, build_lp, lp_curve, solve_lp, verify_certificate
+from .sensitivity import LambdaInterval, eps_range, orlp
 from .sweeps import (
     CoverFamily,
     CoverMember,

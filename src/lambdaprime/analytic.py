@@ -37,12 +37,18 @@ def _check_ring_k(k):
     return 2 ** int(k)
 
 
-def ring_lp(k, lam):
-    """Exact LP optimum on the 2^k-ring, with its minimizing block size t."""
+def _check_ring_lam(k, lam):
+    """(n, lam) on the 2^k-ring, lam checked to lie in [8/n^2, 1/2]."""
     n = _check_ring_k(k)
     lam = rat(lam)
     if not Fraction(8, n * n) <= lam <= Fraction(1, 2):
         raise ValueError("lambda outside [8/n^2, 1/2]")
+    return n, lam
+
+
+def ring_lp(k, lam):
+    """Exact LP optimum on the 2^k-ring, with its minimizing block size t."""
+    n, lam = _check_ring_lam(k, lam)
     best_v, best_t = None, None
     for t in range(1, n + 1):
         v = _h(n, t, lam)
@@ -63,10 +69,7 @@ def ring_g(k, lam):
 
 def ring_q(k, lam):
     """The (3n/4) sqrt(2 lam) comparison function; float."""
-    n = _check_ring_k(k)
-    lam = rat(lam)
-    if not Fraction(8, n * n) <= lam <= Fraction(1, 2):
-        raise ValueError("lambda outside [8/n^2, 1/2]")
+    n, lam = _check_ring_lam(k, lam)
     return (3 * n / 4) * math.sqrt(2 * float(lam))
 
 
@@ -82,11 +85,8 @@ def ring_f(k, lam):
     On [lam_i, 2 lam_i) the solution for lam_i (block size t_i) is reused;
     on [2 lam_i, lam_{i+1}) the one for lam_{i+1}. Exact rational output.
     """
-    n = _check_ring_k(k)
-    lam = rat(lam)
+    n, lam = _check_ring_lam(k, lam)  # [lam_1, lam_{k-1}] = [8/n^2, 1/2]
     lams = ring_special_lambdas(k)
-    if not lams[0] <= lam <= lams[-1]:
-        raise ValueError("lambda outside [lam_1, lam_{k-1}]")
     for i in range(1, k - 1):
         li = lams[i - 1]
         if li <= lam < 4 * li:

@@ -9,9 +9,9 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
-from .analytic import MS_CONSTANT, ms_gamma, ring_lower_bound, ring_sandwich
+from .analytic import (MS_CONSTANT, ms_gamma, ring_lower_bound, ring_sandwich,
+                       ring_special_lambdas)
 from .exact import exact_opt_curve
 from .graphs import gen_ring, gen_star, load_graph, save_graph
 from .lp import solve_lp
@@ -35,7 +35,7 @@ from .sweeps import certify_cover, sweep_fe, sweep_febe, sweep_geometric
 def _rational(text):
     try:
         return parse_rat(text)
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
         raise argparse.ArgumentTypeError("not a rational: %r" % text)
 
 
@@ -217,8 +217,7 @@ def _cmd_verify_ring(args) -> int:
     if args.grid < 1:
         raise ValueError("grid must be at least 1")
     k = args.k
-    n = 2 ** k
-    lo, hi = Fraction(8, n * n), Fraction(1, 2)
+    lo, *_, hi = ring_special_lambdas(k)  # the ring lambda-domain [8/n^2, 1/2]
     slack = 1e-9
     for i in range(args.grid):
         lam = lo + (hi - lo) * i / (args.grid - 1) if args.grid > 1 else lo

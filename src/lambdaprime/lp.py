@@ -16,7 +16,8 @@ LpProblem keeps the rows sparse, three entries per triangle row, and the exact
 mode hands them to the in-package simplex in that form. Each side of the
 optimality proof is checked in one place: check_solution owns the primal side
 (box, triangles, the cost line of x and the value on it), and
-check_certificate only the dual side (y >= 0, A^T y <= c, b.y = value).
+check_certificate only the dual side (y >= 0, A^T y <= c, b.y = value);
+verify_certificate runs both, the one proof every exact solution passes.
 solve_lp offers that exact rational mode and a float mode (scipy HiGHS with
 tightened tolerances) for larger graphs. lp_curve recovers the full
 piecewise-linear value curve exactly: the cost c0 - lam*1 is affine in lam,
@@ -189,18 +190,32 @@ def _le_form(prob: LpProblem):
             [-v for v in prob.rhs])
 
 
+def verify_certificate(xstar: LpSolution, g: Graph):
+    """Prove exact x* optimal at its lambda: check_solution on x, then
+    check_certificate of its dual against build_lp(g, lam), returned."""
+    if not xstar.exact:
+        raise ValueError("an optimality proof needs an exact solution")
+    check_solution(xstar, g)
+    prob = build_lp(g, xstar.lam)
+    check_certificate(prob, [rat(v) for v in xstar.dual], rat(xstar.value))
+    return prob
+
+
+def _proven(g: Graph, lam, x, line, dual_ub, pivots) -> LpSolution:
+    """x at lam on its cost line, dual -dual_ub, once verify_certificate passes."""
+    sol = LpSolution(
+        n=g.n, lam=lam, x=tuple(x), value=line.value_at(lam), line=line,
+        dual=tuple(-u for u in dual_ub), exact=True, pivots=pivots,
+    )
+    verify_certificate(sol, g)
+    return sol
+
+
 def _solve_exact(g: Graph, lam) -> LpSolution:
     prob = build_lp(g, lam)
     res = solve_canonical(prob.c, *_le_form(prob))
-    _, idx = pair_index(g.n)
-    sol = LpSolution(
-        n=g.n, lam=prob.lam, x=tuple(res.x), value=res.value + prob.constant,
-        line=_line_of_x(g, res.x, idx), dual=tuple(-u for u in res.dual_ub),
-        exact=True, pivots=res.pivots,
-    )
-    check_solution(sol, g)
-    check_certificate(prob, sol.dual, sol.value)
-    return sol
+    line = _line_of_x(g, res.x, pair_index(g.n)[1])
+    return _proven(g, prob.lam, res.x, line, res.dual_ub, res.pivots)
 
 
 _HIGHS_OPTS = {
@@ -248,29 +263,22 @@ def lp_curve(g: Graph) -> PwlCurve:
     The cost is c0 - lam*1 (c0 is 1 on edges, 0 elsewhere), so one
     walk_canonical from the slack basis, optimal at lam = 0, visits an
     optimal vertex of every piece. Each distinct cost line is tagged with
-    the solution at the start of its first vertex range. The result is
-    gated like a single exact solve: check_solution on every tag, so each
-    line is realized by a feasible x and bounds the curve from above, and
-    check_certificate at 0, 1 and every breakpoint, so the curve is a lower
-    bound there; by concavity it is one between them too.
+    the solution at the start of its first vertex range, proven there by
+    verify_certificate, and each envelope piece must start at its tag's
+    lambda. So 0 and every breakpoint are proven, the dual is checked at 1,
+    and by concavity the curve is the LP value everywhere.
     """
     prob = build_lp(g, 0)  # prob.c is c0
     _, idx = pair_index(g.n)
     tags = {}  # cost line -> solution at the start of its first vertex range
-    duals = {}  # lam -> marginals of the <= rows at lam
     for rng in walk_canonical(prob.c, [-1] * prob.num_vars, *_le_form(prob)):
-        duals.update(rng.dual_ub)
         line = _line_of_x(g, rng.x, idx)
         if line not in tags:
-            tags[line] = LpSolution(
-                n=g.n, lam=rng.lo, x=tuple(rng.x), value=line.value_at(rng.lo),
-                line=line, dual=tuple(-u for u in duals[rng.lo]), exact=True,
-                pivots=rng.pivots,
-            )
-    for sol in tags.values():
-        check_solution(sol, g)
+            tags[line] = _proven(g, rng.lo, rng.x, line, rng.dual_ub[rng.lo],
+                                 rng.pivots)
     curve = envelope_of(list(tags), (0, 1), tags=list(tags.values()))
-    for lam in [curve.domain_lo] + curve.breakpoints + [curve.domain_hi]:
-        check_certificate(build_lp(g, lam), [-u for u in duals[lam]],
-                          curve.value_at(lam))
+    if any(p.tag.lam != p.lo for p in curve.pieces):
+        raise ValueError("a curve piece starts where no solution was proven")
+    check_certificate(build_lp(g, 1), [-u for u in rng.dual_ub.get(1, ())],
+                      curve.value_at(1))
     return curve

@@ -28,8 +28,11 @@ def rat(x) -> Fraction:
 
 
 def parse_rat(text: str) -> Fraction:
-    """Parse 'num/den' or decimal text into a Fraction."""
-    return Fraction(text.strip())
+    """Parse 'num/den' or decimal text into a Fraction; ValueError otherwise."""
+    try:
+        return Fraction(text.strip())
+    except (AttributeError, TypeError, ZeroDivisionError):  # not text, or n/0
+        raise ValueError("not a rational: %r" % (text,)) from None
 
 
 def format_rat(q) -> str:

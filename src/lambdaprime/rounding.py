@@ -80,8 +80,6 @@ class RoundedMember:
 
 def build_clustering_family(cover: CoverFamily, g: Graph) -> list:
     """Round every cover member; report score/LP ratios at the solve points."""
-    if not cover.members:
-        raise ValueError("empty cover family")
     shift = objective_shift(cover.objective, g.m)
     out = []
     for mem in cover.members:

@@ -17,7 +17,9 @@ Weak duality makes any feasible (y, theta) a proof; LP duality at the true
 endpoint makes the bound tight, and concavity of the LP value curve makes the
 approximate region an interval. With eps = 0 this recovers the exact optimal
 range of x*. The theta cap records when the range runs into the domain edge;
-callers treat a clamped endpoint as coverage through that edge.
+callers treat a clamped endpoint as coverage through that edge. orlp starts
+from lp.verify_certificate, the one proof of an exact solution, and builds
+its LP from the rows of the LP that proof returns.
 
 The scaled objective lamcc (value shifted by -lambda*m) only changes the
 constant Q to Q - objective_shift(objective, m) in the epsilon row.
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import Graph
-from .lp import LpSolution, build_lp, check_certificate, check_solution
+from .lp import LpSolution, verify_certificate
 from .objectives import objective_shift
 from .rationals import GUARD, rat
 from .simplex import solve_canonical
@@ -59,22 +61,6 @@ class LambdaInterval:
 
     def covered_hi(self):
         return Fraction(1) if self.hi_clamped else self.hi
-
-
-def verify_certificate(xstar: LpSolution, g: Graph):
-    """Check that x* carries a complete optimality proof at its lambda.
-
-    x* must be exact; check_solution checks its primal side (x feasible,
-    realizing the stored line, with the stored value on it) and
-    check_certificate its stored dual against the LP rebuilt from g. Raises
-    ValueError on any failure and returns the LP.
-    """
-    if not xstar.exact:
-        raise ValueError("sensitivity analysis needs an exact solution")
-    check_solution(xstar, g)
-    prob = build_lp(g, xstar.lam)
-    check_certificate(prob, [rat(v) for v in xstar.dual], rat(xstar.value))
-    return prob
 
 
 def orlp(xstar: LpSolution, s: int, lam0, eps, g: Graph, objective="lamprime"):

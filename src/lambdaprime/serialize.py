@@ -58,6 +58,14 @@ def solution_to_dict(sol: LpSolution, include_vectors=True) -> dict:
     return d
 
 
+def _json(v, kind, *keys):
+    """v if it is a JSON object (dict) with every key or an array (list)."""
+    if not isinstance(v, kind) or any(k not in v for k in keys):
+        raise ValueError("expected a JSON %s" % ("array" if kind is list else
+                         "object with keys " + ", ".join(keys)))
+    return v
+
+
 def solution_from_dict(d: dict, n=None) -> LpSolution:
     """Read a solution written by solution_to_dict; the dual is not stored.
 
@@ -65,9 +73,10 @@ def solution_from_dict(d: dict, n=None) -> LpSolution:
     count whose pair count is the length of x. An x whose length is not
     C(n, 2) is rejected; a dict written without vectors reads back with x = ().
     """
+    _json(d, dict, "lambda", "value", "P", "N", *(("x",) if n is None else ()))
+    x = tuple(parse_rat(v) for v in _json(d.get("x", []), list))
     if n is None:
-        n = (1 + math.isqrt(1 + 8 * len(d["x"]))) // 2
-    x = tuple(parse_rat(v) for v in d.get("x", ()))
+        n = (1 + math.isqrt(1 + 8 * len(x))) // 2
     if "x" in d and len(x) != n * (n - 1) // 2:
         raise ValueError("x has %d entries, need %d for n=%d"
                          % (len(x), n * (n - 1) // 2, n))
@@ -85,6 +94,7 @@ def interval_to_dict(iv: LambdaInterval) -> dict:
 
 
 def interval_from_dict(d: dict, eps) -> LambdaInterval:
+    _json(d, dict, "lo", "hi")
     return LambdaInterval(
         parse_rat(d["lo"]),
         parse_rat(d["hi"]),
@@ -114,16 +124,20 @@ def family_to_dict(fam: CoverFamily, include_vectors=True) -> dict:
 
 
 def family_from_dict(d: dict, n: int) -> CoverFamily:
+    _json(d, dict, "epsilon", "domain", "members", "lp_solve_count")
     eps = parse_rat(d["epsilon"])
     members = [
-        CoverMember(solution_from_dict(md, n), interval_from_dict(md["interval"], eps))
-        for md in d["members"]
+        CoverMember(solution_from_dict(md, n), interval_from_dict(md.get("interval"), eps))
+        for md in _json(d["members"], list)
     ]
+    lo, hi = _json(d["domain"], list)  # ValueError unless [lo, hi]
+    if not isinstance(d["lp_solve_count"], int):
+        raise ValueError("lp_solve_count must be an integer")
     return CoverFamily(
         tuple(members),
         eps,
-        (parse_rat(d["domain"][0]), parse_rat(d["domain"][1])),
-        int(d["lp_solve_count"]),
+        (parse_rat(lo), parse_rat(hi)),
+        d["lp_solve_count"],
         d.get("objective", "lamprime"),
         d.get("algo", ""),
     )

@@ -54,6 +54,8 @@ class CoverFamily:
 
     def __post_init__(self):
         objective_shift(self.objective, 0)  # rejects an unknown objective
+        if not self.members:
+            raise ValueError("a cover family needs at least one member")
         los = [m.interval.lo for m in self.members]
         if los != sorted(los):
             raise ValueError("members must be ordered by interval.lo")
@@ -124,9 +126,7 @@ def geometric_schedule(n, eps):
 
 
 def sweep_geometric(g: Graph, eps, objective="lamprime") -> CoverFamily:
-    eps = rat(eps)
-    if eps <= 0:
-        raise ValueError("epsilon must be positive")
+    eps = rat(eps)  # both schedules reject eps <= 0
     objective_shift(objective, g.m)  # rejects an unknown objective before solving
     if objective == "lamprime":
         sched = geometric_schedule(g.n, eps)
@@ -243,8 +243,6 @@ def certify_cover(family: CoverFamily, g: Graph, curve=None):
     means a member line dips below the LP curve, which only a forged member
     without x can do; it fails the audit.
     """
-    if not family.members:
-        raise ValueError("empty family")
     for mem in family.members:
         if mem.solution.x:
             check_solution(mem.solution, g)

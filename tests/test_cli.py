@@ -209,15 +209,50 @@ def _repeated_member(d):
     d["members"].insert(1, d["members"][0])
 
 
+def _no_epsilon(d):
+    del d["epsilon"]
+
+
+def _zero_denominator_epsilon(d):
+    d["epsilon"] = "1/0"
+
+
+def _numeric_epsilon(d):
+    d["epsilon"] = 5
+
+
+def _member_without_interval(d):
+    del d["members"][0]["interval"]
+
+
+def _top_level_list(d):
+    return [d]
+
+
+def _no_members(d):
+    d["members"] = []
+
+
+def _null_solve_count(d):
+    d["lp_solve_count"] = None
+
+
 @pytest.mark.parametrize("flags,forge", [
     (("--objective", "lamcc"), _unknown_objective),
     (("--algo", "febe"), _reversed_domain),
     ((), _repeated_member),
+    ((), _no_epsilon),
+    ((), _zero_denominator_epsilon),
+    ((), _numeric_epsilon),
+    ((), _member_without_interval),
+    ((), _top_level_list),
+    ((), _no_members),
+    ((), _null_solve_count),
 ])
 def test_malformed_cover_is_rejected(tmp_path, flags, forge):
     gpath, cover, d = _ring8_cover(tmp_path, *flags)
-    forge(d)
-    cover.write_text(json.dumps(d))
+    forged = forge(d)  # a forge edits d in place or returns a new document
+    cover.write_text(json.dumps(d if forged is None else forged))
     files = ["--cover", str(cover), "--graph", str(gpath)]
     assert main(["verify", "cover", *files]) == 3
     assert main(["round", *files, "--out", str(tmp_path / "c.json")]) == 3

@@ -107,6 +107,35 @@ def test_short_dual_certificate_rejected(monkeypatch):
         solve_lp(gen_star(4), Fraction(1, 3))
 
 
+def test_feasible_but_not_optimal_x_rejected(monkeypatch):
+    # all-ones x is feasible on star4, but its line (3, 0) has value 3 at
+    # every lambda while the LP optimum at 1/3 is at most 2 (and 0 at 0):
+    # the real duals cannot prove it, so both exact paths must refuse it
+    g = gen_star(4)
+    assert solve_lp(g, Fraction(1, 3)).value <= 2
+    ones = [Fraction(1)] * 6
+    real_solve = lp_module.solve_canonical
+    real_walk = lp_module.walk_canonical
+
+    def forged_solve(c, rows, b):
+        return dataclasses.replace(real_solve(c, rows, b), x=ones)
+
+    def forged_walk(*args):
+        ranges = list(real_walk(*args))
+        first, last = ranges[0], ranges[-1]
+        # one vertex range over [0, 1] with the real duals at both ends
+        yield first._replace(hi=Fraction(1), x=ones, dual_ub={
+            Fraction(0): first.dual_ub[Fraction(0)],
+            Fraction(1): last.dual_ub[Fraction(1)]})
+
+    monkeypatch.setattr(lp_module, "solve_canonical", forged_solve)
+    monkeypatch.setattr(lp_module, "walk_canonical", forged_walk)
+    with pytest.raises(ValueError):
+        solve_lp(g, Fraction(1, 3))
+    with pytest.raises(ValueError):
+        lp_curve(g)
+
+
 def test_lp_lower_bounds_partitions():
     rng = random.Random(5)
     for seed in (1, 2):
@@ -223,6 +252,26 @@ def test_corrupted_curve_dual_rejected(monkeypatch, where):
 
     monkeypatch.setattr(lp_module, "walk_canonical", forged)
     with pytest.raises(ValueError):
+        lp_curve(g)
+
+
+def test_walk_missing_a_piece_rejected(monkeypatch):
+    # ring8's walk without its (8/3, 8) range on [1/6, 1/3]: every other tag
+    # is still optimal at its start and the dual at 1 still holds, but the
+    # envelope of the rest breaks at 1/4 with value 5, while the LP value
+    # there is 14/3; the (4, 4) piece then starts at 1/4, not at its tag's 1/3
+    g = gen_ring(3)
+    assert lp_curve(g).value_at(Fraction(1, 4)) == Fraction(14, 3)
+    _, idx = lp_module.pair_index(g.n)
+    real = lp_module.walk_canonical
+
+    def forged(*args):
+        for rng in real(*args):
+            if lp_module._line_of_x(g, rng.x, idx) != CostLine(Fraction(8, 3), 8):
+                yield rng
+
+    monkeypatch.setattr(lp_module, "walk_canonical", forged)
+    with pytest.raises(ValueError, match="curve piece starts"):
         lp_curve(g)
 
 
