@@ -21,8 +21,8 @@ verify_certificate runs both, the one proof every exact solution passes.
 solve_lp offers that exact rational mode and a float mode (scipy HiGHS with
 tightened tolerances) for larger graphs. lp_curve recovers the full
 piecewise-linear value curve exactly: the cost c0 - lam*1 is affine in lam,
-so one parametric simplex walk over [0, 1] visits an optimal vertex of every
-piece, and the curve is the lower envelope of their cost lines.
+so one parametric simplex walk over [0, 1] visits the pieces in order, and
+each of its vertex ranges is one piece.
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .curves import PwlCurve, envelope_of
+from .curves import PwlCurve, PwlPiece
 from .graphs import Graph
 from .objectives import CostLine
 from .rationals import rat
@@ -201,8 +201,9 @@ def verify_certificate(xstar: LpSolution, g: Graph):
     return prob
 
 
-def _proven(g: Graph, lam, x, line, dual_ub, pivots) -> LpSolution:
-    """x at lam on its cost line, dual -dual_ub, once verify_certificate passes."""
+def _proven(g: Graph, lam, x, dual_ub, pivots) -> LpSolution:
+    """x at lam on the line of x, dual -dual_ub, once verify_certificate passes."""
+    line = _line_of_x(g, x, pair_index(g.n)[1])
     sol = LpSolution(
         n=g.n, lam=lam, x=tuple(x), value=line.value_at(lam), line=line,
         dual=tuple(-u for u in dual_ub), exact=True, pivots=pivots,
@@ -214,8 +215,7 @@ def _proven(g: Graph, lam, x, line, dual_ub, pivots) -> LpSolution:
 def _solve_exact(g: Graph, lam) -> LpSolution:
     prob = build_lp(g, lam)
     res = solve_canonical(prob.c, *_le_form(prob))
-    line = _line_of_x(g, res.x, pair_index(g.n)[1])
-    return _proven(g, prob.lam, res.x, line, res.dual_ub, res.pivots)
+    return _proven(g, prob.lam, res.x, res.dual_ub, res.pivots)
 
 
 _HIGHS_OPTS = {
@@ -261,24 +261,18 @@ def lp_curve(g: Graph) -> PwlCurve:
     """Exact piecewise-linear LP value curve on [0, 1].
 
     The cost is c0 - lam*1 (c0 is 1 on edges, 0 elsewhere), so one
-    walk_canonical from the slack basis, optimal at lam = 0, visits an
-    optimal vertex of every piece. Each distinct cost line is tagged with
-    the solution at the start of its first vertex range, proven there by
-    verify_certificate, and each envelope piece must start at its tag's
-    lambda. So 0 and every breakpoint are proven, the dual is checked at 1,
-    and by concavity the curve is the LP value everywhere.
+    walk_canonical from the slack basis, optimal at lam = 0, visits the
+    curve's pieces in order: each VertexRange is one piece, tagged with its
+    vertex proven by verify_certificate at the range's lo (the last also at
+    1). PwlCurve requires the pieces to tile [0, 1] continuously in strictly
+    concave order, so each line, feasible and so on or above the concave LP
+    value, meets it at both ends of its piece: the curve is the LP value.
     """
     prob = build_lp(g, 0)  # prob.c is c0
-    _, idx = pair_index(g.n)
-    tags = {}  # cost line -> solution at the start of its first vertex range
+    pieces = []
     for rng in walk_canonical(prob.c, [-1] * prob.num_vars, *_le_form(prob)):
-        line = _line_of_x(g, rng.x, idx)
-        if line not in tags:
-            tags[line] = _proven(g, rng.lo, rng.x, line, rng.dual_ub[rng.lo],
-                                 rng.pivots)
-    curve = envelope_of(list(tags), (0, 1), tags=list(tags.values()))
-    if any(p.tag.lam != p.lo for p in curve.pieces):
-        raise ValueError("a curve piece starts where no solution was proven")
-    check_certificate(build_lp(g, 1), [-u for u in rng.dual_ub.get(1, ())],
-                      curve.value_at(1))
+        sol = _proven(g, rng.lo, rng.x, rng.dual_ub[rng.lo], rng.pivots)
+        pieces.append(PwlPiece(sol.line, rng.lo, rng.hi, sol))
+    curve = PwlCurve(tuple(pieces), Fraction(0), Fraction(1))
+    _proven(g, Fraction(1), rng.x, rng.dual_ub[1], rng.pivots)
     return curve

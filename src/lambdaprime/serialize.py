@@ -95,13 +95,10 @@ def interval_to_dict(iv: LambdaInterval) -> dict:
 
 def interval_from_dict(d: dict, eps) -> LambdaInterval:
     _json(d, dict, "lo", "hi")
-    return LambdaInterval(
-        parse_rat(d["lo"]),
-        parse_rat(d["hi"]),
-        eps,
-        lo_clamped=bool(d.get("lo_clamped", False)),
-        hi_clamped=bool(d.get("hi_clamped", False)),
-    )
+    clamps = [d.get(k, False) for k in ("lo_clamped", "hi_clamped")]
+    if not all(isinstance(c, bool) for c in clamps):
+        raise ValueError("lo_clamped and hi_clamped must be JSON booleans")
+    return LambdaInterval(parse_rat(d["lo"]), parse_rat(d["hi"]), eps, *clamps)
 
 
 def family_to_dict(fam: CoverFamily, include_vectors=True) -> dict:

@@ -65,7 +65,7 @@ class SimplexResult:
 
 
 class VertexRange(NamedTuple):
-    """One vertex of walk_canonical and the lam-interval where it is optimal."""
+    """One vertex of walk_canonical and its lam-interval: one value piece."""
 
     lo: Fraction
     hi: Fraction
@@ -310,6 +310,10 @@ def walk_canonical(c0, c1, rows, b):
     ratio test, and repeats from lam = hi until hi reaches 1. Consecutive
     bases with the same vertex make one VertexRange; a dual is computed
     once per vertex, at its lo, and once more at 1.
+
+    The ranges are the optimal value function's pieces: every pivot enters
+    a column with z1[j] < 0, so one that moves x strictly lowers c1.x, and
+    the slope c1.x strictly falls from range to range.
 
     Termination under degeneracy: pivoting in a column of zero reduced cost
     at lam keeps every reduced cost at lam, so while hi == lo the candidates

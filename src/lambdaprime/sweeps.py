@@ -73,15 +73,17 @@ def _greedy_cover(intervals, lo, hi):
     """(taken, gap): a minimum cover of [lo, hi] by intervals, or its first gap.
 
     From cur = lo, take the interval reaching furthest past cur among those
-    starting at or before it (the earliest index on ties), until cur >= hi.
-    taken lists the indices chosen. When nothing reaches past cur, gap is
-    (cur, the next covered_lo or hi); otherwise gap is None.
+    starting at or before it (the earliest index on ties), until cur >= hi
+    and one is taken (a one-point domain needs an interval containing it).
+    taken lists the indices chosen. When no interval serves, gap is (cur,
+    the next covered_lo or hi); otherwise gap is None.
     """
     taken, cur = [], lo
-    while cur < hi:
+    while cur < hi or not taken:
         reach = [i for i, iv in enumerate(intervals) if iv.covered_lo() <= cur]
         best = max(reach, key=lambda i: intervals[i].covered_hi(), default=None)
-        if best is None or intervals[best].covered_hi() <= cur:
+        if best is None or intervals[best].covered_hi() < cur or (
+                intervals[best].covered_hi() == cur < hi):
             later = [iv.covered_lo() for iv in intervals if iv.covered_lo() > cur]
             return taken, (cur, min(later, default=hi))
         taken.append(best)
@@ -90,9 +92,8 @@ def _greedy_cover(intervals, lo, hi):
 
 
 def family_envelope(family: CoverFamily) -> PwlCurve:
-    """Lower envelope of the member cost lines over the family domain."""
-    lo, hi = family.domain
-    return envelope_of([m.solution.line for m in family.members], (lo, hi))
+    """Lower envelope of the member cost lines over [0, 1]."""
+    return envelope_of([m.solution.line for m in family.members])
 
 
 def _transfer_interval(lam_solve, eps):
@@ -232,15 +233,16 @@ def certify_cover(family: CoverFamily, g: Graph, curve=None):
 
     Every member that carries x must pass check_solution, so its line is
     realized by a feasible x and lies on or above the LP curve. The audit
-    then evaluates envelope/curve exactly at lo_d, hi_eff and every
-    breakpoint of either curve between them, and nothing else. Between two
-    consecutive audit points both curves are affine, say a + b*lam and
-    c + d*lam (for lamcc both are shifted by -lam*m, which keeps them
-    affine). Where the LP value c + d*lam is positive at both ends it is
-    positive in between (the curve is concave), so the ratio has derivative
-    (b*c - a*d)/(c + d*lam)^2 of one sign: it is monotone there, and its
-    extremes over the whole domain sit at audit points. A ratio below 1
-    means a member line dips below the LP curve, which only a forged member
+    then evaluates envelope/curve exactly at the ends lo_d and hi_d of the
+    closed domain (lam = 1 included, and a one-point domain is its one
+    point) and at every breakpoint of either curve between them, and nothing
+    else. Between two consecutive audit points both curves are affine, say
+    a + b*lam and c + d*lam (for lamcc both are shifted by -lam*m, which
+    keeps them affine). Where the LP value c + d*lam is positive at both ends
+    it is positive in between (the curve is concave), so the ratio has
+    derivative (b*c - a*d)/(c + d*lam)^2 of one sign: it is monotone there,
+    and its extremes over the whole domain sit at audit points. A ratio below
+    1 means a member line dips below the LP curve, which only a forged member
     without x can do; it fails the audit.
     """
     for mem in family.members:
@@ -249,15 +251,12 @@ def certify_cover(family: CoverFamily, g: Graph, curve=None):
     gap = family.coverage_gap()
     lo_d, hi_d = family.domain
     bound = 1 + family.eps
-    if lo_d >= hi_d:
-        return CoverReport(gap is None, gap, Fraction(1), lo_d, bound, 0)
     if curve is None:
         curve = lp_curve(g)
     env = family_envelope(family)
-    hi_eff = min(hi_d, 1 - GUARD)
-    points = {lo_d, hi_eff}
+    points = {lo_d, hi_d}
     points.update(
-        b for b in curve.breakpoints + env.breakpoints if lo_d <= b <= hi_eff
+        b for b in curve.breakpoints + env.breakpoints if lo_d <= b <= hi_d
     )
     shift_m = objective_shift(family.objective, g.m)
     worst = Fraction(0)

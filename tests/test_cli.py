@@ -5,8 +5,10 @@ from fractions import Fraction as F
 import pytest
 
 from lambdaprime.cli import main
-from lambdaprime.graphs import gen_path, load_graph, save_graph
-from lambdaprime.lp import solve_lp
+from lambdaprime.graphs import gen_path, gen_ring, load_graph, save_graph
+from lambdaprime.lp import lp_curve, solve_lp
+from lambdaprime.objectives import CostLine
+from lambdaprime.rationals import GUARD
 from lambdaprime.sweeps import sweep_febe
 
 
@@ -237,6 +239,10 @@ def _null_solve_count(d):
     d["lp_solve_count"] = None
 
 
+def _string_clamp_flag(d):
+    d["members"][0]["interval"]["lo_clamped"] = "false"
+
+
 @pytest.mark.parametrize("flags,forge", [
     (("--objective", "lamcc"), _unknown_objective),
     (("--algo", "febe"), _reversed_domain),
@@ -248,6 +254,7 @@ def _null_solve_count(d):
     ((), _top_level_list),
     ((), _no_members),
     ((), _null_solve_count),
+    ((), _string_clamp_flag),
 ])
 def test_malformed_cover_is_rejected(tmp_path, flags, forge):
     gpath, cover, d = _ring8_cover(tmp_path, *flags)
@@ -256,6 +263,38 @@ def test_malformed_cover_is_rejected(tmp_path, flags, forge):
     files = ["--cover", str(cover), "--graph", str(gpath)]
     assert main(["verify", "cover", *files]) == 3
     assert main(["round", *files, "--out", str(tmp_path / "c.json")]) == 3
+
+
+def _one_point_all_ones(d):
+    # x = 1 cuts every pair: value 8 at 1/2, where the LP value is 6
+    m = d["members"][0]
+    m.update({"lambda": "1/2", "x": ["1"] * 28, "P": "8", "N": "0", "value": "8",
+              "interval": {"lo": "1/2", "hi": "1/2"}})
+    d.update(domain=["1/2", "1/2"], epsilon="1/10", members=[m])
+
+
+def _one_cluster_to_one(d):
+    # x = 0 is one cluster, whose ratio to the LP grows with lambda: epsilon
+    # admits it up to 1 - GUARD, but at 1 the ratio is 28/8 = 7/2
+    t = 1 - GUARD
+    ratio = CostLine(0, 28).value_at(t) / lp_curve(gen_ring(3)).value_at(t)
+    assert ratio < F(7, 2)
+    m = d["members"][0]
+    m.update({"lambda": "1/16", "x": ["0"] * 28, "P": "0", "N": "28",
+              "value": "7/4",
+              "interval": {"lo": "1/16", "hi": "1/2", "hi_clamped": True}})
+    d.update(epsilon=str(ratio - 1), members=[m])
+
+
+@pytest.mark.parametrize("forge", [_one_point_all_ones, _one_cluster_to_one])
+def test_verify_cover_audits_the_closed_domain(tmp_path, capsys, forge):
+    gpath, cover, d = _ring8_cover(tmp_path)
+    forge(d)
+    cover.write_text(json.dumps(d))
+    capsys.readouterr()
+    rc = main(["verify", "cover", "--cover", str(cover), "--graph", str(gpath)])
+    assert rc == 4
+    assert capsys.readouterr().out.splitlines()[0] == "coverage gap: None"
 
 
 def test_round_rejects_forged_value(tmp_path):

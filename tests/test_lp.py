@@ -256,10 +256,9 @@ def test_corrupted_curve_dual_rejected(monkeypatch, where):
 
 
 def test_walk_missing_a_piece_rejected(monkeypatch):
-    # ring8's walk without its (8/3, 8) range on [1/6, 1/3]: every other tag
-    # is still optimal at its start and the dual at 1 still holds, but the
-    # envelope of the rest breaks at 1/4 with value 5, while the LP value
-    # there is 14/3; the (4, 4) piece then starts at 1/4, not at its tag's 1/3
+    # ring8's walk without its (8/3, 8) range on [1/6, 1/3]: every other
+    # range's vertex is still optimal at its start and the dual at 1 still
+    # holds, but the pieces no longer tile [0, 1]
     g = gen_ring(3)
     assert lp_curve(g).value_at(Fraction(1, 4)) == Fraction(14, 3)
     _, idx = lp_module.pair_index(g.n)
@@ -271,8 +270,30 @@ def test_walk_missing_a_piece_rejected(monkeypatch):
                 yield rng
 
     monkeypatch.setattr(lp_module, "walk_canonical", forged)
-    with pytest.raises(ValueError, match="curve piece starts"):
+    with pytest.raises(ValueError, match="gap/overlap between pieces"):
         lp_curve(g)
+
+
+def test_walk_stretching_a_range_rejected(monkeypatch):
+    # ring8's first range stretched over the second: its vertex is still
+    # optimal at 0, but its line misses the LP value at the stretched end
+    g = gen_ring(3)
+    real = lp_module.walk_canonical
+
+    def forged(*args):
+        first, second, *rest = real(*args)
+        yield first._replace(hi=second.hi)
+        yield from rest
+
+    monkeypatch.setattr(lp_module, "walk_canonical", forged)
+    with pytest.raises(ValueError, match="discontinuity"):
+        lp_curve(g)
+
+
+def test_empty_walk_rejected(monkeypatch):
+    monkeypatch.setattr(lp_module, "walk_canonical", lambda *args: iter(()))
+    with pytest.raises(ValueError, match="at least one piece"):
+        lp_curve(gen_ring(3))
 
 
 def test_solution_reports_pivots_outside_its_value():

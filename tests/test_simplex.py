@@ -193,6 +193,10 @@ def _random_walk_lp(rng):
     return c0, c1, A, b
 
 
+def _dot(c, x):
+    return sum(ci * xi for ci, xi in zip(c, x))
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_walk_tiles_unit_interval_with_certified_vertices(seed):
     c0, c1, A, b = _random_walk_lp(random.Random(2000 + seed))
@@ -200,11 +204,13 @@ def test_walk_tiles_unit_interval_with_certified_vertices(seed):
     assert ranges[0].lo == 0 and ranges[-1].hi == 1
     for prev, cur in zip(ranges, ranges[1:]):
         assert prev.hi == cur.lo and prev.x != cur.x and prev.pivots < cur.pivots
+        # the slope c1.x strictly falls: each range is its own value piece
+        assert _dot(c1, cur.x) < _dot(c1, prev.x)
     for r in ranges:
         assert r.lo < r.hi and set(r.dual_ub) == {r.lo, r.hi}
         for lam in (r.lo, (r.lo + r.hi) / 2, r.hi):
             c = [a + lam * d for a, d in zip(c0, c1)]
-            value = sum(ci * xi for ci, xi in zip(c, r.x))
+            value = _dot(c, r.x)
             assert value == solve_canonical(c, _rows(A), b).value
         for lam, u in r.dual_ub.items():
             _assert_certificate(A, b, [a + lam * d for a, d in zip(c0, c1)], r.x, u)

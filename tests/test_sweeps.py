@@ -99,7 +99,7 @@ def test_geometric_cover_n2_degenerate_domain():
     assert fam.coverage_gap() is None
     rep = certify_cover(fam, g)
     assert rep.ok
-    assert rep.points_checked == 0
+    assert rep.points_checked == 1
 
 
 def test_geometric_cover_scaled_objective():
@@ -419,8 +419,7 @@ def _audit_ratio(g, fam, curve, env, lam):
 def test_audit_bounds_ratio_on_whole_domain(name, t):
     g, fam, curve, env, rep = _audit_case(name)
     assert rep.ok
-    lo = fam.domain[0]
-    hi = min(fam.domain[1], 1 - GUARD)
+    lo, hi = fam.domain
     worst = _audit_ratio(g, fam, curve, env, rep.worst_lambda)
     assert worst == rep.worst_ratio
     assert _audit_ratio(g, fam, curve, env, lo + t * (hi - lo)) <= worst
@@ -456,12 +455,17 @@ _interval = st.builds(
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(
     intervals=st.lists(_interval, max_size=6),
-    ends=st.tuples(_unit, _unit).filter(lambda t: t[0] != t[1]),
+    ends=st.tuples(_unit, _unit),
 )
 def test_greedy_cover_is_minimum_or_finds_a_gap(intervals, ends):
     lo, hi = sorted(ends)
     taken, gap = _greedy_cover(intervals, lo, hi)
     assert (gap is None) == _union_covers(intervals, lo, hi)
+    if lo == hi:
+        # a one-point domain: no gap exactly when some interval contains it
+        assert (gap is None) == _covered(intervals, lo)
+        assert gap is not None or len(taken) == 1
+        return
     if gap is not None:
         a, b = gap
         assert lo <= a < hi and a < b
