@@ -22,7 +22,12 @@ solve_lp offers that exact rational mode and a float mode (scipy HiGHS with
 tightened tolerances) for larger graphs. lp_curve recovers the full
 piecewise-linear value curve exactly: the cost c0 - lam*1 is affine in lam,
 so one parametric simplex walk over [0, 1] visits the pieces in order, and
-each of its vertex ranges is one piece.
+each of its vertex ranges is one piece. Few triangle rows ever bind, so the
+walk is a cutting-plane loop for the metric polytope (Grotschel &
+Wakabayashi, Math. Programming 45, 1989): it starts from the box rows and
+adds the triangle rows its vertices violate until they violate none. Each
+piece is still proven by verify_certificate against the full build_lp, so
+the proof does not depend on which rows the walk kept.
 """
 from __future__ import annotations
 
@@ -132,16 +137,29 @@ def check_solution(sol: LpSolution, g: Graph):
         if v < -tol or v > 1 + tol:
             raise ValueError("entry %s outside [0, 1]" % (v,))
     idx = pair_index(n)[1]
-    for i, j, k in combinations(range(n), 3):
-        a, b, c = x[idx[(i, j)]], x[idx[(i, k)]], x[idx[(j, k)]]
-        if a > b + c + tol or b > a + c + tol or c > a + b + tol:
-            raise ValueError("triangle inequality fails at (%d,%d,%d)" % (i, j, k))
+    for _, triple in _violated_triangles(x, n, tol):
+        raise ValueError("triangle inequality fails at (%d,%d,%d)" % triple)
     if sol.exact:
         if _line_of_x(g, x, idx) != sol.line:
             raise ValueError("cost line at lambda=%s is not the line of x" % sol.lam)
         if sol.line.value_at(sol.lam) != sol.value:
             raise ValueError("value at lambda=%s is not on the cost line" % sol.lam)
     return idx
+
+
+def _violated_triangles(x, n, tol=0):
+    """Yield (row, (i, j, k)) for each triangle row of build_lp that x
+    violates by more than tol, in build_lp's row order."""
+    idx = pair_index(n)[1]
+    for t, (i, j, k) in enumerate(combinations(range(n), 3)):
+        a, b, c = x[idx[(i, j)]], x[idx[(i, k)]], x[idx[(j, k)]]
+        # rows 3t, 3t+1, 3t+2 isolate ij, ik and jk, as in build_lp
+        if a > b + c + tol:
+            yield 3 * t, (i, j, k)
+        if b > a + c + tol:
+            yield 3 * t + 1, (i, j, k)
+        if c > a + b + tol:
+            yield 3 * t + 2, (i, j, k)
 
 
 def check_certificate(prob: LpProblem, y, value):
@@ -257,22 +275,60 @@ def _solve_float(g: Graph, lam) -> LpSolution:
     return sol
 
 
+def _separate(ranges, n):
+    """The triangle rows of build_lp that some range's vertex violates."""
+    return {row for rng in ranges for row, _ in _violated_triangles(rng.x, n)}
+
+
 def lp_curve(g: Graph) -> PwlCurve:
     """Exact piecewise-linear LP value curve on [0, 1].
 
     The cost is c0 - lam*1 (c0 is 1 on edges, 0 elsewhere), so one
     walk_canonical from the slack basis, optimal at lam = 0, visits the
-    curve's pieces in order: each VertexRange is one piece, tagged with its
-    vertex proven by verify_certificate at the range's lo (the last also at
-    1). PwlCurve requires the pieces to tile [0, 1] continuously in strictly
-    concave order, so each line, feasible and so on or above the concave LP
-    value, meets it at both ends of its piece: the curve is the LP value.
+    curve's pieces in order: each VertexRange is one piece.
+
+    The walk keeps only the triangle rows it needs, by the cutting-plane
+    loop for the metric polytope (Grotschel & Wakabayashi, Math.
+    Programming 45, 1989): it starts from the box rows alone, and after
+    each walk adds every triangle row that some range's vertex violates,
+    then walks again, until no vertex violates a row. Its rows are the kept
+    triangle rows in build_lp order, then the box rows, so keep maps each
+    walked row to its row of the full LP.
+
+    The proof does not depend on which rows were kept. Each range's vertex
+    is proven by verify_certificate at the range's lo (the last also at 1)
+    against the full build_lp(g, lam), with the walk's dual zero-extended to
+    the omitted rows: check_solution checks x against every triangle row,
+    and check_certificate the extended dual against every row. PwlCurve
+    requires the pieces to tile [0, 1] continuously in strictly concave
+    order, so each line, feasible and so on or above the concave LP value,
+    meets it at both ends of its piece: the curve is the LP value.
     """
     prob = build_lp(g, 0)  # prob.c is c0
+    rows, b = _le_form(prob)
+    box = list(range(prob.num_rows - prob.num_vars, prob.num_rows))
+    kept = []  # triangle rows, in build_lp order
+    while True:
+        keep = kept + box
+        ranges = list(walk_canonical(prob.c, [-1] * prob.num_vars,
+                                     [rows[i] for i in keep], [b[i] for i in keep]))
+        # a vertex satisfies its walk's rows, so the cuts are new rows; a
+        # vertex that breaks a kept row is left to the proof to refuse
+        cuts = _separate(ranges, g.n).difference(kept)
+        if not cuts:
+            break
+        kept = sorted(cuts.union(kept))
+
+    def proven(rng, lam):
+        dual_ub = [0] * prob.num_rows
+        for i, u in zip(keep, rng.dual_ub[lam]):
+            dual_ub[i] = u
+        return _proven(g, lam, rng.x, dual_ub, rng.pivots)
+
     pieces = []
-    for rng in walk_canonical(prob.c, [-1] * prob.num_vars, *_le_form(prob)):
-        sol = _proven(g, rng.lo, rng.x, rng.dual_ub[rng.lo], rng.pivots)
+    for rng in ranges:
+        sol = proven(rng, rng.lo)
         pieces.append(PwlPiece(sol.line, rng.lo, rng.hi, sol))
     curve = PwlCurve(tuple(pieces), Fraction(0), Fraction(1))
-    _proven(g, Fraction(1), rng.x, rng.dual_ub[1], rng.pivots)
+    proven(ranges[-1], Fraction(1))
     return curve

@@ -59,8 +59,8 @@ class CoverFamily:
         los = [m.interval.lo for m in self.members]
         if los != sorted(los):
             raise ValueError("members must be ordered by interval.lo")
-        if self.domain[0] > self.domain[1]:
-            raise ValueError("domain must have lo <= hi")
+        if not 0 <= self.domain[0] <= self.domain[1] <= 1:
+            raise ValueError("domain must have 0 <= lo <= hi <= 1")
         if len(set(self.members)) < len(self.members):
             raise ValueError("members must be distinct")
 
@@ -76,7 +76,7 @@ def _greedy_cover(intervals, lo, hi):
     starting at or before it (the earliest index on ties), until cur >= hi
     and one is taken (a one-point domain needs an interval containing it).
     taken lists the indices chosen. When no interval serves, gap is (cur,
-    the next covered_lo or hi); otherwise gap is None.
+    the next covered_lo, clipped to hi); otherwise gap is None.
     """
     taken, cur = [], lo
     while cur < hi or not taken:
@@ -85,7 +85,7 @@ def _greedy_cover(intervals, lo, hi):
         if best is None or intervals[best].covered_hi() < cur or (
                 intervals[best].covered_hi() == cur < hi):
             later = [iv.covered_lo() for iv in intervals if iv.covered_lo() > cur]
-            return taken, (cur, min(later, default=hi))
+            return taken, (cur, min(later + [hi]))
         taken.append(best)
         cur = intervals[best].covered_hi()
     return taken, None

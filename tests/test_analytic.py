@@ -45,6 +45,15 @@ def test_ring_lp_matches_exact_curve():
         assert ring_lp(3, lam)[0] == curve.value_at(lam)
 
 
+def test_ring16_exact_curve_is_the_closed_form():
+    curve = lp_curve(gen_ring(4))
+    lo, *_, hi = ring_special_lambdas(4)  # ring_lp's domain [8/n^2, 1/2]
+    inside = [lam for lam in curve.breakpoints if lo <= lam <= hi]
+    assert inside
+    for lam in inside + ring_special_lambdas(4):
+        assert ring_lp(4, lam)[0] == curve.value_at(lam), lam
+
+
 def test_ring_g_and_q_frozen():
     assert abs(ring_g(3, Fraction(1, 8)) - 3.5) < 1e-12
     assert ring_g(3, 0) == 0

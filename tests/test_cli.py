@@ -207,6 +207,10 @@ def _reversed_domain(d):
     d["domain"] = ["1/2", "1/4"]
 
 
+def _domain_past_one(d):
+    d["domain"] = ["1/16", "2"]
+
+
 def _repeated_member(d):
     d["members"].insert(1, d["members"][0])
 
@@ -255,6 +259,7 @@ def _string_clamp_flag(d):
     ((), _no_members),
     ((), _null_solve_count),
     ((), _string_clamp_flag),
+    ((), _domain_past_one),
 ])
 def test_malformed_cover_is_rejected(tmp_path, flags, forge):
     gpath, cover, d = _ring8_cover(tmp_path, *flags)

@@ -281,9 +281,10 @@ def test_walk_stretching_a_range_rejected(monkeypatch):
     real = lp_module.walk_canonical
 
     def forged(*args):
-        first, second, *rest = real(*args)
-        yield first._replace(hi=second.hi)
-        yield from rest
+        ranges = list(real(*args))
+        if len(ranges) > 1:  # the box-only first walk has a single range
+            ranges[:2] = [ranges[0]._replace(hi=ranges[1].hi)]
+        yield from ranges
 
     monkeypatch.setattr(lp_module, "walk_canonical", forged)
     with pytest.raises(ValueError, match="discontinuity"):
@@ -317,7 +318,7 @@ def test_pivot_path_is_pinned(corpus, name, lam, pivots):
     assert solve_lp(dict(corpus)[name], lam).pivots == pivots
 
 
-def test_ring8_walk_pivots_are_pinned(monkeypatch):
+def _count_pivots(monkeypatch):
     calls = []
     real = simplex._Tableau.pivot
 
@@ -326,9 +327,56 @@ def test_ring8_walk_pivots_are_pinned(monkeypatch):
         real(tab, r, col)
 
     monkeypatch.setattr(simplex._Tableau, "pivot", counted)
-    c = lp_curve(gen_ring(3))
+    return calls
+
+
+def _full_walk(g):
+    """The kernel's walk over every row of g's LP, not lp_curve's lazy one."""
+    prob = build_lp(g, 0)
+    return list(simplex.walk_canonical(
+        prob.c, [-1] * prob.num_vars, *lp_module._le_form(prob)))
+
+
+def test_ring8_walk_pivots_are_pinned(monkeypatch):
+    calls = _count_pivots(monkeypatch)
+    ranges = _full_walk(gen_ring(3))
     assert len(calls) == 97
-    assert [p.tag.pivots for p in c.pieces] == [30, 54, 68, 90]
+    assert [rng.pivots for rng in ranges] == [30, 54, 68, 90]
+
+
+def test_ring8_lazy_walk_is_pinned(monkeypatch):
+    # lp_curve's cutting-plane loop: box rows only, then the violated rows
+    calls = _count_pivots(monkeypatch)
+    walked = []
+    real = lp_module.walk_canonical
+
+    def recording(c0, c1, rows, b):
+        walked.append(len(rows))
+        return real(c0, c1, rows, b)
+
+    monkeypatch.setattr(lp_module, "walk_canonical", recording)
+    c = lp_curve(gen_ring(3))
+    assert len(walked) == 3  # rounds
+    assert walked[-1] == 32 + 28  # 32 of 168 triangle rows, 28 box rows
+    assert len(calls) == 114  # over all three walks
+    assert [p.tag.pivots for p in c.pieces] == [31, 37, 51, 64]
+
+
+def test_lazy_curve_matches_the_full_walk(corpus, cache):
+    for name, g in corpus:
+        _, idx = lp_module.pair_index(g.n)
+        full = [(rng.lo, rng.hi, lp_module._line_of_x(g, rng.x, idx))
+                for rng in _full_walk(g)]
+        lazy = [(p.lo, p.hi, p.line) for p in cache.lp_curve(name, g).pieces]
+        assert lazy == full, name
+
+
+def test_curve_without_separation_rejected(monkeypatch):
+    # with no row ever added, the walk stops at its box-only vertices, which
+    # break triangle rows: the proof against the full LP must refuse them
+    monkeypatch.setattr(lp_module, "_separate", lambda ranges, n: set())
+    with pytest.raises(ValueError, match="triangle inequality fails"):
+        lp_curve(gen_ring(3))
 
 
 def test_float_mode_reports_highs_iterations():

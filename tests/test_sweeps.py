@@ -317,6 +317,12 @@ def test_certify_reports_gap_for_truncated_family():
     assert rep.gap == (F(8, 25), 1)
 
 
+def test_greedy_cover_gap_ends_inside_the_domain():
+    # the next interval starts past the domain's end, at 7/10
+    taken, gap = _greedy_cover([LambdaInterval(F(7, 10), F(8, 10))], F(1, 5), F(1, 2))
+    assert (taken, gap) == ([], (F(1, 5), F(1, 2)))
+
+
 def test_certify_rejects_foreign_graph():
     fam = sweep_geometric(gen_star(5), 1)
     with pytest.raises(ValueError):
@@ -468,7 +474,7 @@ def test_greedy_cover_is_minimum_or_finds_a_gap(intervals, ends):
         return
     if gap is not None:
         a, b = gap
-        assert lo <= a < hi and a < b
+        assert lo <= a < b <= hi
         inner = [lam for lam in _probes(intervals, a, b) if a < lam < b]
         assert inner and not any(_covered(intervals, lam) for lam in inner)
         return
