@@ -86,8 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--objective", choices=("lamprime", "lamcc"),
                        default="lamprime")
     sweep.add_argument("--out", required=True)
-    sweep.add_argument("--no-vectors", action="store_true",
-                       help="omit x vectors from the JSON (smaller, not roundable)")
     sweep.set_defaults(func=_cmd_sweep)
 
     rnd = sub.add_parser("round", help="round a cover family to clusterings")
@@ -135,6 +133,8 @@ def _derived(path, suffix):
 
 
 def _cmd_curve_exact(args) -> int:
+    if args.grid < 1:
+        raise ValueError("grid must be at least 1")
     g = load_graph(args.graph)
     curve, family = exact_opt_curve(g)
     write_curve_csv(curve, args.out)
@@ -172,7 +172,7 @@ def _cmd_sweep(args) -> int:
                              % args.algo)
         runner = sweep_fe if args.algo == "fe" else sweep_febe
         fam = runner(g, args.epsilon)
-    write_json(family_to_dict(fam, include_vectors=not args.no_vectors), args.out)
+    write_json(family_to_dict(fam), args.out)
     print(
         "%s cover: %d members, %d LP solves -> %s pivots=%d"
         % (args.algo, len(fam.members), fam.lp_solve_count, args.out,
@@ -184,9 +184,6 @@ def _cmd_sweep(args) -> int:
 def _cmd_round(args) -> int:
     g = load_graph(args.graph)
     fam = family_from_dict(read_json(args.cover), g.n)
-    if any(not m.solution.x for m in fam.members):
-        raise ValueError("cover JSON has no x vectors; re-run sweep without "
-                         "--no-vectors")
     rounded = build_clustering_family(fam, g)
     write_json(clustering_family_to_list(rounded), args.out)
     print("rounded %d members -> %s" % (len(rounded), args.out))
@@ -205,11 +202,7 @@ def _cmd_verify_cover(args) -> int:
     if not rep.ok:
         print("FAIL: cover does not certify")
         return 4
-    if any(not m.solution.x for m in fam.members):
-        print("OK (coverage only: members without x were not checked "
-              "against the LP)")
-    else:
-        print("OK")
+    print("OK")
     return 0
 
 

@@ -44,18 +44,16 @@ def read_json(path):
         return json.load(fh)
 
 
-def solution_to_dict(sol: LpSolution, include_vectors=True) -> dict:
+def solution_to_dict(sol: LpSolution) -> dict:
     if not sol.exact:
         raise ValueError("only exact solutions serialize losslessly")
-    d = {
+    return {
         "lambda": format_rat(sol.lam),
         "value": format_rat(sol.value),
         "P": format_rat(sol.line.P),
         "N": format_rat(sol.line.N),
+        "x": [format_rat(v) for v in sol.x],
     }
-    if include_vectors:
-        d["x"] = [format_rat(v) for v in sol.x]
-    return d
 
 
 def _json(v, kind, *keys):
@@ -69,15 +67,16 @@ def _json(v, kind, *keys):
 def solution_from_dict(d: dict, n=None) -> LpSolution:
     """Read a solution written by solution_to_dict; the dual is not stored.
 
-    Without n (an `lp solve --json` file) x is required and n is the node
-    count whose pair count is the length of x. An x whose length is not
-    C(n, 2) is rejected; a dict written without vectors reads back with x = ().
+    x is required: a solution is checked from its x, never from its stored
+    line. Without n (an `lp solve --json` file) n is the node count whose
+    pair count is the length of x. An x whose length is not C(n, 2) is
+    rejected.
     """
-    _json(d, dict, "lambda", "value", "P", "N", *(("x",) if n is None else ()))
-    x = tuple(parse_rat(v) for v in _json(d.get("x", []), list))
+    _json(d, dict, "lambda", "value", "P", "N", "x")
+    x = tuple(parse_rat(v) for v in _json(d["x"], list))
     if n is None:
         n = (1 + math.isqrt(1 + 8 * len(x))) // 2
-    if "x" in d and len(x) != n * (n - 1) // 2:
+    if len(x) != n * (n - 1) // 2:
         raise ValueError("x has %d entries, need %d for n=%d"
                          % (len(x), n * (n - 1) // 2, n))
     line = CostLine(parse_rat(d["P"]), parse_rat(d["N"]))
@@ -101,9 +100,9 @@ def interval_from_dict(d: dict, eps) -> LambdaInterval:
     return LambdaInterval(parse_rat(d["lo"]), parse_rat(d["hi"]), eps, *clamps)
 
 
-def family_to_dict(fam: CoverFamily, include_vectors=True) -> dict:
+def family_to_dict(fam: CoverFamily) -> dict:
     members = [
-        dict(solution_to_dict(mem.solution, include_vectors),
+        dict(solution_to_dict(mem.solution),
              interval=interval_to_dict(mem.interval))
         for mem in fam.members
     ]
@@ -128,13 +127,14 @@ def family_from_dict(d: dict, n: int) -> CoverFamily:
         for md in _json(d["members"], list)
     ]
     lo, hi = _json(d["domain"], list)  # ValueError unless [lo, hi]
-    if not isinstance(d["lp_solve_count"], int):
-        raise ValueError("lp_solve_count must be an integer")
+    count = d["lp_solve_count"]
+    if type(count) is not int or count < 0:  # bool is an int subclass
+        raise ValueError("lp_solve_count must be a nonnegative JSON integer")
     return CoverFamily(
         tuple(members),
         eps,
         (parse_rat(lo), parse_rat(hi)),
-        d["lp_solve_count"],
+        count,
         d.get("objective", "lamprime"),
         d.get("algo", ""),
     )

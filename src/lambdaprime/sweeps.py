@@ -18,7 +18,7 @@ Three constructions:
   approximate range, then greedily keeps a minimum subfamily that still
   covers the domain.
 
-certify_cover re-checks any family from scratch: each member's x against
+certify_cover re-checks any family from scratch: every member's x against
 its recorded line and value, exact interval coverage, and an exact
 worst-ratio audit at the breakpoints of the LP curve and of the member
 envelope, which bounds the ratio everywhere (see certify_cover).
@@ -231,8 +231,8 @@ class CoverReport:
 def certify_cover(family: CoverFamily, g: Graph, curve=None):
     """Re-check a family from scratch: members, coverage and the worst ratio.
 
-    Every member that carries x must pass check_solution, so its line is
-    realized by a feasible x and lies on or above the LP curve. The audit
+    Every member must pass check_solution, so its line is realized by a
+    feasible x and lies on or above the LP curve. The audit
     then evaluates envelope/curve exactly at the ends lo_d and hi_d of the
     closed domain (lam = 1 included, and a one-point domain is its one
     point) and at every breakpoint of either curve between them, and nothing
@@ -242,12 +242,12 @@ def certify_cover(family: CoverFamily, g: Graph, curve=None):
     it is positive in between (the curve is concave), so the ratio has
     derivative (b*c - a*d)/(c + d*lam)^2 of one sign: it is monotone there,
     and its extremes over the whole domain sit at audit points. A ratio below
-    1 means a member line dips below the LP curve, which only a forged member
-    without x can do; it fails the audit.
+    1 means a member line dips below the curve; it fails the audit. Once
+    every member has passed check_solution, no file input can cause it
+    against the LP curve: the check stays as a guard.
     """
     for mem in family.members:
-        if mem.solution.x:
-            check_solution(mem.solution, g)
+        check_solution(mem.solution, g)
     gap = family.coverage_gap()
     lo_d, hi_d = family.domain
     bound = 1 + family.eps

@@ -1,10 +1,14 @@
 """End-to-end command-line runs."""
+import argparse
 import json
+import os
+import re
+import shlex
 from fractions import Fraction as F
 
 import pytest
 
-from lambdaprime.cli import main
+from lambdaprime.cli import build_parser, main
 from lambdaprime.graphs import gen_path, gen_ring, load_graph, save_graph
 from lambdaprime.lp import lp_curve, solve_lp
 from lambdaprime.objectives import CostLine
@@ -125,17 +129,6 @@ def test_round_pipeline(tmp_path):
         assert F(row["score"]) >= F(row["lp_value"])
 
 
-def test_round_requires_vectors(tmp_path):
-    gpath = tmp_path / "star.txt"
-    main(["gen", "star", "--n", "5", "--out", str(gpath)])
-    cover = tmp_path / "cover.json"
-    main(["sweep", "--graph", str(gpath), "--epsilon", "1", "--out", str(cover),
-          "--no-vectors"])
-    rc = main(["round", "--cover", str(cover), "--graph", str(gpath),
-               "--out", str(tmp_path / "c.json")])
-    assert rc == 3
-
-
 def test_verify_cover_detects_tampering(tmp_path):
     gpath = tmp_path / "ring.txt"
     main(["gen", "ring", "--k", "3", "--out", str(gpath)])
@@ -178,15 +171,7 @@ def test_verify_cover_rejects_forged_lines(tmp_path, forge):
     assert rc == 3
 
 
-def test_verify_cover_without_vectors_rejects_zero_lines(tmp_path):
-    gpath, cover, d = _ring8_cover(tmp_path, "--no-vectors")
-    _zero_members(d)
-    cover.write_text(json.dumps(d))
-    rc = main(["verify", "cover", "--cover", str(cover), "--graph", str(gpath)])
-    assert rc == 4
-
-
-def test_verify_cover_reports_coverage_only_without_vectors(tmp_path, capsys):
+def test_verify_cover_rejects_member_without_x(tmp_path, capsys):
     gpath, cover, d = _ring8_cover(tmp_path)
     argv = ["verify", "cover", "--cover", str(cover), "--graph", str(gpath)]
     capsys.readouterr()
@@ -194,9 +179,7 @@ def test_verify_cover_reports_coverage_only_without_vectors(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "OK"
     del d["members"][0]["x"]
     cover.write_text(json.dumps(d))
-    assert main(argv) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == (
-        "OK (coverage only: members without x were not checked against the LP)")
+    assert main(argv) == 3
 
 
 def _unknown_objective(d):
@@ -247,6 +230,17 @@ def _string_clamp_flag(d):
     d["members"][0]["interval"]["lo_clamped"] = "false"
 
 
+def _boolean_solve_count(d):
+    d["lp_solve_count"] = True
+
+
+def _member_without_x(d):
+    # no x realizes this line: N = 29 exceeds the 28 pairs of ring8
+    m = d["members"][0]
+    del m["x"]
+    m.update(P="0", N="29", value=str(29 * F(m["lambda"])))
+
+
 @pytest.mark.parametrize("flags,forge", [
     (("--objective", "lamcc"), _unknown_objective),
     (("--algo", "febe"), _reversed_domain),
@@ -260,6 +254,8 @@ def _string_clamp_flag(d):
     ((), _null_solve_count),
     ((), _string_clamp_flag),
     ((), _domain_past_one),
+    ((), _boolean_solve_count),
+    ((), _member_without_x),
 ])
 def test_malformed_cover_is_rejected(tmp_path, flags, forge):
     gpath, cover, d = _ring8_cover(tmp_path, *flags)
@@ -329,6 +325,16 @@ def test_curve_exact_outputs(tmp_path):
     assert len(samples) >= 12
 
 
+@pytest.mark.parametrize("grid", ["0", "-2"])
+def test_curve_exact_rejects_empty_grid(tmp_path, grid):
+    gpath = tmp_path / "star.txt"
+    main(["gen", "star", "--n", "5", "--out", str(gpath)])
+    rc = main(["curve", "exact", "--graph", str(gpath),
+               "--out", str(tmp_path / "curve.csv"), "--grid", grid])
+    assert rc == 3
+    assert os.listdir(tmp_path) == ["star.txt"]
+
+
 def test_curve_exact_cap(tmp_path):
     gpath = tmp_path / "big.txt"
     save_graph(gen_path(13), gpath)
@@ -369,3 +375,31 @@ def test_unknown_command_is_parse_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+_README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def _parser_options(parser):
+    """Every --option string of parser and of all its subcommands."""
+    opts = set()
+    for action in parser._actions:
+        opts.update(o for o in action.option_strings if o.startswith("--"))
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                opts |= _parser_options(sub)
+    return opts
+
+
+def test_readme_cli_matches_parser():
+    with open(_README) as fh:
+        text = fh.read()
+    commands = [line for line in text.splitlines()
+                if line.startswith("lambdaprime ")]
+    assert len(commands) >= 8
+    for line in commands:
+        build_parser().parse_args(shlex.split(line)[1:])
+    # options of other programs (pip) are not ours to check
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", "\n".join(
+        line for line in text.splitlines() if not line.startswith("pip "))))
+    assert named and named <= _parser_options(build_parser())

@@ -96,27 +96,22 @@ def _families(draw):
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
-@given(fam=_families(), include_vectors=st.booleans())
-def test_family_round_trip_is_lossless(fam, include_vectors):
+@given(fam=_families())
+def test_family_round_trip_is_lossless(fam):
     for mem in fam.members:
         # an `lp solve --json` dict carries x and no n
         sd = json.loads(json.dumps(solution_to_dict(mem.solution)))
         assert solution_from_dict(sd) == mem.solution
-    d = json.loads(json.dumps(family_to_dict(fam, include_vectors)))
-    back = family_from_dict(d, fam.members[0].solution.n)
-    if not include_vectors:
-        fam = replace(fam, members=tuple(
-            replace(m, solution=replace(m.solution, x=())) for m in fam.members))
-    assert back == fam
+    d = json.loads(json.dumps(family_to_dict(fam)))
+    assert family_from_dict(d, fam.members[0].solution.n) == fam
 
 
-def test_family_vectors_optional():
-    fam = sweep_geometric(gen_star(4), 1)
-    d = family_to_dict(fam, include_vectors=False)
-    assert all("x" not in md for md in d["members"])
-    back = family_from_dict(d, 4)
-    assert back.members[0].solution.x == ()
+def test_family_member_without_x_rejected():
+    d = family_to_dict(sweep_geometric(gen_star(4), 1))
     assert "objective" not in d
+    del d["members"][0]["x"]
+    with pytest.raises(ValueError):
+        family_from_dict(d, 4)
 
 
 def test_family_scaled_objective_key():

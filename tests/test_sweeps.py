@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lambdaprime.curves import envelope_of
 from lambdaprime.graphs import gen_gnp, gen_path, gen_ring, gen_star, make_graph
 from lambdaprime.lp import LpSolution, lp_curve
 from lambdaprime.objectives import CostLine
@@ -340,22 +341,40 @@ def test_family_requires_ordered_members():
         )
 
 
+def _line_through(p, q):
+    slope = (q[1] - p[1]) / (q[0] - p[0])
+    return CostLine(p[1] - slope * p[0], slope)
+
+
 def test_line_below_curve_near_one_breakpoint_fails_audit():
-    # a member without x whose line passes just under the LP curve's kink at
-    # 1/6 and above it elsewhere: only that breakpoint shows a ratio below 1
+    # a member line passing just under the LP curve's kink at 1/6 and above
+    # it elsewhere: only that breakpoint shows a ratio below 1
     g = gen_ring(3)
     fam = sweep_geometric(g, 1)
     curve = lp_curve(g)
-    b = F(1, 6)
-    assert b in curve.breakpoints
+    a, b, c = F(1, 8), F(1, 6), F(1, 3)
+    assert curve.breakpoints == [a, b, c]
     assert b not in family_envelope(fam).breakpoints
+    # no member with x has such a line, so raise the kink of the curve the
+    # audit is given instead; the genuine envelope touches the LP curve at b
+    kink = (b, curve.value_at(b) + F(1, 1000))
+    raised = envelope_of([
+        curve.pieces[0].line,
+        _line_through((a, curve.value_at(a)), kink),
+        _line_through(kink, (c, curve.value_at(c))),
+        curve.pieces[-1].line,
+    ])
+    assert raised.breakpoints == curve.breakpoints
+    rep = certify_cover(fam, g, curve=raised)
+    assert not rep.ok
+    assert rep.worst_ratio <= 2 and rep.gap is None
+    # a forged member without x never reaches the audit
     line = CostLine(curve.value_at(b) - F(1, 1000) - 10 * b, F(10))
     forged = LpSolution(g.n, b, (), line.value_at(b), line, ())
     members = sorted(fam.members + (CoverMember(forged, LambdaInterval(b, b, 1)),),
                      key=lambda m: m.interval.lo)
-    rep = certify_cover(replace(fam, members=tuple(members)), g, curve=curve)
-    assert not rep.ok
-    assert rep.worst_ratio <= 2 and rep.gap is None
+    with pytest.raises(ValueError, match="wrong length"):
+        certify_cover(replace(fam, members=tuple(members)), g, curve=curve)
 
 
 def _tamper(sol, field, pick, delta):
