@@ -4,36 +4,37 @@ Variables are pairwise "distances" x_ij in [0,1] over the lex-ordered pairs
 of an n-node graph. The program is
 
     min  sum_E (1-lam) x_ij + sum_nonE (-lam) x_ij + lam*C(n,2)
-    s.t. x_ik + x_jk - x_ij >= 0   for every triple and isolated pair
-         -x_ij >= -1
+    s.t. x_ij - x_ik - x_jk <= 0   for every triple and isolated pair
+         x_ij <= 1
          x >= 0
 
 whose objective equals P + lam*N with P = sum of x over edges and
 N = sum over all pairs of (1 - x_ij). Integral x encode partitions, so the
 optimum lower-bounds the best clustering at every lam.
 
-LpProblem keeps the rows sparse, three entries per triangle row, and the exact
-mode hands them to the in-package simplex in that form. Each side of the
-optimality proof is checked in one place: check_solution owns the primal side
-(box, triangles, the cost line of x and the value on it), and
-check_certificate only the dual side (y >= 0, A^T y <= c, b.y = value);
-verify_certificate runs both, the one proof every exact solution passes.
-solve_lp offers that exact rational mode and a float mode (scipy HiGHS with
-tightened tolerances) for larger graphs. lp_curve recovers the full
-piecewise-linear value curve exactly: the cost c0 - lam*1 is affine in lam,
-so one parametric simplex walk over [0, 1] visits the pieces in order, and
-each of its vertex ranges is one piece. Few triangle rows ever bind, so the
-walk is a cutting-plane loop for the metric polytope (Grotschel &
-Wakabayashi, Math. Programming 45, 1989): it starts from the box rows and
-adds the triangle rows its vertices violate until they violate none. Each
-piece is still proven by verify_certificate against the full build_lp, so
-the proof does not depend on which rows the walk kept.
+LpProblem holds it as the simplex's A x <= b with sparse integer rows, which
+the exact simplex, the parametric walk, ORLP (transposed) and HiGHS all read
+as they are. Each side of the optimality proof is checked in one place:
+check_solution owns the primal side (x >= 0, A x <= b, the cost line of x and
+the value on it), and check_certificate only the dual side (sparse u < 0,
+A^T u <= c, b.u = value); verify_certificate runs both, the one proof every
+exact solution passes. solve_lp offers that exact rational mode and a float
+mode (scipy HiGHS with tightened tolerances) for larger graphs. lp_curve
+recovers the full piecewise-linear value curve exactly: the cost c0 - lam*1 is
+affine in lam, so one parametric simplex walk over [0, 1] visits the pieces in
+order, and each of its vertex ranges is one piece. Few triangle rows ever
+bind, so the walk is a cutting-plane loop for the metric polytope (Grotschel &
+Wakabayashi, Math. Programming 45, 1989): it starts from the box rows and adds
+the triangle rows its vertices violate until they violate none. Each piece is
+still proven by verify_certificate against the full build_lp, so the proof
+does not depend on which rows the walk kept.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .curves import PwlCurve, PwlPiece
 from .graphs import Graph
@@ -44,9 +45,11 @@ from .simplex import solve_canonical, walk_canonical
 
 @dataclass(frozen=True)
 class LpProblem:
-    """min c.x + constant  s.t. each row . x >= rhs, x >= 0.
+    """min c.x + constant  s.t.  A x <= b, x >= 0: the simplex's form.
 
-    Each row is a tuple of (var, coeff) pairs listing its nonzeros.
+    rows[i] lists the nonzeros of row i of A as (var, coeff) pairs; per
+    triple t, rows 3t, 3t+1 and 3t+2 bound x_ij, x_ik and x_jk by the sum of
+    the other two (b = 0), then one row x_p <= 1 per pair (b = 1).
     """
 
     n: int
@@ -54,7 +57,7 @@ class LpProblem:
     pairs: tuple  # lex-ordered (i, j)
     c: tuple  # objective coefficient per pair
     rows: tuple  # tuple of ((var, coeff), ...) in fixed order
-    rhs: tuple
+    b: tuple  # 0 or 1 per row
     constant: Fraction
 
     @property
@@ -72,35 +75,36 @@ def pair_index(n):
     return pairs, {p: k for k, p in enumerate(pairs)}
 
 
+def _metric_rows(n):
+    """The rows A x <= b of the metric polytope on n nodes, as in LpProblem."""
+    idx = pair_index(n)[1]
+    rows = []
+    for i, j, k in combinations(range(n), 3):
+        ij, ik, jk = idx[(i, j)], idx[(i, k)], idx[(j, k)]
+        rows.append(((ij, 1), (ik, -1), (jk, -1)))
+        rows.append(((ij, -1), (ik, 1), (jk, -1)))
+        rows.append(((ij, -1), (ik, -1), (jk, 1)))
+    rows.extend(((p, 1),) for p in range(len(idx)))
+    return tuple(rows), (0,) * (len(rows) - len(idx)) + (1,) * len(idx)
+
+
 def build_lp(g: Graph, lam) -> LpProblem:
     lam = rat(lam)
     if not 0 <= lam <= 1:
         raise ValueError("lambda must lie in [0, 1]")
-    pairs, idx = pair_index(g.n)
+    pairs = pair_index(g.n)[0]
     c = tuple(
         (1 - lam) if g.has_edge(*p) else -lam for p in pairs
     )
-    rows = []
-    rhs = []
-    for i, j, k in combinations(range(g.n), 3):
-        ij, ik, jk = idx[(i, j)], idx[(i, k)], idx[(j, k)]
-        # one row per isolated pair of the triple
-        rows.append(((ij, -1), (ik, 1), (jk, 1)))
-        rows.append(((ij, 1), (ik, -1), (jk, 1)))
-        rows.append(((ij, 1), (ik, 1), (jk, -1)))
-        rhs.extend((Fraction(0), Fraction(0), Fraction(0)))
-    for p in range(len(pairs)):
-        rows.append(((p, -1),))
-        rhs.append(Fraction(-1))
-    q = Fraction(len(pairs))
+    rows, b = _metric_rows(g.n)
     return LpProblem(
         n=g.n,
         lam=lam,
         pairs=tuple(pairs),
         c=c,
-        rows=tuple(rows),
-        rhs=tuple(rhs),
-        constant=lam * q,
+        rows=rows,
+        b=b,
+        constant=lam * len(pairs),
     )
 
 
@@ -111,7 +115,9 @@ class LpSolution:
     x: tuple  # per lex pair
     value: object
     line: CostLine
-    dual: tuple  # y >= 0 for the >=-form rows
+    # ((row, u), ...): the nonzero marginals u < 0 of b (min convention),
+    # a certificate for check_certificate; () for a float solution
+    dual: tuple
     exact: bool = True
     # simplex pivots that reached x, HiGHS iterations in float mode (0 when
     # unknown); not part of the value
@@ -121,12 +127,11 @@ class LpSolution:
 def check_solution(sol: LpSolution, g: Graph):
     """Raise ValueError unless sol is a point of g's metric LP as recorded.
 
-    Checks n, the length of x, the box 0 <= x <= 1 and every triangle
-    inequality; for an exact solution also that x realizes the stored cost
-    line and that the line takes the stored value at sol.lam. Returns the
-    pair index map of g.
+    Checks n, the length of x, x >= 0 and every row A x <= b of the LP
+    (triangles and x <= 1); for an exact solution also that x realizes the
+    stored cost line and that the line takes the stored value at sol.lam.
+    Returns the pair index map of g.
     """
-    tol = 0 if sol.exact else 1e-8
     n = g.n
     if sol.n != n:
         raise ValueError("solution is for n=%d, graph has n=%d" % (sol.n, n))
@@ -134,11 +139,13 @@ def check_solution(sol: LpSolution, g: Graph):
         raise ValueError("solution vector has wrong length")
     x = sol.x
     for v in x:
-        if v < -tol or v > 1 + tol:
+        if v < (0 if sol.exact else -1e-8):
             raise ValueError("entry %s outside [0, 1]" % (v,))
+    rows, b = _metric_rows(n)
+    for r in _violated_rows(rows, b, x, sol.exact):
+        raise ValueError("%s fails at row %d" % (
+            "x <= 1" if len(rows[r]) == 1 else "triangle inequality", r))
     idx = pair_index(n)[1]
-    for _, triple in _violated_triangles(x, n, tol):
-        raise ValueError("triangle inequality fails at (%d,%d,%d)" % triple)
     if sol.exact:
         if _line_of_x(g, x, idx) != sol.line:
             raise ValueError("cost line at lambda=%s is not the line of x" % sol.lam)
@@ -147,41 +154,41 @@ def check_solution(sol: LpSolution, g: Graph):
     return idx
 
 
-def _violated_triangles(x, n, tol=0):
-    """Yield (row, (i, j, k)) for each triangle row of build_lp that x
-    violates by more than tol, in build_lp's row order."""
-    idx = pair_index(n)[1]
-    for t, (i, j, k) in enumerate(combinations(range(n), 3)):
-        a, b, c = x[idx[(i, j)]], x[idx[(i, k)]], x[idx[(j, k)]]
-        # rows 3t, 3t+1, 3t+2 isolate ij, ik and jk, as in build_lp
-        if a > b + c + tol:
-            yield 3 * t, (i, j, k)
-        if b > a + c + tol:
-            yield 3 * t + 1, (i, j, k)
-        if c > a + b + tol:
-            yield 3 * t + 2, (i, j, k)
+def _violated_rows(rows, b, x, exact=True):
+    """The indices of the rows A x <= b that x violates. An exact x is scaled
+    once to integers over its common denominator, so each row is an integer
+    compare; a float x may exceed b by 1e-8."""
+    if exact:
+        d = lcm(*(v.denominator for v in x))
+        x = [v.numerator * (d // v.denominator) for v in x]
+        tol = 0
+    else:
+        d, tol = 1, 1e-8
+    return [r for r, (row, bi) in enumerate(zip(rows, b))
+            if sum(coeff * x[j] for j, coeff in row) > bi * d + tol]
 
 
-def check_certificate(prob: LpProblem, y, value):
-    """Raise ValueError unless y proves that value is at most the optimum of prob.
+def check_certificate(prob: LpProblem, dual, value):
+    """Raise ValueError unless dual proves that value is at most the optimum of prob.
 
-    y must have one entry per row, be dual feasible (y >= 0 and A^T y <= c)
-    and attain value: b.y + constant = value. With a feasible x of that
-    value (check_solution) this proves value optimal.
+    dual lists (row, u) pairs, every row it omits having u = 0. It must be
+    dual feasible for the rows A x <= b: each row one of prob's, each u < 0,
+    and A^T u <= c; and attain value: b.u + constant = value. With a feasible
+    x of that value (check_solution) this proves value optimal.
     """
-    if len(y) != prob.num_rows:
-        raise ValueError("dual certificate has %d entries, need %d"
-                         % (len(y), prob.num_rows))
-    if any(v < 0 for v in y):
-        raise ValueError("dual certificate has a negative entry")
     aty = [0] * prob.num_vars
-    for coeffs, yi in zip(prob.rows, y):
-        if yi:
-            for var, coeff in coeffs:
-                aty[var] += coeff * yi
+    bu = 0
+    for r, u in dual:
+        if not 0 <= r < prob.num_rows:
+            raise ValueError("dual certificate names row %s outside the LP" % (r,))
+        if u >= 0:
+            raise ValueError("dual certificate has an entry u >= 0")
+        for var, coeff in prob.rows[r]:
+            aty[var] += coeff * u
+        bu += prob.b[r] * u
     if any(a > ci for a, ci in zip(aty, prob.c)):
         raise ValueError("dual certificate infeasible")
-    if sum(yi * bi for yi, bi in zip(y, prob.rhs)) + prob.constant != value:
+    if bu + prob.constant != value:
         raise ValueError("dual certificate does not prove optimality")
 
 
@@ -201,13 +208,6 @@ def solve_lp(g: Graph, lam, mode="exact") -> LpSolution:
     raise ValueError("mode must be 'exact' or 'float'")
 
 
-def _le_form(prob: LpProblem):
-    """prob's rows flipped to A x <= b; every b is 0 or 1, so the slack
-    basis is feasible."""
-    return ([tuple((j, -coeff) for j, coeff in row) for row in prob.rows],
-            [-v for v in prob.rhs])
-
-
 def verify_certificate(xstar: LpSolution, g: Graph):
     """Prove exact x* optimal at its lambda: check_solution on x, then
     check_certificate of its dual against build_lp(g, lam), returned."""
@@ -215,16 +215,18 @@ def verify_certificate(xstar: LpSolution, g: Graph):
         raise ValueError("an optimality proof needs an exact solution")
     check_solution(xstar, g)
     prob = build_lp(g, xstar.lam)
-    check_certificate(prob, [rat(v) for v in xstar.dual], rat(xstar.value))
+    check_certificate(prob, xstar.dual, xstar.value)
     return prob
 
 
-def _proven(g: Graph, lam, x, dual_ub, pivots) -> LpSolution:
-    """x at lam on the line of x, dual -dual_ub, once verify_certificate passes."""
+def _proven(g: Graph, lam, x, keep, dual_ub, pivots) -> LpSolution:
+    """x at lam on the line of x, once verify_certificate passes; its dual
+    pairs row keep[i] of the LP with each nonzero marginal dual_ub[i]."""
     line = _line_of_x(g, x, pair_index(g.n)[1])
     sol = LpSolution(
         n=g.n, lam=lam, x=tuple(x), value=line.value_at(lam), line=line,
-        dual=tuple(-u for u in dual_ub), exact=True, pivots=pivots,
+        dual=tuple((r, u) for r, u in zip(keep, dual_ub) if u), exact=True,
+        pivots=pivots,
     )
     verify_certificate(sol, g)
     return sol
@@ -232,8 +234,9 @@ def _proven(g: Graph, lam, x, dual_ub, pivots) -> LpSolution:
 
 def _solve_exact(g: Graph, lam) -> LpSolution:
     prob = build_lp(g, lam)
-    res = solve_canonical(prob.c, *_le_form(prob))
-    return _proven(g, prob.lam, res.x, res.dual_ub, res.pivots)
+    res = solve_canonical(prob.c, prob.rows, prob.b)
+    return _proven(g, prob.lam, res.x, range(prob.num_rows), res.dual_ub,
+                   res.pivots)
 
 
 _HIGHS_OPTS = {
@@ -251,33 +254,27 @@ def _solve_float(g: Graph, lam) -> LpSolution:
     cf = [float(v) for v in prob.c]
     # triangle rows only; box handled via bounds
     n_tri = prob.num_rows - nv
-    Gf = []
-    for row in prob.rows[:n_tri]:
-        dense = [0.0] * nv
+    Gf = [[0.0] * nv for _ in range(n_tri)]
+    for dense, row in zip(Gf, prob.rows):
         for j, coeff in row:
-            dense[j] = -float(coeff)
-        Gf.append(dense)
-    hf = [0.0] * n_tri
-    res = linprog(cf, A_ub=Gf, b_ub=hf, bounds=(0, 1), method="highs",
-                  options=_HIGHS_OPTS)
+            dense[j] = float(coeff)
+    res = linprog(cf, A_ub=Gf, b_ub=prob.b[:n_tri], bounds=(0, 1),
+                  method="highs", options=_HIGHS_OPTS)
     if res.status != 0:
         raise AssertionError("HiGHS failed: %s" % res.message)
     _, idx = pair_index(g.n)
     x = tuple(min(1.0, max(0.0, float(v))) for v in res.x)
-    dual_tri = tuple(-float(u) for u in res.ineqlin.marginals)
-    dual_ub = tuple(max(0.0, -float(u)) for u in res.upper.marginals)
     sol = LpSolution(
         n=g.n, lam=lamf, x=x, value=float(res.fun) + lamf * len(prob.pairs),
-        line=_line_of_x(g, x, idx), dual=dual_tri + dual_ub, exact=False,
-        pivots=int(res.nit),
+        line=_line_of_x(g, x, idx), dual=(), exact=False, pivots=int(res.nit),
     )
     check_solution(sol, g)
     return sol
 
 
-def _separate(ranges, n):
-    """The triangle rows of build_lp that some range's vertex violates."""
-    return {row for rng in ranges for row, _ in _violated_triangles(rng.x, n)}
+def _separate(ranges, prob):
+    """The rows of prob that some range's vertex violates."""
+    return {r for rng in ranges for r in _violated_rows(prob.rows, prob.b, rng.x)}
 
 
 def lp_curve(g: Graph) -> PwlCurve:
@@ -297,38 +294,33 @@ def lp_curve(g: Graph) -> PwlCurve:
 
     The proof does not depend on which rows were kept. Each range's vertex
     is proven by verify_certificate at the range's lo (the last also at 1)
-    against the full build_lp(g, lam), with the walk's dual zero-extended to
-    the omitted rows: check_solution checks x against every triangle row,
-    and check_certificate the extended dual against every row. PwlCurve
+    against the full build_lp(g, lam), its dual naming each walked row by
+    its row of the full LP: check_solution checks x against every row, and
+    check_certificate the dual against the rows it names. PwlCurve
     requires the pieces to tile [0, 1] continuously in strictly concave
     order, so each line, feasible and so on or above the concave LP value,
     meets it at both ends of its piece: the curve is the LP value.
     """
     prob = build_lp(g, 0)  # prob.c is c0
-    rows, b = _le_form(prob)
     box = list(range(prob.num_rows - prob.num_vars, prob.num_rows))
     kept = []  # triangle rows, in build_lp order
     while True:
         keep = kept + box
         ranges = list(walk_canonical(prob.c, [-1] * prob.num_vars,
-                                     [rows[i] for i in keep], [b[i] for i in keep]))
-        # a vertex satisfies its walk's rows, so the cuts are new rows; a
-        # vertex that breaks a kept row is left to the proof to refuse
-        cuts = _separate(ranges, g.n).difference(kept)
+                                     [prob.rows[i] for i in keep],
+                                     [prob.b[i] for i in keep]))
+        # a vertex satisfies its walk's rows, so the cuts are new triangle
+        # rows; a vertex that breaks a walked row is left to the proof to refuse
+        cuts = _separate(ranges, prob).difference(keep)
         if not cuts:
             break
         kept = sorted(cuts.union(kept))
 
-    def proven(rng, lam):
-        dual_ub = [0] * prob.num_rows
-        for i, u in zip(keep, rng.dual_ub[lam]):
-            dual_ub[i] = u
-        return _proven(g, lam, rng.x, dual_ub, rng.pivots)
-
     pieces = []
     for rng in ranges:
-        sol = proven(rng, rng.lo)
+        sol = _proven(g, rng.lo, rng.x, keep, rng.dual_ub[rng.lo], rng.pivots)
         pieces.append(PwlPiece(sol.line, rng.lo, rng.hi, sol))
     curve = PwlCurve(tuple(pieces), Fraction(0), Fraction(1))
-    proven(ranges[-1], Fraction(1))
+    last = ranges[-1]
+    _proven(g, Fraction(1), last.x, keep, last.dual_ub[Fraction(1)], last.pivots)
     return curve

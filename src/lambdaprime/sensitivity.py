@@ -2,14 +2,14 @@
 
 For a solution x* optimal at lam0, orlp() finds the largest step theta so
 that x* stays a (1+eps)-approximation of the LP optimum at lam0 + s*theta.
-The trick is to search for a dual vector y feasible at the perturbed cost
-(A^T y <= c + s*theta*d, with d = -1 on every pair since every cost
-coefficient has slope -1 in lambda) whose certified value still nearly
-matches the value of x*:
+The trick is to search for a dual vector u <= 0 of the rows A x <= b
+feasible at the perturbed cost (A^T u <= c + s*theta*d, with d = -1 on every
+pair since every cost coefficient has slope -1 in lambda) whose certified
+value still nearly matches the value of x*. With y = -u as its variables:
 
     maximize theta
-    s.t.     (A^T y)_p + s*theta <= c_p          for every pair p
-             (1+eps) b.y + s*theta (eps*Q + sum x*) >= c.x* - eps*lam0*Q
+    s.t.     -(A^T y)_p + s*theta <= c_p          for every pair p
+             -(1+eps) b.y + s*theta (eps*Q + sum x*) >= c.x* - eps*lam0*Q
              0 <= theta <= distance to the lambda-domain edge
              y >= 0
 
@@ -81,17 +81,17 @@ def orlp(xstar: LpSolution, s: int, lam0, eps, g: Graph, objective="lamprime"):
     npairs = prob.num_vars
     cap = (1 - lam0) if s > 0 else lam0
 
-    # pair rows: (A^T y)_p + s*theta <= c_p, the transpose of the LP rows
+    # pair rows: -(A^T y)_p + s*theta <= c_p, the LP rows transposed
     A = [[] for _ in range(npairs)]
     for r, coeffs in enumerate(prob.rows):
         for var, coeff in coeffs:
-            A[var].append((r, coeff))
+            A[var].append((r, -coeff))
     for row in A:
         row.append((theta_col, s))
     b = list(prob.c)
     # epsilon row, flipped to <=
     cx = xstar.value - prob.constant
-    A.append([(r, -(1 + eps) * bi) for r, bi in enumerate(prob.rhs) if bi] + [
+    A.append([(r, (1 + eps) * bi) for r, bi in enumerate(prob.b) if bi] + [
         (theta_col, -s * (eps * q_eff + sum(rat(v) for v in xstar.x)))
     ])
     b.append(eps * lam0 * q_eff - cx)

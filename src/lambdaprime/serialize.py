@@ -126,17 +126,22 @@ def family_from_dict(d: dict, n: int) -> CoverFamily:
         CoverMember(solution_from_dict(md, n), interval_from_dict(md.get("interval"), eps))
         for md in _json(d["members"], list)
     ]
+    if not all(0 < mem.solution.lam < 1 for mem in members):
+        raise ValueError("every member lambda must lie in (0, 1)")
     lo, hi = _json(d["domain"], list)  # ValueError unless [lo, hi]
     count = d["lp_solve_count"]
     if type(count) is not int or count < 0:  # bool is an int subclass
         raise ValueError("lp_solve_count must be a nonnegative JSON integer")
+    algo = d.get("algo", "")
+    if algo not in ("", "geometric", "fe", "febe"):
+        raise ValueError("algo must be geometric, fe or febe")
     return CoverFamily(
         tuple(members),
         eps,
         (parse_rat(lo), parse_rat(hi)),
         count,
         d.get("objective", "lamprime"),
-        d.get("algo", ""),
+        algo,
     )
 
 

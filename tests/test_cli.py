@@ -234,6 +234,16 @@ def _boolean_solve_count(d):
     d["lp_solve_count"] = True
 
 
+def _member_lambda_past_one(d):
+    # value = P + 5N keeps the member on its own line at its solve point
+    m = d["members"][0]
+    m.update({"lambda": "5", "value": str(F(m["P"]) + 5 * F(m["N"]))})
+
+
+def _numeric_algo(d):
+    d["algo"] = 5
+
+
 def _member_without_x(d):
     # no x realizes this line: N = 29 exceeds the 28 pairs of ring8
     m = d["members"][0]
@@ -256,6 +266,8 @@ def _member_without_x(d):
     ((), _domain_past_one),
     ((), _boolean_solve_count),
     ((), _member_without_x),
+    ((), _member_lambda_past_one),
+    ((), _numeric_algo),
 ])
 def test_malformed_cover_is_rejected(tmp_path, flags, forge):
     gpath, cover, d = _ring8_cover(tmp_path, *flags)

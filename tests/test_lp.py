@@ -31,11 +31,11 @@ def test_build_lp_shapes():
 def test_build_lp_triangle_rows_n3():
     p = build_lp(gen_star(3), Fraction(1, 4))
     # pairs are (0,1), (0,2), (1,2); one row per isolated pair
-    assert p.rows[0] == ((0, -1), (1, 1), (2, 1))
-    assert p.rows[1] == ((0, 1), (1, -1), (2, 1))
-    assert p.rows[2] == ((0, 1), (1, 1), (2, -1))
-    assert p.rows[3:] == (((0, -1),), ((1, -1),), ((2, -1),))
-    assert p.rhs == (0, 0, 0, -1, -1, -1)
+    assert p.rows[0] == ((0, 1), (1, -1), (2, -1))
+    assert p.rows[1] == ((0, -1), (1, 1), (2, -1))
+    assert p.rows[2] == ((0, -1), (1, -1), (2, 1))
+    assert p.rows[3:] == (((0, 1),), ((1, 1),), ((2, 1),))
+    assert p.b == (0, 0, 0, 1, 1, 1)
     assert p.constant == Fraction(3, 4)
 
 
@@ -69,9 +69,73 @@ def test_star5_half_integral_solution():
 def test_duals_are_certificates():
     g = gen_gnp(6, 0.5, seed=3)
     s = solve_lp(g, Fraction(2, 7))
-    assert all(y >= 0 for y in s.dual)
+    assert all(u < 0 for _, u in s.dual)
     prob = build_lp(g, Fraction(2, 7))
-    assert sum(y * bi for y, bi in zip(s.dual, prob.rhs)) + prob.constant == s.value
+    assert sum(u * prob.b[r] for r, u in s.dual) + prob.constant == s.value
+
+
+def _broken_rows(x, n, tol):
+    """The rows of build_lp that x breaks, found from the triples and the box:
+    per triple t, row 3t + s for the s-th distance above the sum of the
+    other two, then one row per entry above 1."""
+    idx = lp_module.pair_index(n)[1]
+    out = []
+    for t, (i, j, k) in enumerate(combinations(range(n), 3)):
+        a, b, c = x[idx[(i, j)]], x[idx[(i, k)]], x[idx[(j, k)]]
+        for s, (u, v, w) in enumerate([(a, b, c), (b, a, c), (c, a, b)]):
+            if u > v + w + tol:
+                out.append(3 * t + s)
+    base = 3 * len(list(combinations(range(n), 3)))
+    return out + [base + p for p, v in enumerate(x) if v > 1 + tol]
+
+
+_EXACT_ENTRIES = st.one_of(
+    st.sampled_from([Fraction(v) for v in (
+        "-1/3", "0", "1/7", "1/6", "1/3", "2/5", "1/2", "3/5", "2/3", "5/6",
+        "1", "8/7", "3/2")]),
+    st.fractions(min_value=-1, max_value=2, max_denominator=12))
+# k/8 plus an offset: no sum of three offsets lies within 2e-9 of +-1e-8, so
+# the tolerance, not the rounding, decides every compare
+_FLOAT_ENTRIES = st.builds(lambda k, d: k / 8 + d, st.integers(-2, 10),
+                           st.sampled_from([0.0, 4e-9, -4e-9, 3e-8, -3e-8]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.data())
+def test_row_evaluation_flags_the_broken_triangle_and_box_rows(data):
+    n = data.draw(st.integers(1, 6))
+    exact = data.draw(st.booleans())
+    x = tuple(data.draw(_EXACT_ENTRIES if exact else _FLOAT_ENTRIES)
+              for _ in range(n * (n - 1) // 2))
+    g = make_graph(n, [])
+    prob = build_lp(g, 0)
+    tol = 0 if exact else 1e-8
+    broken = _broken_rows(x, n, tol)
+    assert lp_module._violated_rows(prob.rows, prob.b, x, exact) == broken
+    lam = Fraction(1, 2)
+    line = lp_module._line_of_x(g, x, lp_module.pair_index(n)[1])
+    sol = lp_module.LpSolution(n, lam, x, line.value_at(lam), line, (), exact)
+    if broken or any(v < -tol for v in x):
+        with pytest.raises(ValueError):
+            lp_module.check_solution(sol, g)
+    else:
+        lp_module.check_solution(sol, g)
+
+
+@pytest.mark.parametrize("x, match", [
+    ((Fraction(8, 7), Fraction(1), Fraction(1)), "x <= 1 fails"),
+    ((Fraction(-1, 7), Fraction(0), Fraction(0)), r"outside \[0, 1\]"),
+    ((1 + 2e-8, 1.0, 1.0), "x <= 1 fails"),
+    ((-2e-8, 0.0, 0.0), r"outside \[0, 1\]"),
+], ids=["exact_above_1", "exact_below_0", "float_above_1", "float_below_0"])
+def test_check_solution_rejects_entries_outside_the_box(x, match):
+    g = gen_star(3)
+    line = lp_module._line_of_x(g, x, lp_module.pair_index(3)[1])
+    exact = not isinstance(x[0], float)
+    sol = lp_module.LpSolution(3, Fraction(1, 2), x, line.value_at(Fraction(1, 2)),
+                               line, (), exact)
+    with pytest.raises(ValueError, match=match):
+        lp_module.check_solution(sol, g)
 
 
 def test_dual_infeasible_certificate_rejected(monkeypatch):
@@ -90,21 +154,21 @@ def test_dual_infeasible_certificate_rejected(monkeypatch):
         solve_lp(gen_star(4), Fraction(1, 3))
 
 
-def test_short_dual_certificate_rejected(monkeypatch):
-    real = lp_module.solve_canonical
-
-    def forged(c, rows, b):
-        res = real(c, rows, b)
-        # dropping trailing zeros keeps b.y and A^T y, so only the length shows
-        dual_ub = list(res.dual_ub)
-        while dual_ub and dual_ub[-1] == 0:
-            dual_ub.pop()
-        assert len(dual_ub) < len(res.dual_ub)
-        return dataclasses.replace(res, dual_ub=dual_ub)
-
-    monkeypatch.setattr(lp_module, "solve_canonical", forged)
-    with pytest.raises(ValueError):
-        solve_lp(gen_star(4), Fraction(1, 3))
+@pytest.mark.parametrize("extra, match", [
+    ([(-1, Fraction(-1))], "outside the LP"),
+    ([("num_rows", Fraction(-1))], "outside the LP"),
+    ([(0, Fraction(0))], "u >= 0"),
+    # the two entries cancel, so only the sign of each shows
+    ([(0, Fraction(1)), (0, Fraction(-1))], "u >= 0"),
+], ids=["row_minus_one", "row_num_rows", "zero_u", "positive_u"])
+def test_certificate_pair_outside_the_format_rejected(extra, match):
+    g = gen_star(4)
+    s = solve_lp(g, Fraction(1, 3))
+    prob = build_lp(g, s.lam)
+    lp_module.check_certificate(prob, s.dual, s.value)
+    extra = [(prob.num_rows if r == "num_rows" else r, u) for r, u in extra]
+    with pytest.raises(ValueError, match=match):
+        lp_module.check_certificate(prob, s.dual + tuple(extra), s.value)
 
 
 def test_feasible_but_not_optimal_x_rejected(monkeypatch):
@@ -334,7 +398,7 @@ def _full_walk(g):
     """The kernel's walk over every row of g's LP, not lp_curve's lazy one."""
     prob = build_lp(g, 0)
     return list(simplex.walk_canonical(
-        prob.c, [-1] * prob.num_vars, *lp_module._le_form(prob)))
+        prob.c, [-1] * prob.num_vars, prob.rows, prob.b))
 
 
 def test_ring8_walk_pivots_are_pinned(monkeypatch):

@@ -81,7 +81,7 @@ def _families(draw):
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
         x = tuple(draw(_RATS) for _ in range(n * (n - 1) // 2))
         line = CostLine(draw(_RATS), draw(_RATS))
-        sol = LpSolution(n, draw(_RATS), x, draw(_RATS), line, ())
+        sol = LpSolution(n, draw(_UNIT), x, draw(_RATS), line, ())
         lo, hi = sorted((draw(_UNIT), draw(_UNIT)))
         iv = LambdaInterval(lo, hi, eps, lo_clamped=draw(st.booleans()),
                             hi_clamped=draw(st.booleans()))

@@ -1,0 +1,35 @@
+"""The benchmark's tracer still finds every layer it wraps in the package."""
+import importlib.util
+from fractions import Fraction
+from pathlib import Path
+
+from lambdaprime import lp as lp_module
+from lambdaprime import simplex
+from lambdaprime.graphs import gen_ring
+
+
+def _tracing():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_counts_the_solver_layers():
+    # binding_sites() looks up lp.solve_canonical, lp._solve_exact,
+    # lp.build_lp, lp.verify_certificate and the rest by name, so a rename
+    # fails here; the counts show that the package still calls them
+    tracing = _tracing()
+    g = gen_ring(3)
+    with tracing.Tracer(tracing.binding_sites(), 0) as tr:
+        # through the module: the tracer rebinds names inside the package
+        lp_module.solve_lp(g, Fraction(1, 5))
+        lp_module.lp_curve(g)
+    assert tr.calls["simplex.primal"] == 1
+    assert tr.stats["simplex.primal.pivots"] > 0
+    assert tr.stats["simplex.primal.rows"] == 3 * 56 + 28
+    assert tr.calls["lp.solve_lp"] == 1 and tr.calls["lp.lp_curve"] == 1
+    assert tr.calls["lp.build_lp"] >= 2
+    assert tr.calls["sensitivity.verify_certificate"] >= 2
+    assert lp_module.solve_canonical is simplex.solve_canonical
