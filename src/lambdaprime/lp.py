@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import lcm
 
@@ -75,8 +76,11 @@ def pair_index(n):
     return pairs, {p: k for k, p in enumerate(pairs)}
 
 
+@lru_cache(maxsize=8)
 def _metric_rows(n):
-    """The rows A x <= b of the metric polytope on n nodes, as in LpProblem."""
+    """The rows A x <= b of the metric polytope on n nodes, as in LpProblem.
+
+    Built once per n and shared: the rows and b are immutable tuples."""
     idx = pair_index(n)[1]
     rows = []
     for i, j, k in combinations(range(n), 3):
@@ -258,15 +262,19 @@ def _solve_float(g: Graph, lam) -> LpSolution:
     for dense, row in zip(Gf, prob.rows):
         for j, coeff in row:
             dense[j] = float(coeff)
-    res = linprog(cf, A_ub=Gf, b_ub=prob.b[:n_tri], bounds=(0, 1),
-                  method="highs", options=_HIGHS_OPTS)
-    if res.status != 0:
-        raise AssertionError("HiGHS failed: %s" % res.message)
+    # HiGHS refuses an empty A_ub (n = 2) and an empty c (n = 1)
+    x, fun, nit = (), 0.0, 0
+    if nv:
+        res = linprog(cf, A_ub=Gf or None, b_ub=prob.b[:n_tri] or None,
+                      bounds=(0, 1), method="highs", options=_HIGHS_OPTS)
+        if res.status != 0:
+            raise AssertionError("HiGHS failed: %s" % res.message)
+        x = tuple(min(1.0, max(0.0, float(v))) for v in res.x)
+        fun, nit = float(res.fun), int(res.nit)
     _, idx = pair_index(g.n)
-    x = tuple(min(1.0, max(0.0, float(v))) for v in res.x)
     sol = LpSolution(
-        n=g.n, lam=lamf, x=x, value=float(res.fun) + lamf * len(prob.pairs),
-        line=_line_of_x(g, x, idx), dual=(), exact=False, pivots=int(res.nit),
+        n=g.n, lam=lamf, x=x, value=fun + lamf * len(prob.pairs),
+        line=_line_of_x(g, x, idx), dual=(), exact=False, pivots=nit,
     )
     check_solution(sol, g)
     return sol

@@ -3,23 +3,34 @@
 For a solution x* optimal at lam0, orlp() finds the largest step theta so
 that x* stays a (1+eps)-approximation of the LP optimum at lam0 + s*theta.
 The trick is to search for a dual vector u <= 0 of the rows A x <= b
-feasible at the perturbed cost (A^T u <= c + s*theta*d, with d = -1 on every
-pair since every cost coefficient has slope -1 in lambda) whose certified
-value still nearly matches the value of x*. With y = -u as its variables:
+feasible at the cost c(lam) of a new lambda (A^T u <= c(lam), where
+c_p(lam) = [p in E] - lam) whose certified value still nearly matches the
+value of x* there. With y = -u and lam itself as the variables:
 
-    maximize theta
-    s.t.     -(A^T y)_p + s*theta <= c_p          for every pair p
-             -(1+eps) b.y + s*theta (eps*Q + sum x*) >= c.x* - eps*lam0*Q
-             0 <= theta <= distance to the lambda-domain edge
-             y >= 0
+    maximize s*lam
+    s.t.     -(A^T y)_p + lam <= [p in E]                     every pair p
+             (1+eps) b.y - lam (eps*Q + sum x*) <= -P
+             lam <= 1                                          (s = +1 only)
+             y >= 0, lam >= 0
 
-Weak duality makes any feasible (y, theta) a proof; LP duality at the true
+where P is the P of x*'s line and Q the number of pairs. The step is
+theta = s*(lam* - lam0). Writing lam = lam0 + s*theta turns this into the
+LP in theta (pair rows -(A^T y)_p + s*theta <= c_p(lam0), the same epsilon
+row, 0 <= theta <= distance to the domain edge) except for theta >= 0, and
+that bound is redundant: x*'s own certificate (y*, lam0) is feasible (its
+epsilon row reads -eps * value <= 0, and lamprime and lamcc values are
+>= 0), so the optimum has s*lam* >= s*lam0. In lam, every pair row has
+integer data and a right-hand side >= 0, so the epsilon row is the only one
+with fractions and the only one that can need a phase-1 artificial.
+
+Weak duality makes any feasible (y, lam) a proof; LP duality at the true
 endpoint makes the bound tight, and concavity of the LP value curve makes the
 approximate region an interval. With eps = 0 this recovers the exact optimal
-range of x*. The theta cap records when the range runs into the domain edge;
-callers treat a clamped endpoint as coverage through that edge. orlp starts
-from lp.verify_certificate, the one proof of an exact solution, and builds
-its LP from the rows of the LP that proof returns.
+range of x*. Reaching lam* = 1 (s = +1) or 0 (s = -1) records that the range
+runs into the domain edge; callers treat a clamped endpoint as coverage
+through that edge. orlp starts from lp.verify_certificate, the one proof of
+an exact solution, and builds its LP from the rows of the LP that proof
+returns.
 
 The scaled objective lamcc (value shifted by -lambda*m) only changes the
 constant Q to Q - objective_shift(objective, m) in the epsilon row.
@@ -76,37 +87,33 @@ def orlp(xstar: LpSolution, s: int, lam0, eps, g: Graph, objective="lamprime"):
         raise ValueError("x* was not solved at lambda0")
     q_eff = len(prob.pairs) - objective_shift(objective, g.m)
 
-    nrows_p1 = prob.num_rows
-    theta_col = nrows_p1  # columns: y, then theta
-    npairs = prob.num_vars
-    cap = (1 - lam0) if s > 0 else lam0
-
-    # pair rows: -(A^T y)_p + s*theta <= c_p, the LP rows transposed
-    A = [[] for _ in range(npairs)]
+    lam_col = prob.num_rows  # columns: y, then lam
+    # pair rows: -(A^T y)_p + lam <= [p in E], the LP rows transposed
+    A = [[] for _ in range(prob.num_vars)]
     for r, coeffs in enumerate(prob.rows):
         for var, coeff in coeffs:
             A[var].append((r, -coeff))
     for row in A:
-        row.append((theta_col, s))
-    b = list(prob.c)
+        row.append((lam_col, 1))
+    b = [int(g.has_edge(*p)) for p in prob.pairs]
     # epsilon row, flipped to <=
-    cx = xstar.value - prob.constant
     A.append([(r, (1 + eps) * bi) for r, bi in enumerate(prob.b) if bi] + [
-        (theta_col, -s * (eps * q_eff + sum(rat(v) for v in xstar.x)))
+        (lam_col, -(eps * q_eff + sum(rat(v) for v in xstar.x)))
     ])
-    b.append(eps * lam0 * q_eff - cx)
-    # domain cap on theta
-    A.append(((theta_col, 1),))
-    b.append(cap)
+    b.append(-xstar.line.P)
+    if s > 0:  # the domain edge lam <= 1; lam >= 0 is the variable's own bound
+        A.append(((lam_col, 1),))
+        b.append(1)
 
-    obj = [Fraction(0)] * nrows_p1 + [Fraction(-1)]
+    obj = [0] * prob.num_rows + [-s]
     res = solve_canonical(obj, A, b)
-    theta = res.x[theta_col]
-    if theta != -res.value:
+    lam = res.x[lam_col]
+    if -s * lam != res.value:
         raise AssertionError("inconsistent ORLP optimum")
-    clamped = theta == cap
+    theta = s * (lam - lam0)
+    clamped = lam == (1 if s > 0 else 0)
     if clamped:  # stop GUARD short of the domain edge
-        theta = max(Fraction(0), cap - GUARD)
+        theta = max(Fraction(0), theta - GUARD)
     return theta, clamped
 
 

@@ -4,11 +4,13 @@ sensitivity machinery.
 Canonical form:   min c.x   s.t.  A x <= b,  x >= 0
 
 Each row of A is a sequence of (column, coefficient) pairs; a column the row
-leaves out has coefficient zero. All arithmetic is exact. The tableau is kept
-fraction-free: each row is scaled to integers up front by the lcm of its
-coefficient and right-hand-side denominators, the objective by the lcm of its
-denominators, and every pivot applies the
-integer Gauss-Jordan update
+leaves out has coefficient zero. All arithmetic is exact: entries are ints or
+rationals, and floats are refused. The tableau is kept fraction-free: each
+row is scaled to integers up front by the lcm of its coefficient and
+right-hand-side denominators, the objective by the lcm of its denominators.
+Int entries are used as given, so an all-int row has scale 1 and costs no
+conversion; only the other entries pass through Fraction. Every pivot
+applies the integer Gauss-Jordan update
 
     T'[i][j] = (T[i][j]*T[r][c] - T[i][c]*T[r][j]) // delta
 
@@ -77,17 +79,27 @@ class VertexRange(NamedTuple):
 _MAX_PIVOTS = 500_000
 
 
+def _exact(v):
+    """v itself if it is an int, else rat(v): a Fraction, floats refused."""
+    return v if isinstance(v, int) else rat(v)
+
+
+def _scaled(v, s):
+    """The integer v*s, for s a multiple of v's denominator."""
+    return v.numerator * (s // v.denominator)
+
+
 class _Tableau:
     def __init__(self, c, rows, b, slope=None):
         nrows, nvars = len(rows), len(c)
-        c = [rat(v) for v in c]
-        slope = None if slope is None else [rat(v) for v in slope]
+        c = [_exact(v) for v in c]
+        slope = None if slope is None else [_exact(v) for v in slope]
         self.sigma_c = lcm(*(v.denominator for v in c + (slope or []))) if c else 1
-        zrow = [int(v * self.sigma_c) for v in c]
+        zrow = [_scaled(v, self.sigma_c) for v in c]
 
         self.nvars = nvars
         self.nrows = nrows
-        b = [rat(v) for v in b]
+        b = [_exact(v) for v in b]
         self.n_art = sum(bi < 0 for bi in b)
         self.art_start = nvars + nrows
         ncols = nvars + nrows + self.n_art + 1
@@ -97,7 +109,7 @@ class _Tableau:
         self.basis = []
         next_art = self.art_start
         for i, coeffs in enumerate(rows):
-            a = [(j, rat(v)) for j, v in coeffs]
+            a = [(j, _exact(v)) for j, v in coeffs]
             if len({j for j, _ in a}) < len(a):
                 raise ValueError("row %d repeats a column" % i)
             if not all(0 <= j < nvars for j, _ in a):
@@ -108,7 +120,7 @@ class _Tableau:
             sign = -1 if b[i] < 0 else 1
             row = [0] * ncols
             for j, v in a:
-                row[j] = sign * int(v * s)
+                row[j] = sign * _scaled(v, s)
             row[nvars + i] = sign
             if sign < 0:
                 row[next_art] = 1
@@ -116,7 +128,7 @@ class _Tableau:
                 next_art += 1
             else:
                 self.basis.append(nvars + i)
-            row[self.rhs_col] = sign * int(b[i] * s)
+            row[self.rhs_col] = sign * _scaled(b[i], s)
             self.T.append(row)
 
         z = [0] * ncols
@@ -125,7 +137,7 @@ class _Tableau:
         self.z1 = None  # cost-slope row, live only in walk_canonical
         if slope is not None:
             self.z1 = [0] * ncols
-            self.z1[:nvars] = [int(v * self.sigma_c) for v in slope]
+            self.z1[:nvars] = [_scaled(v, self.sigma_c) for v in slope]
         self.w = None  # phase-1 objective, live only during phase 1
         self.delta = 1
         self.pivots = 0

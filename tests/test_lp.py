@@ -460,6 +460,28 @@ def test_float_mode_star():
     assert abs(fx.value - 2.6) < 1e-9
 
 
+@pytest.mark.parametrize("g", [
+    make_graph(2, [(0, 1)]), make_graph(2, []), make_graph(1, []),
+], ids=["edge", "edgeless", "n1"])
+def test_float_mode_without_triangle_rows_matches_exact(g):
+    # n < 3 has no triangle rows, n = 1 no variables either
+    lam = Fraction(1, 3)
+    fx, ex = solve_lp(g, lam, mode="float"), solve_lp(g, lam)
+    assert ex.value == (lam if g.m else 0)
+    assert abs(fx.value - float(ex.value)) < 1e-9
+    assert fx.x == tuple(float(v) for v in ex.x)
+
+
+def test_one_proof_builds_the_metric_rows_once():
+    g = gen_gnp(6, 0.5, seed=3)
+    sol = solve_lp(g, Fraction(2, 7))
+    lp_module._metric_rows.cache_clear()
+    prob = lp_module.verify_certificate(sol, g)
+    info = lp_module._metric_rows.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert prob.rows is lp_module._metric_rows(g.n)[0]
+
+
 def test_bad_mode_rejected():
     with pytest.raises(ValueError):
         solve_lp(gen_star(3), Fraction(1, 2), mode="rounded")

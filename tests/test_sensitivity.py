@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from lambdaprime import sensitivity
 from lambdaprime.graphs import gen_gnp, gen_ring, gen_star
-from lambdaprime.lp import lp_curve, solve_lp
-from lambdaprime.objectives import CostLine
+from lambdaprime.lp import lp_curve, pair_index, solve_lp
+from lambdaprime.objectives import CostLine, objective_shift
 from lambdaprime.rationals import GUARD
+from lambdaprime.simplex import solve_canonical
 from lambdaprime.sensitivity import (
     LambdaInterval,
     eps_range,
@@ -209,3 +211,72 @@ def test_corrupted_certificates_rejected():
         verify_certificate(bad_line, g)
     with pytest.raises(ValueError):
         orlp(bad_line, 1, lam0, 0, g)
+
+
+def _orlp_in_theta(xstar, s, lam0, eps, g, objective):
+    """ORLP's LP with the step theta as its variable, the reference orlp's
+    LP in lambda must agree with: substituting lam = lam0 + s*theta maps one
+    onto the other, but for theta >= 0, which the LP in lambda leaves out."""
+    prob = verify_certificate(xstar, g)
+    q_eff = len(prob.pairs) - objective_shift(objective, g.m)
+    theta_col = prob.num_rows
+    cap = (1 - lam0) if s > 0 else lam0
+    A = [[] for _ in range(prob.num_vars)]
+    for r, coeffs in enumerate(prob.rows):
+        for var, coeff in coeffs:
+            A[var].append((r, -coeff))
+    for row in A:
+        row.append((theta_col, s))
+    b = list(prob.c)
+    A.append([(r, (1 + eps) * bi) for r, bi in enumerate(prob.b) if bi] + [
+        (theta_col, -s * (eps * q_eff + sum(xstar.x)))])
+    b.append(eps * lam0 * q_eff - (xstar.value - prob.constant))
+    A.append(((theta_col, 1),))
+    b.append(cap)
+    res = solve_canonical([0] * prob.num_rows + [-1], A, b)
+    theta = res.x[theta_col]
+    clamped = theta == cap
+    if clamped:
+        theta = max(Fraction(0), cap - GUARD)
+    return theta, clamped
+
+
+def test_orlp_in_lambda_matches_orlp_in_theta(corpus):
+    graphs = [g for _, g in corpus if g.n <= 7]
+    assert len(graphs) == 18
+    clamps = set()
+    for g in graphs:
+        for lam0 in (Fraction(1, 4), Fraction(3, 5)):
+            sol = solve_lp(g, lam0)
+            for eps in (0, Fraction(1, 4), Fraction(1, 2)):
+                for objective in ("lamprime", "lamcc"):
+                    for s in (1, -1):
+                        got = orlp(sol, s, lam0, eps, g, objective)
+                        assert got == _orlp_in_theta(sol, s, lam0, eps, g, objective)
+                        clamps.add((s, got[1]))
+    assert clamps == {(1, True), (1, False), (-1, True), (-1, False)}
+
+
+def test_orlp_lp_pair_rows_are_integer(monkeypatch):
+    # the LP in lambda: the pair rows carry integer data with right-hand
+    # side [p in E] >= 0, and only the epsilon row may need an artificial
+    seen = []
+
+    def capture(c, rows, b):
+        seen.append((c, rows, b))
+        return solve_canonical(c, rows, b)
+
+    monkeypatch.setattr(sensitivity, "solve_canonical", capture)
+    g = gen_gnp(7, 0.5, seed=2)
+    lam0 = Fraction(1, 3)
+    sol = solve_lp(g, lam0)
+    on_edge = [int(g.has_edge(*p)) for p in pair_index(g.n)[0]]
+    for eps in (0, Fraction(1, 2)):
+        eps_range(sol, lam0, eps, g)
+    assert len(seen) == 4
+    for c, rows, b in seen:
+        assert all(type(v) is int for v in c)
+        assert list(b[:len(on_edge)]) == on_edge
+        for row in rows[:len(on_edge)]:
+            assert all(type(v) is int for _, v in row)
+        assert sum(bi < 0 for bi in b) <= 1

@@ -170,6 +170,44 @@ def test_float_coefficient_rejected():
         solve_canonical([1, 2], [((0, 1), (1, 0.5))], [1])
 
 
+@pytest.mark.parametrize("c, rows, b, slope", [
+    ([1, 2], [((0, 1),)], [0.5], None),
+    ([1, 0.5], [((0, 1),)], [1], None),
+    ([1, 2], [((0, 1),)], [1], [0, -0.5]),
+], ids=["rhs", "cost", "slope"])
+def test_float_entries_rejected_by_the_tableau(c, rows, b, slope):
+    with pytest.raises(TypeError):
+        _Tableau(c, rows, b, slope=slope)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_int_rows_give_the_tableau_of_their_fractions(seed):
+    # ints are used as given (an all-int row has scale 1), and must build
+    # the tableau the same values give as Fractions; the rows mix int rows,
+    # a row with fractions, and negative right-hand sides (artificials)
+    rng = random.Random(4000 + seed)
+    nvars = rng.randint(1, 5)
+    A = [[rng.randint(-4, 4) for _ in range(nvars)] for _ in range(rng.randint(1, 5))]
+    b = [rng.randint(-3, 3) for _ in A]
+    A.append([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(nvars)])
+    b.append(Fraction(rng.randint(-3, 3), 2))
+    c = [rng.randint(-5, 5) for _ in range(nvars)]
+    slope = [rng.randint(-5, 5) for _ in range(nvars)]
+
+    def as_fractions(values):
+        return [Fraction(v) for v in values]
+
+    def setup(tab):
+        return tab.T, tab.z, tab.z1, tab.row_scale, tab.basis, tab.sigma_c
+
+    for sl in (None, slope):
+        ints = _Tableau(c, _rows(A), b, slope=sl)
+        fracs = _Tableau(as_fractions(c), _rows([as_fractions(r) for r in A]),
+                         as_fractions(b), slope=sl and as_fractions(sl))
+        assert setup(ints) == setup(fracs)
+        assert ints.row_scale[:-1] == [1] * (len(A) - 1)
+
+
 def _assert_certificate(A, b, c, x, u):
     """x and the marginals u prove each other optimal for min c.x, Ax <= b."""
     value = sum(ci * xi for ci, xi in zip(c, x))

@@ -4,6 +4,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from lambdaprime import lp as lp_module
+from lambdaprime import sensitivity
 from lambdaprime import simplex
 from lambdaprime.graphs import gen_ring
 
@@ -33,3 +34,20 @@ def test_tracer_counts_the_solver_layers():
     assert tr.calls["lp.build_lp"] >= 2
     assert tr.calls["sensitivity.verify_certificate"] >= 2
     assert lp_module.solve_canonical is simplex.solve_canonical
+
+
+def test_tracer_counts_orlp():
+    # eps_range reaches ORLP's simplex through sensitivity.solve_canonical,
+    # the binding the tracer counts as its own layer
+    tracing = _tracing()
+    g = gen_ring(3)
+    lam0 = Fraction(1, 5)
+    sol = lp_module.solve_lp(g, lam0)
+    with tracing.Tracer(tracing.binding_sites(), 0) as tr:
+        sensitivity.eps_range(sol, lam0, Fraction(1, 2), g)
+    assert tr.calls["sensitivity.orlp"] == 2
+    assert tr.calls["simplex.orlp"] == 2
+    assert tr.calls["simplex.primal"] == 0
+    assert tr.stats["simplex.orlp.pivots"] > 0
+    assert tr.stats["simplex.orlp.cols"] == 2 * (3 * 56 + 28 + 1)
+    assert sensitivity.solve_canonical is simplex.solve_canonical
