@@ -22,12 +22,16 @@ exact solution passes. solve_lp offers that exact rational mode and a float
 mode (scipy HiGHS with tightened tolerances) for larger graphs. lp_curve
 recovers the full piecewise-linear value curve exactly: the cost c0 - lam*1 is
 affine in lam, so one parametric simplex walk over [0, 1] visits the pieces in
-order, and each of its vertex ranges is one piece. Few triangle rows ever
-bind, so the walk is a cutting-plane loop for the metric polytope (Grotschel &
+order, and each of its vertex ranges is one piece.
+
+Few triangle rows ever bind, so every exact LP over them runs one
+cutting-plane loop for the metric polytope (_cutting_planes; Grotschel &
 Wakabayashi, Math. Programming 45, 1989): it starts from the box rows and adds
-the triangle rows its vertices violate until they violate none. Each piece is
-still proven by verify_certificate against the full build_lp, so the proof
-does not depend on which rows the walk kept.
+the triangle rows its points violate until they violate none. solve_lp and
+lp_curve separate their vertices; ORLP (sensitivity) prices its columns the
+same way. An exact solve_lp reports the pivots of all its rounds. Each
+solution is still proven by verify_certificate against the full build_lp, so
+the proof does not depend on which rows the loop kept.
 """
 from __future__ import annotations
 
@@ -123,8 +127,9 @@ class LpSolution:
     # a certificate for check_certificate; () for a float solution
     dual: tuple
     exact: bool = True
-    # simplex pivots that reached x, HiGHS iterations in float mode (0 when
-    # unknown); not part of the value
+    # simplex pivots that reached x, summed over the rounds of an exact
+    # solve_lp; HiGHS iterations in float mode (0 when unknown); not part of
+    # the value
     pivots: int = field(default=0, compare=False)
 
 
@@ -179,7 +184,12 @@ def check_certificate(prob: LpProblem, dual, value):
     dual feasible for the rows A x <= b: each row one of prob's, each u < 0,
     and A^T u <= c; and attain value: b.u + constant = value. With a feasible
     x of that value (check_solution) this proves value optimal.
+
+    u and c are scaled once by d, the lcm of the denominators of every u and
+    of lam (c is 1 - lam or -lam), so both sides are integer sums and
+    compares.
     """
+    d = lcm(prob.lam.denominator, *(u.denominator for _, u in dual))
     aty = [0] * prob.num_vars
     bu = 0
     for r, u in dual:
@@ -187,12 +197,13 @@ def check_certificate(prob: LpProblem, dual, value):
             raise ValueError("dual certificate names row %s outside the LP" % (r,))
         if u >= 0:
             raise ValueError("dual certificate has an entry u >= 0")
+        u = u.numerator * (d // u.denominator)
         for var, coeff in prob.rows[r]:
             aty[var] += coeff * u
         bu += prob.b[r] * u
-    if any(a > ci for a, ci in zip(aty, prob.c)):
+    if any(a > ci.numerator * (d // ci.denominator) for a, ci in zip(aty, prob.c)):
         raise ValueError("dual certificate infeasible")
-    if bu + prob.constant != value:
+    if Fraction(bu, d) + prob.constant != value:
         raise ValueError("dual certificate does not prove optimality")
 
 
@@ -237,10 +248,20 @@ def _proven(g: Graph, lam, x, keep, dual_ub, pivots) -> LpSolution:
 
 
 def _solve_exact(g: Graph, lam) -> LpSolution:
+    """One vertex by the cutting-plane loop, proven against the full LP; its
+    pivots are those of every round."""
     prob = build_lp(g, lam)
-    res = solve_canonical(prob.c, prob.rows, prob.b)
-    return _proven(g, prob.lam, res.x, range(prob.num_rows), res.dual_ub,
-                   res.pivots)
+    pivots = 0
+
+    def run(keep):
+        nonlocal pivots
+        res = solve_canonical(prob.c, [prob.rows[i] for i in keep],
+                              [prob.b[i] for i in keep])
+        pivots += res.pivots
+        return res, [res.x]
+
+    res, keep = _cutting_planes(prob, run)
+    return _proven(g, prob.lam, res.x, keep, res.dual_ub, pivots)
 
 
 _HIGHS_OPTS = {
@@ -280,9 +301,33 @@ def _solve_float(g: Graph, lam) -> LpSolution:
     return sol
 
 
-def _separate(ranges, prob):
-    """The rows of prob that some range's vertex violates."""
-    return {r for rng in ranges for r in _violated_rows(prob.rows, prob.b, rng.x)}
+def _separate(points, prob):
+    """The rows of prob that some point violates."""
+    return {r for x in points for r in _violated_rows(prob.rows, prob.b, x)}
+
+
+def _cutting_planes(prob, run, kept=()):
+    """The cutting-plane loop over the triangle rows of prob.
+
+    run(keep) solves an LP over the rows keep of prob, given as row indices:
+    the triangle rows kept so far in build_lp order, then every box row. It
+    returns its result and the points to separate. Every triangle row that
+    some point violates is added to kept, which starts as the given rows,
+    and run is called again until no point violates a row it left out.
+    Returns the last result and its keep.
+    """
+    box = list(range(prob.num_rows - prob.num_vars, prob.num_rows))
+    kept = sorted(kept)
+    while True:
+        keep = kept + box
+        result, points = run(keep)
+        # kept rows are no cuts: a vertex satisfies its LP's rows (one that
+        # breaks a kept row is left to the proof to refuse), and ORLP's kept
+        # columns have reduced cost >= 0 at its optimum
+        cuts = _separate(points, prob).difference(keep)
+        if not cuts:
+            return result, keep
+        kept = sorted(cuts.union(kept))
 
 
 def lp_curve(g: Graph) -> PwlCurve:
@@ -292,13 +337,11 @@ def lp_curve(g: Graph) -> PwlCurve:
     walk_canonical from the slack basis, optimal at lam = 0, visits the
     curve's pieces in order: each VertexRange is one piece.
 
-    The walk keeps only the triangle rows it needs, by the cutting-plane
-    loop for the metric polytope (Grotschel & Wakabayashi, Math.
-    Programming 45, 1989): it starts from the box rows alone, and after
-    each walk adds every triangle row that some range's vertex violates,
-    then walks again, until no vertex violates a row. Its rows are the kept
-    triangle rows in build_lp order, then the box rows, so keep maps each
-    walked row to its row of the full LP.
+    The walk keeps only the triangle rows it needs, by _cutting_planes: it
+    starts from the box rows alone, and after each walk adds every triangle
+    row that some range's vertex violates, then walks again, until no
+    vertex violates a row. keep maps each walked row to its row of the full
+    LP.
 
     The proof does not depend on which rows were kept. Each range's vertex
     is proven by verify_certificate at the range's lo (the last also at 1)
@@ -310,20 +353,14 @@ def lp_curve(g: Graph) -> PwlCurve:
     meets it at both ends of its piece: the curve is the LP value.
     """
     prob = build_lp(g, 0)  # prob.c is c0
-    box = list(range(prob.num_rows - prob.num_vars, prob.num_rows))
-    kept = []  # triangle rows, in build_lp order
-    while True:
-        keep = kept + box
+
+    def run(keep):
         ranges = list(walk_canonical(prob.c, [-1] * prob.num_vars,
                                      [prob.rows[i] for i in keep],
                                      [prob.b[i] for i in keep]))
-        # a vertex satisfies its walk's rows, so the cuts are new triangle
-        # rows; a vertex that breaks a walked row is left to the proof to refuse
-        cuts = _separate(ranges, prob).difference(keep)
-        if not cuts:
-            break
-        kept = sorted(cuts.union(kept))
+        return ranges, [rng.x for rng in ranges]
 
+    ranges, keep = _cutting_planes(prob, run)
     pieces = []
     for rng in ranges:
         sol = _proven(g, rng.lo, rng.x, keep, rng.dual_ub[rng.lo], rng.pivots)

@@ -171,6 +171,65 @@ def test_certificate_pair_outside_the_format_rejected(extra, match):
         lp_module.check_certificate(prob, s.dual + tuple(extra), s.value)
 
 
+def _check_certificate_in_fractions(prob, dual, value):
+    """The reference check_certificate must agree with: Fraction sums."""
+    aty = [0] * prob.num_vars
+    bu = 0
+    for r, u in dual:
+        if not 0 <= r < prob.num_rows:
+            raise ValueError("dual certificate names row %s outside the LP" % (r,))
+        if u >= 0:
+            raise ValueError("dual certificate has an entry u >= 0")
+        for var, coeff in prob.rows[r]:
+            aty[var] += coeff * u
+        bu += prob.b[r] * u
+    if any(a > ci for a, ci in zip(aty, prob.c)):
+        raise ValueError("dual certificate infeasible")
+    if bu + prob.constant != value:
+        raise ValueError("dual certificate does not prove optimality")
+
+
+def _verdict(check, *args):
+    try:
+        check(*args)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+_DUAL_ENTRIES = st.fractions(min_value=-3, max_value=0, max_denominator=12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.data())
+def test_integer_certificate_check_matches_fractions(data):
+    g = data.draw(_small_graphs())
+    lam = data.draw(st.fractions(min_value=0, max_value=1, max_denominator=12))
+    sol = solve_lp(g, lam)
+    prob = build_lp(g, lam)
+    dual, value = list(sol.dual), sol.value
+    change = data.draw(st.sampled_from(
+        ["none", "random", "sign", "row", "value"]))
+    if change == "random" and prob.num_rows:
+        rows = st.integers(0, prob.num_rows - 1)
+        dual = data.draw(st.lists(st.tuples(rows, _DUAL_ENTRIES), max_size=8))
+    elif change == "sign" and dual:
+        k = data.draw(st.integers(0, len(dual) - 1))
+        dual[k] = (dual[k][0], data.draw(st.sampled_from([0, -1])) * dual[k][1])
+    elif change == "row":
+        r = data.draw(st.sampled_from([-1, prob.num_rows, prob.num_rows + 5]))
+        dual.insert(data.draw(st.integers(0, len(dual))), (r, Fraction(-1, 3)))
+    elif change == "value":
+        value += Fraction(data.draw(st.sampled_from([-1, 1])),
+                          data.draw(st.integers(1, 50)))
+    got = _verdict(lp_module.check_certificate, prob, tuple(dual), value)
+    assert got == _verdict(_check_certificate_in_fractions, prob, tuple(dual), value)
+    if change == "none":
+        assert got is None
+    elif change in ("row", "value") or (change == "sign" and dual):
+        assert got is not None
+
+
 def test_feasible_but_not_optimal_x_rejected(monkeypatch):
     # all-ones x is feasible on star4, but its line (3, 0) has value 3 at
     # every lambda while the LP optimum at 1/3 is at most 2 (and 0 at 0):
@@ -377,9 +436,31 @@ def test_solution_reports_pivots_outside_its_value():
     ("gnp8_03", Fraction(1, 3), 138),
 ])
 def test_pivot_path_is_pinned(corpus, name, lam, pivots):
-    # the dense Bareiss kernel's counts: a kernel change that alters the
-    # pivot path, not just its speed, moves them
-    assert solve_lp(dict(corpus)[name], lam).pivots == pivots
+    # the dense Bareiss kernel's counts over every row of the LP: a kernel
+    # change that alters the pivot path, not just its speed, moves them
+    prob = build_lp(dict(corpus)[name], lam)
+    assert simplex.solve_canonical(prob.c, prob.rows, prob.b).pivots == pivots
+
+
+@pytest.mark.parametrize("name, lam, rounds, kept, pivots", [
+    ("gnp7_05", Fraction(1, 5), 2, 18, 14),
+    ("gnp7_05", Fraction(1, 3), 2, 18, 16),
+    ("gnp8_03", Fraction(1, 5), 2, 16, 35),
+    ("gnp8_03", Fraction(1, 3), 2, 16, 39),
+])
+def test_lazy_solve_is_pinned(corpus, monkeypatch, name, lam, rounds, kept, pivots):
+    # solve_lp's cutting-plane loop: its rounds, the triangle rows of the
+    # last round, and the pivots summed over every round
+    solved = []
+    real = lp_module.solve_canonical
+
+    def recording(c, rows, b):
+        solved.append(len(rows) - len(c))
+        return real(c, rows, b)
+
+    monkeypatch.setattr(lp_module, "solve_canonical", recording)
+    sol = solve_lp(dict(corpus)[name], lam)
+    assert (len(solved), solved[-1], sol.pivots) == (rounds, kept, pivots)
 
 
 def _count_pivots(monkeypatch):
@@ -438,9 +519,28 @@ def test_lazy_curve_matches_the_full_walk(corpus, cache):
 def test_curve_without_separation_rejected(monkeypatch):
     # with no row ever added, the walk stops at its box-only vertices, which
     # break triangle rows: the proof against the full LP must refuse them
-    monkeypatch.setattr(lp_module, "_separate", lambda ranges, n: set())
+    monkeypatch.setattr(lp_module, "_separate", lambda points, prob: set())
     with pytest.raises(ValueError, match="triangle inequality fails"):
         lp_curve(gen_ring(3))
+
+
+def test_solve_without_separation_rejected(monkeypatch):
+    # with no row ever added, solve_lp stops at its box-only vertex, which
+    # breaks triangle rows: the proof against the full LP must refuse it
+    monkeypatch.setattr(lp_module, "_separate", lambda points, prob: set())
+    with pytest.raises(ValueError, match="triangle inequality fails"):
+        solve_lp(gen_ring(3), Fraction(1, 5))
+
+
+@pytest.mark.parametrize("lam", [Fraction(1, 5), Fraction(1, 3), Fraction(3, 5)])
+def test_lazy_solve_matches_the_full_lp(corpus, lam):
+    for name, g in corpus:
+        prob = build_lp(g, lam)
+        full = simplex.solve_canonical(prob.c, prob.rows, prob.b)
+        line = lp_module._line_of_x(g, full.x, lp_module.pair_index(g.n)[1])
+        sol = solve_lp(g, lam)
+        assert (sol.value == sol.line.value_at(lam) == full.value + prob.constant
+                == line.value_at(lam)), name
 
 
 def test_float_mode_reports_highs_iterations():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from lambdaprime import lp as lp_module
 from lambdaprime import sensitivity
 from lambdaprime.graphs import gen_gnp, gen_ring, gen_star
 from lambdaprime.lp import lp_curve, pair_index, solve_lp
@@ -273,10 +274,57 @@ def test_orlp_lp_pair_rows_are_integer(monkeypatch):
     on_edge = [int(g.has_edge(*p)) for p in pair_index(g.n)[0]]
     for eps in (0, Fraction(1, 2)):
         eps_range(sol, lam0, eps, g)
-    assert len(seen) == 4
+    assert len(seen) == 8  # four orlp calls, pricing rounds included
     for c, rows, b in seen:
         assert all(type(v) is int for v in c)
         assert list(b[:len(on_edge)]) == on_edge
         for row in rows[:len(on_edge)]:
             assert all(type(v) is int for _, v in row)
         assert sum(bi < 0 for bi in b) <= 1
+
+
+def _all_columns(prob, run, kept):
+    """In place of orlp's column generation: its LP over every column."""
+    keep = list(range(prob.num_rows))
+    return run(keep)[0], keep
+
+
+def test_column_generation_matches_every_column(corpus, monkeypatch):
+    solves = []
+    real = sensitivity.solve_canonical
+
+    def counted(c, rows, b):
+        solves.append(len(c))
+        return real(c, rows, b)
+
+    monkeypatch.setattr(sensitivity, "solve_canonical", counted)
+    graphs = [g for _, g in corpus if g.n <= 8]
+    assert len(graphs) == 24
+    most_rounds = 0
+    for g in graphs:
+        for lam0 in (Fraction(1, 5), Fraction(3, 5)):
+            sol = solve_lp(g, lam0)
+            for eps in (0, Fraction(1, 2)):
+                for objective in ("lamprime", "lamcc"):
+                    for s in (1, -1):
+                        solves.clear()
+                        got = orlp(sol, s, lam0, eps, g, objective)
+                        most_rounds = max(most_rounds, len(solves))
+                        with monkeypatch.context() as m:
+                            m.setattr(sensitivity, "_cutting_planes", _all_columns)
+                            assert got == orlp(sol, s, lam0, eps, g, objective)
+    assert most_rounds > 1
+
+
+def test_orlp_without_pricing_falls_short(corpus, monkeypatch):
+    # with no column ever priced in, orlp's LP keeps only its starting
+    # columns: its theta is still a sound bound, but short of the optimum
+    calls = [(g, lam0, solve_lp(g, lam0)) for _, g in corpus if g.n <= 8
+             for lam0 in (Fraction(1, 5), Fraction(3, 5))]
+    exact = [orlp(sol, s, lam0, Fraction(1, 2), g)[0]
+             for g, lam0, sol in calls for s in (1, -1)]
+    monkeypatch.setattr(lp_module, "_separate", lambda points, prob: set())
+    unpriced = [orlp(sol, s, lam0, Fraction(1, 2), g)[0]
+                for g, lam0, sol in calls for s in (1, -1)]
+    assert all(t <= e for t, e in zip(unpriced, exact))
+    assert any(t < e for t, e in zip(unpriced, exact))
