@@ -9,16 +9,18 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from .analytic import (MS_CONSTANT, ms_gamma, ring_lower_bound, ring_sandwich,
                        ring_special_lambdas)
 from .exact import exact_opt_curve
-from .graphs import gen_ring, gen_star, load_graph, save_graph
+from .graphs import format_edgelist, gen_ring, gen_star, load_graph
 from .lp import solve_lp
 from .rationals import parse_rat
 from .rounding import build_clustering_family
 from .serialize import (
     assignments_to_list,
+    atomic_write_text,
     clustering_family_to_list,
     family_from_dict,
     family_to_dict,
@@ -116,13 +118,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen_ring(args) -> int:
-    save_graph(gen_ring(args.k), args.out)
+    atomic_write_text(args.out, format_edgelist(gen_ring(args.k)))
     print("wrote ring 2^%d -> %s" % (args.k, args.out))
     return 0
 
 
 def _cmd_gen_star(args) -> int:
-    save_graph(gen_star(args.n), args.out)
+    atomic_write_text(args.out, format_edgelist(gen_star(args.n)))
     print("wrote star n=%d -> %s" % (args.n, args.out))
     return 0
 
@@ -231,9 +233,15 @@ def _cmd_bounds_ring(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built on first use and shared by every main
+    call in the process: parse_args leaves the parser as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, SimplexError, OSError) as exc:

@@ -24,14 +24,15 @@ recovers the full piecewise-linear value curve exactly: the cost c0 - lam*1 is
 affine in lam, so one parametric simplex walk over [0, 1] visits the pieces in
 order, and each of its vertex ranges is one piece.
 
-Few triangle rows ever bind, so every exact LP over them runs one
-cutting-plane loop for the metric polytope (_cutting_planes; Grotschel &
-Wakabayashi, Math. Programming 45, 1989): it starts from the box rows and adds
-the triangle rows its points violate until they violate none. solve_lp and
-lp_curve separate their vertices; ORLP (sensitivity) prices its columns the
-same way. An exact solve_lp reports the pivots of all its rounds. Each
-solution is still proven by verify_certificate against the full build_lp, so
-the proof does not depend on which rows the loop kept.
+Few triangle rows ever bind, so every exact LP over them grows one tableau
+from the box rows (Grotschel & Wakabayashi, Math. Programming 45, 1989):
+solve_lp and lp_curve hand the simplex a cuts callback (_cuts), which lists
+the triangle rows a vertex violates; the simplex appends them to its
+tableau and re-optimizes from the basis it has, by the dual simplex. ORLP
+(sensitivity) prices its columns by the same separation. An exact solve_lp
+is one solve_canonical call and reports every pivot of its tableau. Each
+solution is still proven by verify_certificate against the full build_lp,
+so the proof does not depend on which rows the tableau holds.
 """
 from __future__ import annotations
 
@@ -127,9 +128,9 @@ class LpSolution:
     # a certificate for check_certificate; () for a float solution
     dual: tuple
     exact: bool = True
-    # simplex pivots that reached x, summed over the rounds of an exact
-    # solve_lp; HiGHS iterations in float mode (0 when unknown); not part of
-    # the value
+    # simplex pivots that reached x, every pivot of an exact solve_lp's one
+    # growing tableau; HiGHS iterations in float mode (0 when unknown); not
+    # part of the value
     pivots: int = field(default=0, compare=False)
 
 
@@ -248,20 +249,14 @@ def _proven(g: Graph, lam, x, keep, dual_ub, pivots) -> LpSolution:
 
 
 def _solve_exact(g: Graph, lam) -> LpSolution:
-    """One vertex by the cutting-plane loop, proven against the full LP; its
-    pivots are those of every round."""
+    """One vertex of one growing tableau, proven against the full LP: the
+    solve starts from the box rows and appends each triangle row its vertex
+    breaks (_cuts), so its one solve_canonical call reports every pivot."""
     prob = build_lp(g, lam)
-    pivots = 0
-
-    def run(keep):
-        nonlocal pivots
-        res = solve_canonical(prob.c, [prob.rows[i] for i in keep],
-                              [prob.b[i] for i in keep])
-        pivots += res.pivots
-        return res, [res.x]
-
-    res, keep = _cutting_planes(prob, run)
-    return _proven(g, prob.lam, res.x, keep, res.dual_ub, pivots)
+    keep = _box(prob)
+    res = solve_canonical(prob.c, [prob.rows[i] for i in keep],
+                          [prob.b[i] for i in keep], cuts=_cuts(prob, keep))
+    return _proven(g, prob.lam, res.x, keep, res.dual_ub, res.pivots)
 
 
 _HIGHS_OPTS = {
@@ -301,33 +296,29 @@ def _solve_float(g: Graph, lam) -> LpSolution:
     return sol
 
 
-def _separate(points, prob):
-    """The rows of prob that some point violates."""
-    return {r for x in points for r in _violated_rows(prob.rows, prob.b, x)}
+def _box(prob):
+    """The indices of prob's rows x_p <= 1, where every exact LP starts."""
+    return list(range(prob.num_rows - prob.num_vars, prob.num_rows))
 
 
-def _cutting_planes(prob, run, kept=()):
-    """The cutting-plane loop over the triangle rows of prob.
+def _separate(x, prob):
+    """The triangle rows of prob that the point x violates, in build_lp order."""
+    n_tri = prob.num_rows - prob.num_vars
+    return _violated_rows(prob.rows[:n_tri], prob.b[:n_tri], x)
 
-    run(keep) solves an LP over the rows keep of prob, given as row indices:
-    the triangle rows kept so far in build_lp order, then every box row. It
-    returns its result and the points to separate. Every triangle row that
-    some point violates is added to kept, which starts as the given rows,
-    and run is called again until no point violates a row it left out.
-    Returns the last result and its keep.
+
+def _cuts(prob, keep):
+    """The simplex's cuts for prob: the triangle rows a vertex breaks.
+
+    keep lists the row of prob behind each row of the tableau; every cut
+    is appended to it, so it names the rows of every dual the tableau
+    reports, whose length is the number of rows held at the time.
     """
-    box = list(range(prob.num_rows - prob.num_vars, prob.num_rows))
-    kept = sorted(kept)
-    while True:
-        keep = kept + box
-        result, points = run(keep)
-        # kept rows are no cuts: a vertex satisfies its LP's rows (one that
-        # breaks a kept row is left to the proof to refuse), and ORLP's kept
-        # columns have reduced cost >= 0 at its optimum
-        cuts = _separate(points, prob).difference(keep)
-        if not cuts:
-            return result, keep
-        kept = sorted(cuts.union(kept))
+    def cuts(x):
+        new = _separate(x, prob)
+        keep.extend(new)
+        return [(prob.rows[r], prob.b[r]) for r in new]
+    return cuts
 
 
 def lp_curve(g: Graph) -> PwlCurve:
@@ -337,11 +328,11 @@ def lp_curve(g: Graph) -> PwlCurve:
     walk_canonical from the slack basis, optimal at lam = 0, visits the
     curve's pieces in order: each VertexRange is one piece.
 
-    The walk keeps only the triangle rows it needs, by _cutting_planes: it
-    starts from the box rows alone, and after each walk adds every triangle
-    row that some range's vertex violates, then walks again, until no
-    vertex violates a row. keep maps each walked row to its row of the full
-    LP.
+    The walk starts from the box rows alone and grows its one tableau: at
+    each new vertex it appends the triangle rows the vertex breaks (_cuts)
+    and re-optimizes at the same lam by the dual simplex before it goes on,
+    so every range's vertex satisfies the full LP. keep maps each row of
+    the tableau to its row of the full LP.
 
     The proof does not depend on which rows were kept. Each range's vertex
     is proven by verify_certificate at the range's lo (the last also at 1)
@@ -353,14 +344,10 @@ def lp_curve(g: Graph) -> PwlCurve:
     meets it at both ends of its piece: the curve is the LP value.
     """
     prob = build_lp(g, 0)  # prob.c is c0
-
-    def run(keep):
-        ranges = list(walk_canonical(prob.c, [-1] * prob.num_vars,
-                                     [prob.rows[i] for i in keep],
-                                     [prob.b[i] for i in keep]))
-        return ranges, [rng.x for rng in ranges]
-
-    ranges, keep = _cutting_planes(prob, run)
+    keep = _box(prob)
+    ranges = list(walk_canonical(prob.c, [-1] * prob.num_vars,
+                                 [prob.rows[i] for i in keep],
+                                 [prob.b[i] for i in keep], cuts=_cuts(prob, keep)))
     pieces = []
     for rng in ranges:
         sol = _proven(g, rng.lo, rng.x, keep, rng.dual_ub[rng.lo], rng.pivots)

@@ -24,18 +24,20 @@ integer data and a right-hand side >= 0, so the epsilon row is the only one
 with fractions and the only one that can need a phase-1 artificial.
 
 Few of the y columns are ever nonzero, so orlp solves this LP by column
-generation, through lp._cutting_planes, the loop that adds triangle rows to
-the primal solves. The LP starts with the y of every box row and of the
-triangle rows x*'s certificate names, so (y*, lam0) is feasible from the
-first solve (with the box rows alone the LP can be infeasible). A left-out
-triangle column y_r has cost 0 and meets only the pair rows, with -A_r, so
-its reduced cost is sum_p A_rp u_p = -A_r w, where u <= 0 are the pair-row
-duals and w = -u: the columns of negative reduced cost are exactly the
-triangle rows that w violates (A_r w > 0 = b_r), found by the same
-separation as a primal vertex's. orlp adds them and solves again until w
-violates none. Every column of the full LP then has reduced cost >= 0 at
-the last basis, so that basis is optimal there too: lam*, theta and the
-clamp are those of the full LP, not merely sound bounds.
+generation in one tableau: solve_canonical's columns callback prices the
+left-out columns at each optimum, and the priced ones are appended, written
+in the current basis through the slack columns (B^-1 a), for the primal
+simplex to go on from the last basis. The LP starts with the y of every box
+row and of the triangle rows x*'s certificate names, so (y*, lam0) is
+feasible from the start (with the box rows alone the LP can be infeasible).
+A left-out triangle column y_r has cost 0 and meets only the pair rows,
+with -A_r, so its reduced cost is sum_p A_rp u_p = -A_r w, where u <= 0 are
+the pair-row duals and w = -u: the columns of negative reduced cost are
+exactly the triangle rows that w violates (A_r w > 0 = b_r), found by
+lp._separate, the separation of the primal solves. Once w violates none,
+every column of the full LP has reduced cost >= 0 at the last basis, so
+that basis is optimal there too: lam*, theta and the clamp are those of the
+full LP, not merely sound bounds.
 
 Weak duality makes any feasible (y, lam) a proof; LP duality at the true
 endpoint makes the bound tight, and concavity of the LP value curve makes the
@@ -55,7 +57,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import Graph
-from .lp import LpSolution, _cutting_planes, verify_certificate
+from .lp import LpSolution, _box, _separate, verify_certificate
 from .objectives import objective_shift
 from .rationals import GUARD, rat
 from .simplex import solve_canonical
@@ -107,29 +109,32 @@ def orlp(xstar: LpSolution, s: int, lam0, eps, g: Graph, objective="lamprime"):
         b.append(1)
     eps_lam = -(eps * q_eff + sum(rat(v) for v in xstar.x))
 
-    def run(keep):
-        lam_col = len(keep)  # columns: y of the rows keep, then lam
-        # pair rows: -(A^T y)_p + lam <= [p in E], the LP rows transposed
-        A = [[] for _ in range(prob.num_vars)]
-        for col, r in enumerate(keep):
-            for var, coeff in prob.rows[r]:
-                A[var].append((col, -coeff))
-        for row in A:
-            row.append((lam_col, 1))
-        # epsilon row, flipped to <=
-        A.append([(col, (1 + eps) * prob.b[r]) for col, r in enumerate(keep)
-                  if prob.b[r]] + [(lam_col, eps_lam)])
-        if s > 0:
-            A.append(((lam_col, 1),))
-        res = solve_canonical([0] * lam_col + [-s], A, b)
-        # the pair-row duals u <= 0 price every left-out column
-        return res, [[-u for u in res.dual_ub[:prob.num_vars]]]
+    # y columns: the triangle rows x*'s certificate names (b = 0), so that
+    # (y*, lam0) is feasible from the start, and every box row; then lam
+    keep = sorted({r for r, _ in xstar.dual if not prob.b[r]}) + _box(prob)
+    lam_col = len(keep)
+    # pair rows: -(A^T y)_p + lam <= [p in E], the LP rows transposed
+    A = [[] for _ in range(prob.num_vars)]
+    for col, r in enumerate(keep):
+        for var, coeff in prob.rows[r]:
+            A[var].append((col, -coeff))
+    for row in A:
+        row.append((lam_col, 1))
+    # epsilon row, flipped to <=
+    A.append([(col, (1 + eps) * prob.b[r]) for col, r in enumerate(keep)
+              if prob.b[r]] + [(lam_col, eps_lam)])
+    if s > 0:
+        A.append(((lam_col, 1),))
 
-    # start from the triangle rows x*'s certificate names (b = 0), so that
-    # (y*, lam0) is feasible from the first round
-    res, keep = _cutting_planes(
-        prob, run, {r for r, _ in xstar.dual if not prob.b[r]})
-    lam = res.x[len(keep)]
+    def columns(dual_ub):
+        # the pair-row duals u <= 0 price every left-out column; a triangle
+        # column meets the pair rows alone
+        w = [-u for u in dual_ub[:prob.num_vars]]
+        return [(0, [(var, -coeff) for var, coeff in prob.rows[r]])
+                for r in _separate(w, prob)]
+
+    res = solve_canonical([0] * lam_col + [-s], A, b, columns=columns)
+    lam = res.x[lam_col]
     if -s * lam != res.value:
         raise AssertionError("inconsistent ORLP optimum")
     theta = s * (lam - lam0)

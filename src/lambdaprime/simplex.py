@@ -19,18 +19,28 @@ entries stay minors of the integer input), and the true tableau is T/delta
 throughout. Python ints make this ~30x faster than a Fraction tableau.
 
 A pivot touches only the entries the update can change, and the skipped
-ones keep exactly the integers the full update would give. When
-T[r][c] == delta, as in most pivots, v*T[r][c]//delta == v, so a row with
-T[i][c] == 0 keeps every entry, and a row with T[i][c] != 0 changes only in
-the columns where the pivot row is nonzero. Otherwise every row is rescaled,
-but a position where both T[i][j] and T[r][j] are zero stays zero. A
-negative pivot is handled by negating the pivot row first, which negates the
-update of every other row and keeps delta positive.
+ones keep exactly the integers the full update would give. A negative pivot
+is handled by negating the pivot row first, which negates the update of
+every other row and keeps delta positive. Then when T[r][c] == delta, as in
+most pivots (the dual simplex's negative ones included),
+v*T[r][c]//delta == v, so a row with T[i][c] == 0 keeps every entry, and a
+row with T[i][c] != 0 changes only in the columns where the pivot row is
+nonzero. Otherwise every row is rescaled, but a position where both T[i][j]
+and T[r][j] are zero stays zero.
 
 Pivot choice is Dantzig's rule with deterministic lowest-index tie-breaks,
 falling back to Bland's rule permanently once the objective stalls, which
 restores the termination guarantee on degenerate problems. Rows with negative
 right-hand sides get phase-1 artificials.
+
+One tableau can grow after phase 1, for an LP too large to write out whose
+rows or columns a caller lists as they are needed: add_row appends a row in
+the current basis with its slack basic, and dual_run, a dual simplex with
+the same rule and fallback, restores feasibility; add_column appends a
+column as B^-1 a, read off the slack columns, for the primal simplex to go
+on. Both give exactly the integers of a tableau built with the row or column
+from the start and pivoted into the same basis. solve_canonical and
+walk_canonical grow their tableau through callbacks (cuts, columns).
 
 walk_canonical solves a whole family min (c0 + lam*c1).x over lam in [0, 1]
 in one tableau (parametric cost ranging): the tableau carries a second cost
@@ -89,6 +99,16 @@ def _scaled(v, s):
     return v.numerator * (s // v.denominator)
 
 
+def _entries(coeffs, hi, what, index):
+    """coeffs as (index, exact value) pairs, each index once and in [0, hi)."""
+    a = [(j, _exact(v)) for j, v in coeffs]
+    if len({j for j, _ in a}) < len(a):
+        raise ValueError("%s repeats a %s" % (what, index))
+    if not all(0 <= j < hi for j, _ in a):
+        raise ValueError("%s has a %s outside [0, %d)" % (what, index, hi))
+    return a
+
+
 class _Tableau:
     def __init__(self, c, rows, b, slope=None):
         nrows, nvars = len(rows), len(c)
@@ -109,11 +129,7 @@ class _Tableau:
         self.basis = []
         next_art = self.art_start
         for i, coeffs in enumerate(rows):
-            a = [(j, _exact(v)) for j, v in coeffs]
-            if len({j for j, _ in a}) < len(a):
-                raise ValueError("row %d repeats a column" % i)
-            if not all(0 <= j < nvars for j, _ in a):
-                raise ValueError("row %d has a column outside [0, %d)" % (i, nvars))
+            a = _entries(coeffs, nvars, "row %d" % i, "column")
             s = lcm(b[i].denominator, *(v.denominator for _, v in a))
             self.row_scale.append(s)
             # rows with negative rhs are negated and get a phase-1 artificial
@@ -158,6 +174,11 @@ class _Tableau:
         if piv == 0:
             raise SimplexError("zero pivot")
         delta = self.delta
+        if piv < 0:
+            # negate the pivot row first: the update below then yields every
+            # other row negated too, and delta stays positive
+            tr[:] = [-t for t in tr]
+            piv = -piv
         if piv == delta:
             # only the pivot row's nonzero columns of rows with f != 0 change;
             # (v*delta - f*t)//delta is exact, so it equals v - f*t//delta
@@ -168,11 +189,6 @@ class _Tableau:
                     for j, t in nz:
                         row[j] -= f * t // delta
         else:
-            if piv < 0:
-                # negate the pivot row first: the update below then yields
-                # every other row negated too, and delta stays positive
-                tr[:] = [-t for t in tr]
-                piv = -piv
             for row in self._all_rows():
                 if row is tr:
                     continue
@@ -271,6 +287,137 @@ class _Tableau:
             self.rhs_col = self.art_start
         self._run(self.z, self.nvars + self.nrows)
 
+    # -- growth ---------------------------------------------------------
+
+    def _after_phase_one(self):
+        # the columns are then the structural ones, one slack per row, rhs
+        if self.rhs_col != self.nvars + self.nrows:
+            raise SimplexError("the tableau grows only after phase 1")
+
+    def add_row(self, coeffs, bi):
+        """Append the row coeffs.x <= bi with its new slack basic.
+
+        The row is scaled by the lcm s of its denominators and written in the
+        current basis: with a_j its coefficients and r_j the row where column
+        j is basic, the fraction-free row is s*(delta*a - sum_j a_j*T[r_j])
+        over the basic structural columns j, delta in its own slack column,
+        and s*(delta*bi - sum_j a_j*T[r_j][rhs]) = s*delta*(bi - a.x) on the
+        right. It is zero on every basic column, so it is the row a tableau
+        built with it from the start would show in this basis, and its
+        right-hand side is negative exactly when the vertex breaks it.
+        """
+        self._after_phase_one()
+        a = _entries(coeffs, self.nvars, "row %d" % self.nrows, "column")
+        bi = _exact(bi)
+        s = lcm(bi.denominator, *(v.denominator for _, v in a))
+        slack = self.rhs_col
+        for row in self._all_rows():
+            row.insert(slack, 0)
+        self.rhs_col += 1
+        delta = self.delta
+        new = [0] * (self.rhs_col + 1)
+        where = {col: r for r, col in enumerate(self.basis)}
+        for j, v in a:
+            v = _scaled(v, s)
+            new[j] += delta * v
+            r = where.get(j)
+            if r is not None:  # cancels new[j] and leaves j's basic row behind
+                for k, t in enumerate(self.T[r]):
+                    if t:
+                        new[k] -= v * t
+        new[slack] = delta
+        new[self.rhs_col] += delta * _scaled(bi, s)
+        self.T.append(new)
+        self.basis.append(slack)
+        self.row_scale.append(s)
+        self.nrows += 1
+
+    def add_column(self, cost, coeffs):
+        """Append a structural column of the given cost, its entries given
+        as (row, coefficient) pairs, after the last structural column.
+
+        In every row the column is B^-1 a, read off the slack columns: row i
+        was scaled by s_i, so the column's entries are s_i*a_i in the
+        starting tableau, where slack i's column is the unit vector (up to
+        the row's sign), and by linearity its fraction-free column today is
+        sum_i s_i*a_i*T[.][slack i]; the cost row adds delta*sigma_c*cost.
+        Every s_i*a_i and sigma_c*cost must be an integer: the row scales are
+        fixed when the tableau is built.
+        """
+        self._after_phase_one()
+        a = _entries(coeffs, self.nrows, "column %d" % self.nvars, "row")
+        cost = _exact(cost)
+        if any(self.row_scale[i] % v.denominator for i, v in a) or \
+                self.sigma_c % cost.denominator:
+            raise ValueError("column %d is not integral over the row scales"
+                             % self.nvars)
+        a = [(self.nvars + i, _scaled(v, self.row_scale[i])) for i, v in a]
+        for row in self._all_rows():
+            v = sum(t * row[k] for k, t in a)
+            if row is self.z:
+                v += self.delta * _scaled(cost, self.sigma_c)
+            row.insert(self.nvars, v)
+        self.basis = [col + (col >= self.nvars) for col in self.basis]
+        self.nvars += 1
+        self.rhs_col += 1
+
+    def dual_run(self, lam=Fraction(0)):
+        """Dual simplex at lam: pivot until no right-hand side is negative,
+        keeping every reduced cost z0 + lam*z1 at lam >= 0.
+
+        The leaving row is the most negative right-hand side, lowest basic
+        index on ties; the entering column minimizes the ratio of its reduced
+        cost at lam to -T[r][j] over T[r][j] < 0, lowest index on ties. No
+        such column means the rows have no feasible point.
+
+        Termination: a pivot with a positive ratio strictly raises the
+        objective at lam, and no basis recurs across such a rise. Once the
+        objective stalls for longer than _run allows, the leaving row is the
+        infeasible one with the lowest basic index instead, for good: that is
+        Bland's rule for the dual, which cannot cycle.
+        """
+        p, q = lam.numerator, lam.denominator
+        z, z1, T = self.z, self.z1, self.T
+        rhs = self.rhs_col
+
+        def reduced(j):
+            return z[j] * q + z1[j] * p if z1 is not None else z[j]
+
+        stall = 0
+        stall_limit = 3 * (self.nrows + self.nvars) + 20
+        bland = False
+        last_obj = (reduced(rhs), self.delta)
+        while True:
+            r = None
+            for i in range(self.nrows):
+                v = T[i][rhs]
+                if v < 0 and (r is None or (
+                        self.basis[i] < self.basis[r] if bland or v == T[r][rhs]
+                        else v < T[r][rhs])):
+                    r = i
+            if r is None:
+                return
+            tr = T[r]
+            col = best_d = best_a = None
+            for j in range(self.nvars + self.nrows):
+                a = tr[j]
+                if a < 0:
+                    d = reduced(j)
+                    # d/-a < best_d/-best_a, cross-multiplied
+                    if col is None or d * best_a > best_d * a:
+                        col, best_d, best_a = j, d, a
+            if col is None:
+                raise Infeasible("row %d cannot be made feasible" % r)
+            self.pivot(r, col)
+            cur = (reduced(rhs), self.delta)
+            if cur[0] * last_obj[1] == last_obj[0] * cur[1]:
+                stall += 1
+                if stall > stall_limit:
+                    bland = True
+            else:
+                stall = 0
+                last_obj = cur
+
     # -- extraction -----------------------------------------------------
 
     def _x(self):
@@ -295,19 +442,54 @@ class _Tableau:
         return SimplexResult(self._x(), value, self._duals(), self.pivots)
 
 
-def solve_canonical(c, rows, b) -> SimplexResult:
+def _cut(tab, new, lam=Fraction(0)):
+    """Append the rows new, each (coeffs, bi), that tab's vertex breaks,
+    then restore feasibility by the dual simplex at lam."""
+    for coeffs, bi in new:
+        tab.add_row(coeffs, bi)
+        if tab.T[-1][tab.rhs_col] >= 0:
+            raise SimplexError("row %d does not cut off the vertex" % (tab.nrows - 1))
+    tab.dual_run(lam)
+
+
+def solve_canonical(c, rows, b, cuts=None, columns=None) -> SimplexResult:
     """min c.x subject to A x <= b, x >= 0; exact rationals throughout.
 
     rows[i] lists the nonzeros of row i of A as (column, coefficient) pairs.
+
+    cuts and columns let a caller start from part of a larger LP and grow
+    it in the one tableau. At each optimum x, cuts(x) lists rows
+    (coeffs, bi) that x breaks: they are appended with their slacks basic
+    (add_row), and the dual simplex restores feasibility. Once it lists
+    none, columns(dual_ub) lists columns (cost, coeffs), coeffs over the
+    rows so far as (row, coefficient) pairs, of negative reduced cost: they
+    are appended (add_column), and the primal simplex goes on. When neither
+    lists anything the tableau is optimal for every row and column it holds.
+    x then has one entry per column and dual_ub one per row, each in the
+    order added, and pivots counts every pivot of the tableau. A listed row
+    that x satisfies, or a listed column that does not price out, raises
+    SimplexError: the loop would not move.
     """
     if len(rows) != len(b):
         raise ValueError("rows and b disagree on row count")
     tab = _Tableau(c, rows, b)
     tab.solve()
-    return tab.result()
+    while True:
+        new = cuts(tab._x()) if cuts is not None else ()
+        if new:
+            _cut(tab, new)
+            continue
+        new = columns(tab._duals()) if columns is not None else ()
+        if not new:
+            return tab.result()
+        for cost, coeffs in new:
+            tab.add_column(cost, coeffs)
+            if tab.z[tab.nvars - 1] >= 0:
+                raise SimplexError("column %d does not price out" % (tab.nvars - 1))
+        tab._run(tab.z, tab.nvars + tab.nrows)
 
 
-def walk_canonical(c0, c1, rows, b):
+def walk_canonical(c0, c1, rows, b, cuts=None):
     """The optimal vertices of min (c0 + lam*c1).x s.t. A x <= b, x >= 0 as
     lam runs over [0, 1], in order: one VertexRange per vertex that is
     optimal on an interval of positive width. Their intervals tile [0, 1].
@@ -327,6 +509,15 @@ def walk_canonical(c0, c1, rows, b):
     a column with z1[j] < 0, so one that moves x strictly lowers c1.x, and
     the slope c1.x strictly falls from range to range.
 
+    cuts grows the LP during the walk, as in solve_canonical: each new
+    vertex x, before it becomes a range, is handed to cuts(x). The rows it
+    breaks are appended and the dual simplex at lo, with its ratio test on
+    z0 + lo*z1, restores feasibility while keeping the basis optimal at lo;
+    the walk then goes on from lo. Every range's vertex so satisfies every
+    row cuts could list, and is optimal for the rows held on its range. A
+    dual has one entry per row held when it was computed, in the order
+    added.
+
     Termination under degeneracy: pivoting in a column of zero reduced cost
     at lam keeps every reduced cost at lam, so while hi == lo the candidates
     are exactly the columns of zero reduced cost at lo with z1[j] < 0. Taking
@@ -334,7 +525,9 @@ def walk_canonical(c0, c1, rows, b):
     tie-break, is Bland's rule for min c1.x over the face of lo-optimal
     points, which cannot cycle; it ends at a basis whose hi exceeds lo. lam
     never decreases, and a basis once left at hi is not optimal beyond hi,
-    so no basis repeats.
+    so no basis repeats while the rows stay the same. Each call of cuts
+    appends at least one row the vertex breaks, so not one the tableau
+    holds: from a finite family of rows that happens finitely often.
     """
     if len(rows) != len(b) or len(c0) != len(c1):
         raise ValueError("rows, b, c0 and c1 disagree on their lengths")
@@ -342,12 +535,11 @@ def walk_canonical(c0, c1, rows, b):
         raise ValueError("the slack basis must be optimal at lam = 0")
     tab = _Tableau(c0, rows, b, slope=c1)
     z0, z1 = tab.z, tab.z1
-    ncols = tab.nvars + tab.nrows
     lo = Fraction(0)
     cur = None  # the vertex being walked; its hi is not known yet
     while True:
         col = None
-        for j in range(ncols):
+        for j in range(tab.nvars + tab.nrows):
             # z0[j]/-z1[j] < z0[col]/-z1[col], cross-multiplied
             if z1[j] < 0 and (col is None or z0[j] * z1[col] > z0[col] * z1[j]):
                 col = j
@@ -357,6 +549,10 @@ def walk_canonical(c0, c1, rows, b):
         if hi > lo:
             x = tab._x()
             if cur is None or x != cur.x:
+                new = cuts(x) if cuts is not None else ()
+                if new:
+                    _cut(tab, new, lo)
+                    continue
                 y = tab._duals(lo)
                 if cur is not None:
                     cur.dual_ub[lo] = y

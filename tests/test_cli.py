@@ -1,5 +1,7 @@
 """End-to-end command-line runs."""
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
@@ -8,8 +10,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from lambdaprime import cli, serialize
 from lambdaprime.cli import build_parser, main
-from lambdaprime.graphs import gen_path, gen_ring, load_graph, save_graph
+from lambdaprime.graphs import (format_edgelist, gen_path, gen_ring, gen_star,
+                                load_graph, save_graph)
 from lambdaprime.lp import lp_curve, solve_lp
 from lambdaprime.objectives import CostLine
 from lambdaprime.rationals import GUARD
@@ -335,6 +339,66 @@ def test_curve_exact_outputs(tmp_path):
     samples = (tmp_path / "curve.samples.csv").read_text().splitlines()
     assert samples[0] == "lambda,value"
     assert len(samples) >= 12
+
+
+@pytest.mark.parametrize("argv, g", [
+    (["gen", "ring", "--k", "3"], gen_ring(3)),
+    (["gen", "star", "--n", "5"], gen_star(5)),
+], ids=["ring", "star"])
+def test_gen_writes_atomically(tmp_path, monkeypatch, argv, g):
+    # a write that fails before its rename leaves the old file whole and no
+    # temporary file behind
+    out = tmp_path / "g.txt"
+    out.write_text("old\n")
+
+    def crash(src, dst):
+        raise OSError("disk full")
+
+    with monkeypatch.context() as m:
+        m.setattr(serialize.os, "replace", crash)
+        assert main(argv + ["--out", str(out)]) == 3
+    assert out.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["g.txt"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_text() == format_edgelist(g)
+
+
+def _run(entry, argv):
+    """(exit code, stdout) of entry(argv), an argparse exit included."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            rc = entry(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, out.getvalue()
+
+
+def _fresh_main(argv):
+    """main with a parser of its own, as every call once built it."""
+    args = build_parser().parse_args(argv)
+    return args.func(args)
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    builds = []
+    real = cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    runs = [["bounds", "ring", "--k", "3", "--p", "1.1"],
+            ["bounds", "ring", "--k", "three", "--p", "1.1"],  # exit 2
+            ["verify", "ring", "--k", "3", "--grid", "5"]]
+    got = [_run(main, argv) for argv in runs]
+    capsys.readouterr()  # argparse's usage message on stderr
+    assert got == [_run(_fresh_main, argv) for argv in runs]
+    assert [rc for rc, _ in got] == [0, 2, 0]
+    assert builds == [1]
+    cli._parser.cache_clear()
 
 
 @pytest.mark.parametrize("grid", ["0", "-2"])

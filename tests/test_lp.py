@@ -141,12 +141,13 @@ def test_check_solution_rejects_entries_outside_the_box(x, match):
 def test_dual_infeasible_certificate_rejected(monkeypatch):
     real = lp_module.solve_canonical
 
-    def forged(c, rows, b):
-        res = real(c, rows, b)
+    def forged(c, rows, b, **grow):
+        res = real(c, rows, b, **grow)
         dual_ub = list(res.dual_ub)
-        # triangle row 0 has rhs 0, so b.y (strong duality) is unchanged
-        # while A^T y exceeds c on two pairs
-        dual_ub[0] -= 10
+        # the last row is a triangle cut with rhs 0, so b.y (strong duality)
+        # is unchanged while A^T y exceeds c on two pairs
+        assert len(dual_ub) > len(c)
+        dual_ub[-1] -= 10
         return dataclasses.replace(res, dual_ub=dual_ub)
 
     monkeypatch.setattr(lp_module, "solve_canonical", forged)
@@ -240,11 +241,11 @@ def test_feasible_but_not_optimal_x_rejected(monkeypatch):
     real_solve = lp_module.solve_canonical
     real_walk = lp_module.walk_canonical
 
-    def forged_solve(c, rows, b):
-        return dataclasses.replace(real_solve(c, rows, b), x=ones)
+    def forged_solve(c, rows, b, **grow):
+        return dataclasses.replace(real_solve(c, rows, b, **grow), x=ones)
 
-    def forged_walk(*args):
-        ranges = list(real_walk(*args))
+    def forged_walk(*args, **grow):
+        ranges = list(real_walk(*args, **grow))
         first, last = ranges[0], ranges[-1]
         # one vertex range over [0, 1] with the real duals at both ends
         yield first._replace(hi=Fraction(1), x=ones, dual_ub={
@@ -363,13 +364,13 @@ def test_corrupted_curve_dual_rejected(monkeypatch, where):
            "breakpoint": lp_curve(g).breakpoints[0]}[where]
     real = lp_module.walk_canonical
 
-    def forged(*args):
-        for rng in real(*args):
+    def forged(*args, **grow):
+        for rng in real(*args, **grow):
             if lam in rng.dual_ub:
-                # triangle row 0 has rhs 0, so b.y is unchanged while A^T y
-                # exceeds c on two pairs
+                # one marginal 10 lower: on a box row b.y moves, on a triangle
+                # cut (rhs 0) A^T y exceeds c on two pairs
                 y = list(rng.dual_ub[lam])
-                y[0] -= 10
+                y[-1] -= 10
                 rng.dual_ub[lam] = y
             yield rng
 
@@ -387,8 +388,8 @@ def test_walk_missing_a_piece_rejected(monkeypatch):
     _, idx = lp_module.pair_index(g.n)
     real = lp_module.walk_canonical
 
-    def forged(*args):
-        for rng in real(*args):
+    def forged(*args, **grow):
+        for rng in real(*args, **grow):
             if lp_module._line_of_x(g, rng.x, idx) != CostLine(Fraction(8, 3), 8):
                 yield rng
 
@@ -403,10 +404,9 @@ def test_walk_stretching_a_range_rejected(monkeypatch):
     g = gen_ring(3)
     real = lp_module.walk_canonical
 
-    def forged(*args):
-        ranges = list(real(*args))
-        if len(ranges) > 1:  # the box-only first walk has a single range
-            ranges[:2] = [ranges[0]._replace(hi=ranges[1].hi)]
+    def forged(*args, **grow):
+        ranges = list(real(*args, **grow))
+        ranges[:2] = [ranges[0]._replace(hi=ranges[1].hi)]
         yield from ranges
 
     monkeypatch.setattr(lp_module, "walk_canonical", forged)
@@ -415,7 +415,7 @@ def test_walk_stretching_a_range_rejected(monkeypatch):
 
 
 def test_empty_walk_rejected(monkeypatch):
-    monkeypatch.setattr(lp_module, "walk_canonical", lambda *args: iter(()))
+    monkeypatch.setattr(lp_module, "walk_canonical", lambda *args, **grow: iter(()))
     with pytest.raises(ValueError, match="at least one piece"):
         lp_curve(gen_ring(3))
 
@@ -442,25 +442,37 @@ def test_pivot_path_is_pinned(corpus, name, lam, pivots):
     assert simplex.solve_canonical(prob.c, prob.rows, prob.b).pivots == pivots
 
 
-@pytest.mark.parametrize("name, lam, rounds, kept, pivots", [
-    ("gnp7_05", Fraction(1, 5), 2, 18, 14),
-    ("gnp7_05", Fraction(1, 3), 2, 18, 16),
-    ("gnp8_03", Fraction(1, 5), 2, 16, 35),
-    ("gnp8_03", Fraction(1, 3), 2, 16, 39),
+def _recording_cuts(cuts, appended):
+    """cuts, noting how many rows each call lists."""
+    def recorded(x):
+        new = cuts(x)
+        appended.append(len(new))
+        return new
+    return recorded
+
+
+@pytest.mark.parametrize("name, lam, cut_calls, kept, pivots", [
+    ("gnp7_05", Fraction(1, 5), 2, 18, 15),
+    ("gnp7_05", Fraction(1, 3), 2, 18, 18),
+    ("gnp8_03", Fraction(1, 5), 2, 16, 27),
+    ("gnp8_03", Fraction(1, 3), 2, 16, 30),
 ])
-def test_lazy_solve_is_pinned(corpus, monkeypatch, name, lam, rounds, kept, pivots):
-    # solve_lp's cutting-plane loop: its rounds, the triangle rows of the
-    # last round, and the pivots summed over every round
-    solved = []
+def test_lazy_solve_is_pinned(corpus, monkeypatch, name, lam, cut_calls, kept, pivots):
+    # solve_lp's one growing tableau: one solve, the calls of its cuts (the
+    # last lists nothing), the triangle rows appended, and every pivot
+    solves, appended = [], []
     real = lp_module.solve_canonical
 
-    def recording(c, rows, b):
-        solved.append(len(rows) - len(c))
-        return real(c, rows, b)
+    def recording(c, rows, b, cuts):
+        solves.append(len(rows))
+        return real(c, rows, b, cuts=_recording_cuts(cuts, appended))
 
     monkeypatch.setattr(lp_module, "solve_canonical", recording)
-    sol = solve_lp(dict(corpus)[name], lam)
-    assert (len(solved), solved[-1], sol.pivots) == (rounds, kept, pivots)
+    g = dict(corpus)[name]
+    sol = solve_lp(g, lam)
+    assert solves == [g.n * (g.n - 1) // 2]  # the box rows
+    assert (len(appended), appended[-1], sum(appended), sol.pivots) == (
+        cut_calls, 0, kept, pivots)
 
 
 def _count_pivots(monkeypatch):
@@ -490,21 +502,23 @@ def test_ring8_walk_pivots_are_pinned(monkeypatch):
 
 
 def test_ring8_lazy_walk_is_pinned(monkeypatch):
-    # lp_curve's cutting-plane loop: box rows only, then the violated rows
+    # lp_curve's one walk: from the 28 box rows, cut at each new vertex
     calls = _count_pivots(monkeypatch)
-    walked = []
+    walked, appended = [], []
     real = lp_module.walk_canonical
 
-    def recording(c0, c1, rows, b):
+    def recording(c0, c1, rows, b, cuts):
         walked.append(len(rows))
-        return real(c0, c1, rows, b)
+        return real(c0, c1, rows, b, cuts=_recording_cuts(cuts, appended))
 
     monkeypatch.setattr(lp_module, "walk_canonical", recording)
     c = lp_curve(gen_ring(3))
-    assert len(walked) == 3  # rounds
-    assert walked[-1] == 32 + 28  # 32 of 168 triangle rows, 28 box rows
-    assert len(calls) == 114  # over all three walks
-    assert [p.tag.pivots for p in c.pieces] == [31, 37, 51, 64]
+    assert walked == [28]
+    # two cuts at lam = 0, then none at the four ranges' vertices
+    assert appended == [8, 24, 0, 0, 0, 0]
+    assert sum(appended) == 32  # of 168 triangle rows
+    assert len(calls) == 76
+    assert [p.tag.pivots for p in c.pieces] == [40, 46, 60, 73]
 
 
 def test_lazy_curve_matches_the_full_walk(corpus, cache):
@@ -519,7 +533,7 @@ def test_lazy_curve_matches_the_full_walk(corpus, cache):
 def test_curve_without_separation_rejected(monkeypatch):
     # with no row ever added, the walk stops at its box-only vertices, which
     # break triangle rows: the proof against the full LP must refuse them
-    monkeypatch.setattr(lp_module, "_separate", lambda points, prob: set())
+    monkeypatch.setattr(lp_module, "_separate", lambda x, prob: [])
     with pytest.raises(ValueError, match="triangle inequality fails"):
         lp_curve(gen_ring(3))
 
@@ -527,7 +541,7 @@ def test_curve_without_separation_rejected(monkeypatch):
 def test_solve_without_separation_rejected(monkeypatch):
     # with no row ever added, solve_lp stops at its box-only vertex, which
     # breaks triangle rows: the proof against the full LP must refuse it
-    monkeypatch.setattr(lp_module, "_separate", lambda points, prob: set())
+    monkeypatch.setattr(lp_module, "_separate", lambda x, prob: [])
     with pytest.raises(ValueError, match="triangle inequality fails"):
         solve_lp(gen_ring(3), Fraction(1, 5))
 

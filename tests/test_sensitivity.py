@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from lambdaprime import lp as lp_module
 from lambdaprime import sensitivity
 from lambdaprime.graphs import gen_gnp, gen_ring, gen_star
 from lambdaprime.lp import lp_curve, pair_index, solve_lp
@@ -261,11 +260,18 @@ def test_orlp_in_lambda_matches_orlp_in_theta(corpus):
 def test_orlp_lp_pair_rows_are_integer(monkeypatch):
     # the LP in lambda: the pair rows carry integer data with right-hand
     # side [p in E] >= 0, and only the epsilon row may need an artificial
-    seen = []
+    # side [p in E] >= 0, and only the epsilon row may need an artificial;
+    # every priced column is integer, with cost 0, on the pair rows alone
+    seen, priced = [], []
 
-    def capture(c, rows, b):
+    def capture(c, rows, b, columns):
         seen.append((c, rows, b))
-        return solve_canonical(c, rows, b)
+
+        def recorded(dual_ub):
+            new = columns(dual_ub)
+            priced.extend(new)
+            return new
+        return solve_canonical(c, rows, b, columns=recorded)
 
     monkeypatch.setattr(sensitivity, "solve_canonical", capture)
     g = gen_gnp(7, 0.5, seed=2)
@@ -274,46 +280,45 @@ def test_orlp_lp_pair_rows_are_integer(monkeypatch):
     on_edge = [int(g.has_edge(*p)) for p in pair_index(g.n)[0]]
     for eps in (0, Fraction(1, 2)):
         eps_range(sol, lam0, eps, g)
-    assert len(seen) == 8  # four orlp calls, pricing rounds included
+    assert len(seen) == 4  # one LP per orlp call
     for c, rows, b in seen:
         assert all(type(v) is int for v in c)
         assert list(b[:len(on_edge)]) == on_edge
         for row in rows[:len(on_edge)]:
             assert all(type(v) is int for _, v in row)
         assert sum(bi < 0 for bi in b) <= 1
-
-
-def _all_columns(prob, run, kept):
-    """In place of orlp's column generation: its LP over every column."""
-    keep = list(range(prob.num_rows))
-    return run(keep)[0], keep
+    assert len(priced) == 34
+    for cost, coeffs in priced:
+        assert cost == 0 and type(cost) is int
+        assert all(type(v) is int and 0 <= p < len(on_edge) for p, v in coeffs)
 
 
 def test_column_generation_matches_every_column(corpus, monkeypatch):
-    solves = []
-    real = sensitivity.solve_canonical
+    # the one tableau grown by pricing against _orlp_in_theta, the LP over
+    # every column: theta and the clamp in both directions
+    priced = []
+    real = sensitivity._separate
 
-    def counted(c, rows, b):
-        solves.append(len(c))
-        return real(c, rows, b)
+    def counted(w, prob):
+        new = real(w, prob)
+        priced.append(len(new))
+        return new
 
-    monkeypatch.setattr(sensitivity, "solve_canonical", counted)
+    monkeypatch.setattr(sensitivity, "_separate", counted)
     graphs = [g for _, g in corpus if g.n <= 8]
     assert len(graphs) == 24
-    most_rounds = 0
+    most_priced = 0
     for g in graphs:
         for lam0 in (Fraction(1, 5), Fraction(3, 5)):
             sol = solve_lp(g, lam0)
             for eps in (0, Fraction(1, 2)):
                 for objective in ("lamprime", "lamcc"):
                     for s in (1, -1):
-                        solves.clear()
+                        priced.clear()
                         got = orlp(sol, s, lam0, eps, g, objective)
-                        most_rounds = max(most_rounds, len(solves))
-                        with monkeypatch.context() as m:
-                            m.setattr(sensitivity, "_cutting_planes", _all_columns)
-                            assert got == orlp(sol, s, lam0, eps, g, objective)
-    assert most_rounds > 1
+                        most_priced = max(most_priced, sum(priced))
+                        assert got == _orlp_in_theta(sol, s, lam0, eps, g, objective)
+    assert most_priced > 0
 
 
 def test_orlp_without_pricing_falls_short(corpus, monkeypatch):
@@ -323,7 +328,7 @@ def test_orlp_without_pricing_falls_short(corpus, monkeypatch):
              for lam0 in (Fraction(1, 5), Fraction(3, 5))]
     exact = [orlp(sol, s, lam0, Fraction(1, 2), g)[0]
              for g, lam0, sol in calls for s in (1, -1)]
-    monkeypatch.setattr(lp_module, "_separate", lambda points, prob: set())
+    monkeypatch.setattr(sensitivity, "_separate", lambda w, prob: [])
     unpriced = [orlp(sol, s, lam0, Fraction(1, 2), g)[0]
                 for g, lam0, sol in calls for s in (1, -1)]
     assert all(t <= e for t, e in zip(unpriced, exact))

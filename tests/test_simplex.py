@@ -348,3 +348,213 @@ def test_pivot_matches_dense_bareiss_update(monkeypatch):
         c0, c1, A, b = _random_walk_lp(random.Random(2000 + seed))
         list(walk_canonical(c0, c1, _rows(A), b))
     assert branches == {"piv < 0", "piv != delta", "piv == delta, some f == 0"}
+
+
+# -- growing one tableau: appended rows and columns ----------------------
+
+
+def _rebuilt(given, basis):
+    """The tableau built from scratch on given = [c, rows, b, slope] and
+    pivoted into basis, artificial columns dropped as phase 1 drops them."""
+    c, rows, b, slope = given
+    ref = _Tableau(c, rows, b, slope=slope)
+    for col in basis:
+        if col not in ref.basis:
+            # basis is nonsingular, so some row whose basic column leaves
+            # has a nonzero entry in col
+            r = next(i for i, bv in enumerate(ref.basis)
+                     if bv not in basis and ref.T[i][col])
+            ref.pivot(r, col)
+    for row in ref._all_rows():
+        del row[ref.art_start:ref.rhs_col]
+    return ref
+
+
+def _assert_rebuilt(tab):
+    ref = _rebuilt(tab.given, tab.basis)
+    assert dict(zip(tab.basis, tab.T)) == dict(zip(ref.basis, ref.T))
+    assert (tab.z, tab.z1, tab.delta, tab.row_scale) == (
+        ref.z, ref.z1, ref.delta, ref.row_scale)
+
+
+@pytest.fixture
+def growth_checked(monkeypatch):
+    """Checks every appended row and column against the tableau rebuilt
+    from scratch on the same rows and columns in the same basis; returns
+    the kinds appended. Each tableau records what it was given."""
+    appended = []
+    real_init, real_row, real_col = (
+        _Tableau.__init__, _Tableau.add_row, _Tableau.add_column)
+
+    def init(tab, c, rows, b, slope=None):
+        real_init(tab, c, rows, b, slope)
+        tab.given = [list(c), [list(row) for row in rows], list(b), slope]
+
+    def add_row(tab, coeffs, bi):
+        real_row(tab, coeffs, bi)
+        # a row with bi < 0 would start negated, with an artificial
+        assert bi >= 0
+        tab.given[1].append(list(coeffs))
+        tab.given[2].append(bi)
+        _assert_rebuilt(tab)
+        appended.append("row")
+
+    def add_column(tab, cost, coeffs):
+        j = tab.nvars
+        real_col(tab, cost, coeffs)
+        tab.given[0].append(cost)
+        for i, v in coeffs:
+            tab.given[1][i].append((j, v))
+        _assert_rebuilt(tab)
+        appended.append("column")
+
+    monkeypatch.setattr(_Tableau, "__init__", init)
+    monkeypatch.setattr(_Tableau, "add_row", add_row)
+    monkeypatch.setattr(_Tableau, "add_column", add_column)
+    return appended
+
+
+def test_grown_tableau_equals_the_rebuilt_one(corpus, growth_checked):
+    from lambdaprime.lp import lp_curve, solve_lp
+    from lambdaprime.sensitivity import eps_range
+
+    for name, g in corpus:
+        if g.n > 6:
+            continue
+        lam = Fraction(1, 3)
+        sol = solve_lp(g, lam)
+        eps_range(sol, lam, Fraction(1, 2), g)
+        lp_curve(g)
+    assert set(growth_checked) == {"row", "column"}
+
+
+def _random_cut_lp(rng):
+    """c, A, b with every x in [0, 2] feasible for A's first rows, and more
+    rows (b >= 0, so x = 0 stays feasible) held back as cuts."""
+    nvars = rng.randint(2, 5)
+    A = [[int(i == j) for i in range(nvars)] for j in range(nvars)]
+    b = [2] * nvars
+    cuts = []
+    for _ in range(rng.randint(1, 6)):
+        row = [Fraction(rng.randint(-3, 4), rng.randint(1, 3)) for _ in range(nvars)]
+        cuts.append((row, Fraction(rng.randint(0, 6), rng.randint(1, 2))))
+    c = [Fraction(rng.randint(-6, 2), rng.randint(1, 3)) for _ in range(nvars)]
+    return c, A, b, cuts
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_solve_with_cuts_matches_every_row(seed, growth_checked):
+    # rows held back until a vertex breaks them: the dual simplex must land
+    # on the optimum of the LP over every row
+    c, A, b, cuts = _random_cut_lp(random.Random(5000 + seed))
+    held = []
+
+    def violated(x):
+        new = [(row, bi) for row, bi in cuts
+               if (row, bi) not in held and _dot(row, x) > bi]
+        held.extend(new)
+        return [(_rows([row])[0], bi) for row, bi in new]
+
+    res = solve_canonical(c, _rows(A), b, cuts=violated)
+    full = solve_canonical(c, _rows(A + [row for row, _ in cuts]),
+                           b + [bi for _, bi in cuts])
+    assert res.value == full.value
+    assert len(res.dual_ub) == len(A) + len(held)
+    rows = A + [row for row, _ in held]
+    _assert_certificate(rows, b + [bi for _, bi in held], c, res.x, res.dual_ub)
+    assert all(_dot(row, res.x) <= bi for row, bi in cuts)
+
+
+def test_cut_that_empties_the_lp_is_infeasible():
+    # x >= 1 by phase 1, then the cut x <= 1/2
+    with pytest.raises(Infeasible):
+        solve_canonical([1], _rows([[-1]]), [-1],
+                        cuts=lambda x: [(((0, 1),), Fraction(1, 2))])
+
+
+def test_listing_a_row_the_vertex_keeps_is_refused():
+    with pytest.raises(SimplexError, match="does not cut off"):
+        solve_canonical([-1], _rows([[1]]), [1], cuts=lambda x: [(((0, 1),), 2)])
+    with pytest.raises(SimplexError, match="does not cut off"):
+        list(walk_canonical([0], [-1], _rows([[1]]), [1],
+                            cuts=lambda x: [(((0, 1),), 1)]))
+
+
+def test_listing_a_column_that_does_not_price_out_is_refused():
+    with pytest.raises(SimplexError, match="does not price out"):
+        solve_canonical([-1], _rows([[1]]), [1],
+                        columns=lambda dual_ub: [(5, ((0, 1),))])
+
+
+def test_tableau_grows_only_after_phase_one():
+    tab = _Tableau([1], _rows([[-1]]), [-1])
+    with pytest.raises(SimplexError, match="after phase 1"):
+        tab.add_row(((0, 1),), 3)
+    tab.solve()
+    tab.add_row(((0, 1),), 3)
+    assert tab.nrows == 2
+
+
+def test_column_needs_integral_entries_over_the_row_scales():
+    tab = _Tableau([1], [((0, Fraction(1, 2)),)], [1])  # row scale 2
+    tab.solve()
+    with pytest.raises(ValueError, match="not integral"):
+        tab.add_column(0, ((0, Fraction(1, 3)),))
+    tab.add_column(0, ((0, Fraction(1, 2)),))
+    assert tab.nvars == 2
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_walk_with_cuts_matches_every_row(seed, growth_checked):
+    # the walk from the box rows alone, each other row held back until a
+    # vertex breaks it: the dual simplex at lo keeps every piece's line
+    c0, c1, A, b = _random_walk_lp(random.Random(2000 + seed))
+    nbox = len(c0)
+    cuts, box = list(zip(A[:-nbox], b[:-nbox])), A[-nbox:]
+    held = []
+
+    def violated(x):
+        new = [(row, bi) for row, bi in cuts
+               if (row, bi) not in held and _dot(row, x) > bi]
+        held.extend(new)
+        return [(_rows([row])[0], bi) for row, bi in new]
+
+    def pieces(ranges):
+        return [(r.lo, r.hi, _dot(c0, r.x), _dot(c1, r.x)) for r in ranges]
+
+    ranges = list(walk_canonical(c0, c1, _rows(box), [1] * nbox, cuts=violated))
+    assert pieces(ranges) == pieces(walk_canonical(c0, c1, _rows(A), b))
+    for r in ranges:
+        assert all(_dot(row, r.x) <= bi for row, bi in cuts)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_solve_with_columns_matches_every_column(seed, growth_checked):
+    # columns held back until they price out: the primal simplex from the
+    # last basis must land on the optimum of the LP over every column
+    rng = random.Random(6000 + seed)
+    nrows, nvars, more = rng.randint(1, 4), rng.randint(1, 3), rng.randint(1, 5)
+    # the last row bounds every column; the others carry fractions in b
+    A = [[rng.randint(-3, 3) for _ in range(nvars + more)] for _ in range(nrows)]
+    A.append([rng.randint(1, 3) for _ in range(nvars + more)])
+    b = [Fraction(rng.randint(0, 6), rng.randint(1, 3)) for _ in range(nrows)] + [4]
+    c = [Fraction(rng.randint(-6, 3), rng.randint(1, 4)) for _ in range(nvars)]
+    c += [rng.randint(-6, 3) for _ in range(more)]
+    held = list(range(nvars, nvars + more))
+    order = list(range(nvars))
+
+    def priced(dual_ub):
+        new = [j for j in held if c[j] - _dot([row[j] for row in A], dual_ub) < 0]
+        for j in new:
+            held.remove(j)
+        order.extend(new)
+        return [(c[j], [(i, row[j]) for i, row in enumerate(A) if row[j]])
+                for j in new]
+
+    res = solve_canonical(c[:nvars], _rows([row[:nvars] for row in A]), b,
+                          columns=priced)
+    assert res.value == solve_canonical(c, _rows(A), b).value
+    x = [0] * len(c)
+    for j, v in zip(order, res.x):
+        x[j] = v
+    _assert_certificate(A, b, c, x, res.dual_ub)

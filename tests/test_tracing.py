@@ -27,9 +27,10 @@ def test_tracer_counts_the_solver_layers():
         # through the module: the tracer rebinds names inside the package
         lp_module.solve_lp(g, Fraction(1, 5))
         lp_module.lp_curve(g)
-    assert tr.calls["simplex.primal"] == 3  # the cutting-plane rounds
+    # one growing tableau: the rows it starts from are ring8's 28 box rows
+    assert tr.calls["simplex.primal"] == 1
     assert tr.stats["simplex.primal.pivots"] > 0
-    assert tr.stats["simplex.primal.rows"] == 124
+    assert tr.stats["simplex.primal.rows"] == 28
     assert tr.calls["lp.solve_lp"] == 1 and tr.calls["lp.lp_curve"] == 1
     assert tr.calls["lp.build_lp"] >= 2
     assert tr.calls["sensitivity.verify_certificate"] >= 2
@@ -46,8 +47,18 @@ def test_tracer_counts_orlp():
     with tracing.Tracer(tracing.binding_sites(), 0) as tr:
         sensitivity.eps_range(sol, lam0, Fraction(1, 2), g)
     assert tr.calls["sensitivity.orlp"] == 2
-    assert tr.calls["simplex.orlp"] == 3  # the pricing rounds of both
+    assert tr.calls["simplex.orlp"] == 2  # one growing tableau per orlp
     assert tr.calls["simplex.primal"] == 0
     assert tr.stats["simplex.orlp.pivots"] > 0
-    assert tr.stats["simplex.orlp.cols"] == 159
+    assert tr.stats["simplex.orlp.cols"] == 90  # the columns each starts from
     assert sensitivity.solve_canonical is simplex.solve_canonical
+
+
+def test_tracer_counts_every_pivot_of_the_tableau():
+    # the cuts grow the tableau inside the one traced call, so the traced
+    # pivots are the solution's own, dual simplex pivots included
+    tracing = _tracing()
+    with tracing.Tracer(tracing.binding_sites(), 0) as tr:
+        sol = lp_module.solve_lp(gen_ring(3), Fraction(1, 5))
+    assert tr.calls["simplex.primal"] == 1
+    assert tr.stats["simplex.primal.pivots"] == sol.pivots == 44
