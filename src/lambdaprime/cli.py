@@ -225,8 +225,8 @@ def _cmd_verify_ring(args) -> int:
 
 
 def _cmd_bounds_ring(args) -> int:
+    b = ring_lower_bound(args.k, args.p)  # checks p before gamma needs it
     gamma = ms_gamma(args.p * MS_CONSTANT)
-    b = ring_lower_bound(args.k, args.p)
     print("M = %.12g" % MS_CONSTANT)
     print("gamma(p*M) = %.12g" % gamma)
     print("B = %d" % b)

@@ -5,23 +5,24 @@ that x* stays a (1+eps)-approximation of the LP optimum at lam0 + s*theta.
 The trick is to search for a dual vector u <= 0 of the rows A x <= b
 feasible at the cost c(lam) of a new lambda (A^T u <= c(lam), where
 c_p(lam) = [p in E] - lam) whose certified value still nearly matches the
-value of x* there. With y = -u and lam itself as the variables:
+value of x* there. With y = -u, and the new lambda written as
+lam = e - s*t, where e = 1 for s = +1 and e = 0 for s = -1, so that t >= 0
+is the distance of lam from the domain edge the step runs towards:
 
-    maximize s*lam
-    s.t.     -(A^T y)_p + lam <= [p in E]                     every pair p
-             (1+eps) b.y - lam (eps*Q + sum x*) <= -P
-             lam <= 1                                          (s = +1 only)
-             y >= 0, lam >= 0
+    minimize t
+    s.t.     -(A^T y)_p - s*t <= [p in E] - e                 every pair p
+             (1+eps) b.y - s*eps_lam*t <= -P - e*eps_lam
+             y >= 0, t >= 0
 
-where P is the P of x*'s line and Q the number of pairs. The step is
-theta = s*(lam* - lam0). Writing lam = lam0 + s*theta turns this into the
-LP in theta (pair rows -(A^T y)_p + s*theta <= c_p(lam0), the same epsilon
-row, 0 <= theta <= distance to the domain edge) except for theta >= 0, and
-that bound is redundant: x*'s own certificate (y*, lam0) is feasible (its
-epsilon row reads -eps * value <= 0, and lamprime and lamcc values are
->= 0), so the optimum has s*lam* >= s*lam0. In lam, every pair row has
-integer data and a right-hand side >= 0, so the epsilon row is the only one
-with fractions and the only one that can need a phase-1 artificial.
+where eps_lam = -(eps*Q + sum x*), P is the P of x*'s line and Q the number
+of pairs. The step is theta = s*(lam* - lam0) = s*(e - s*t* - lam0). This
+is the LP in theta (pair rows -(A^T y)_p + s*theta <= c_p(lam0), the same
+epsilon row, 0 <= theta <= distance to the domain edge) except for
+theta >= 0, and that bound is redundant: x*'s own certificate (y*, lam0) is
+feasible (its epsilon row reads -eps * value <= 0, and lamprime and lamcc
+values are >= 0), so the optimum has s*lam* >= s*lam0. The pair rows have
+integer data, and no cost is negative, so the slack basis is dual feasible:
+the dual simplex that makes it feasible ends optimal.
 
 Few of the y columns are ever nonzero, so orlp solves this LP by column
 generation in one tableau: solve_canonical's columns callback prices the
@@ -36,17 +37,17 @@ the pair-row duals and w = -u: the columns of negative reduced cost are
 exactly the triangle rows that w violates (A_r w > 0 = b_r), found by
 lp._separate, the separation of the primal solves. Once w violates none,
 every column of the full LP has reduced cost >= 0 at the last basis, so
-that basis is optimal there too: lam*, theta and the clamp are those of the
+that basis is optimal there too: t*, theta and the clamp are those of the
 full LP, not merely sound bounds.
 
 Weak duality makes any feasible (y, lam) a proof; LP duality at the true
 endpoint makes the bound tight, and concavity of the LP value curve makes the
 approximate region an interval. With eps = 0 this recovers the exact optimal
-range of x*. Reaching lam* = 1 (s = +1) or 0 (s = -1) records that the range
-runs into the domain edge; callers treat a clamped endpoint as coverage
-through that edge. orlp starts from lp.verify_certificate, the one proof of
-an exact solution, and builds its LP from the rows of the LP that proof
-returns.
+range of x*. Reaching t* = 0, lam* = 1 (s = +1) or 0 (s = -1), records
+that the range runs into the domain edge; callers treat a clamped endpoint
+as coverage through that edge. orlp starts from lp.verify_certificate, the
+one proof of an exact solution, and builds its LP from the rows of the LP
+that proof returns.
 
 The scaled objective lamcc (value shifted by -lambda*m) only changes the
 constant Q to Q - objective_shift(objective, m) in the epsilon row.
@@ -103,28 +104,25 @@ def orlp(xstar: LpSolution, s: int, lam0, eps, g: Graph, objective="lamprime"):
         raise ValueError("x* was not solved at lambda0")
     q_eff = len(prob.pairs) - objective_shift(objective, g.m)
 
-    b = [int(g.has_edge(*p)) for p in prob.pairs]
-    b.append(-xstar.line.P)  # the epsilon row
-    if s > 0:  # the domain edge lam <= 1; lam >= 0 is the variable's own bound
-        b.append(1)
+    e = 1 if s > 0 else 0  # the domain edge: lam = e - s*t, t >= 0
+    b = [int(g.has_edge(*p)) - e for p in prob.pairs]
     eps_lam = -(eps * q_eff + sum(rat(v) for v in xstar.x))
+    b.append(-xstar.line.P - e * eps_lam)  # the epsilon row
 
     # y columns: the triangle rows x*'s certificate names (b = 0), so that
-    # (y*, lam0) is feasible from the start, and every box row; then lam
+    # (y*, lam0) is feasible from the start, and every box row; then t
     keep = sorted({r for r, _ in xstar.dual if not prob.b[r]}) + _box(prob)
-    lam_col = len(keep)
-    # pair rows: -(A^T y)_p + lam <= [p in E], the LP rows transposed
+    t_col = len(keep)
+    # pair rows: -(A^T y)_p - s*t <= [p in E] - e, the LP rows transposed
     A = [[] for _ in range(prob.num_vars)]
     for col, r in enumerate(keep):
         for var, coeff in prob.rows[r]:
             A[var].append((col, -coeff))
     for row in A:
-        row.append((lam_col, 1))
+        row.append((t_col, -s))
     # epsilon row, flipped to <=
     A.append([(col, (1 + eps) * prob.b[r]) for col, r in enumerate(keep)
-              if prob.b[r]] + [(lam_col, eps_lam)])
-    if s > 0:
-        A.append(((lam_col, 1),))
+              if prob.b[r]] + [(t_col, -s * eps_lam)])
 
     def columns(dual_ub):
         # the pair-row duals u <= 0 price every left-out column; a triangle
@@ -133,12 +131,12 @@ def orlp(xstar: LpSolution, s: int, lam0, eps, g: Graph, objective="lamprime"):
         return [(0, [(var, -coeff) for var, coeff in prob.rows[r]])
                 for r in _separate(w, prob)]
 
-    res = solve_canonical([0] * lam_col + [-s], A, b, columns=columns)
-    lam = res.x[lam_col]
-    if -s * lam != res.value:
+    res = solve_canonical([0] * t_col + [1], A, b, columns=columns)
+    t = res.x[t_col]
+    if t != res.value:
         raise AssertionError("inconsistent ORLP optimum")
-    theta = s * (lam - lam0)
-    clamped = lam == (1 if s > 0 else 0)
+    theta = s * (e - s * t - lam0)
+    clamped = t == 0
     if clamped:  # stop GUARD short of the domain edge
         theta = max(Fraction(0), theta - GUARD)
     return theta, clamped

@@ -30,17 +30,21 @@ and T[r][j] are zero stays zero.
 
 Pivot choice is Dantzig's rule with deterministic lowest-index tie-breaks,
 falling back to Bland's rule permanently once the objective stalls, which
-restores the termination guarantee on degenerate problems. Rows with negative
-right-hand sides get phase-1 artificials.
+restores the termination guarantee on degenerate problems. The tableau
+starts from the slack basis, a negative right-hand side included, and
+dual_run, a dual simplex (Lemke, NRLQ 1, 1954) with the same rule and
+fallback, makes it feasible: at lam = 0 when every cost is >= 0, so that it
+ends optimal, else with every reduced cost read as 0. The primal simplex
+then goes on to the optimum.
 
-One tableau can grow after phase 1, for an LP too large to write out whose
-rows or columns a caller lists as they are needed: add_row appends a row in
-the current basis with its slack basic, and dual_run, a dual simplex with
-the same rule and fallback, restores feasibility; add_column appends a
-column as B^-1 a, read off the slack columns, for the primal simplex to go
-on. Both give exactly the integers of a tableau built with the row or column
-from the start and pivoted into the same basis. solve_canonical and
-walk_canonical grow their tableau through callbacks (cuts, columns).
+One tableau can grow, for an LP too large to write out whose rows or
+columns a caller lists as they are needed: add_row appends a row in the
+current basis with its slack basic, and dual_run restores feasibility;
+add_column appends a column as B^-1 a, read off the slack columns, for the
+primal simplex to go on. Both give exactly the integers of a tableau built
+with the row or column from the start and pivoted into the same basis.
+solve_canonical and walk_canonical grow their tableau through callbacks
+(cuts, columns).
 
 walk_canonical solves a whole family min (c0 + lam*c1).x over lam in [0, 1]
 in one tableau (parametric cost ranging): the tableau carries a second cost
@@ -120,32 +124,22 @@ class _Tableau:
         self.nvars = nvars
         self.nrows = nrows
         b = [_exact(v) for v in b]
-        self.n_art = sum(bi < 0 for bi in b)
-        self.art_start = nvars + nrows
-        ncols = nvars + nrows + self.n_art + 1
+        ncols = nvars + nrows + 1
         self.rhs_col = ncols - 1
         self.row_scale = []
         self.T = []
         self.basis = []
-        next_art = self.art_start
         for i, coeffs in enumerate(rows):
             a = _entries(coeffs, nvars, "row %d" % i, "column")
             s = lcm(b[i].denominator, *(v.denominator for _, v in a))
             self.row_scale.append(s)
-            # rows with negative rhs are negated and get a phase-1 artificial
-            sign = -1 if b[i] < 0 else 1
             row = [0] * ncols
             for j, v in a:
-                row[j] = sign * _scaled(v, s)
-            row[nvars + i] = sign
-            if sign < 0:
-                row[next_art] = 1
-                self.basis.append(next_art)
-                next_art += 1
-            else:
-                self.basis.append(nvars + i)
-            row[self.rhs_col] = sign * _scaled(b[i], s)
+                row[j] = _scaled(v, s)
+            row[nvars + i] = 1
+            row[self.rhs_col] = _scaled(b[i], s)
             self.T.append(row)
+            self.basis.append(nvars + i)
 
         z = [0] * ncols
         z[:nvars] = zrow
@@ -154,7 +148,6 @@ class _Tableau:
         if slope is not None:
             self.z1 = [0] * ncols
             self.z1[:nvars] = [_scaled(v, self.sigma_c) for v in slope]
-        self.w = None  # phase-1 objective, live only during phase 1
         self.delta = 1
         self.pivots = 0
 
@@ -164,8 +157,6 @@ class _Tableau:
         yield self.z
         if self.z1 is not None:
             yield self.z1
-        if self.w is not None:
-            yield self.w
         yield from self.T
 
     def pivot(self, r, col):
@@ -260,39 +251,12 @@ class _Tableau:
     # -- phases ---------------------------------------------------------
 
     def solve(self):
-        if self.n_art:
-            w = [0] * (self.rhs_col + 1)
-            for i in range(self.nrows):
-                if self.basis[i] >= self.art_start:
-                    for j, v in enumerate(self.T[i]):
-                        w[j] -= v
-            for k in range(self.n_art):
-                w[self.art_start + k] = 0
-            self.w = w
-            self._run(w, self.art_start)
-            if w[self.rhs_col] != 0:
-                raise Infeasible(
-                    "phase 1 optimum %s" % Fraction(-w[self.rhs_col], self.delta)
-                )
-            for r in range(self.nrows):
-                if self.basis[r] >= self.art_start:
-                    # kick the artificial out via the row's own slack column
-                    scol = self.nvars + r
-                    if self.T[r][scol] == 0:
-                        raise SimplexError("cannot remove artificial from basis")
-                    self.pivot(r, scol)
-            self.w = None
-            for row in self._all_rows():
-                del row[self.art_start : self.rhs_col]
-            self.rhs_col = self.art_start
+        """The dual simplex to a feasible basis, an optimal one when no cost
+        is negative, then the primal simplex to the optimum."""
+        self.dual_run(None if any(v < 0 for v in self.z) else Fraction(0))
         self._run(self.z, self.nvars + self.nrows)
 
     # -- growth ---------------------------------------------------------
-
-    def _after_phase_one(self):
-        # the columns are then the structural ones, one slack per row, rhs
-        if self.rhs_col != self.nvars + self.nrows:
-            raise SimplexError("the tableau grows only after phase 1")
 
     def add_row(self, coeffs, bi):
         """Append the row coeffs.x <= bi with its new slack basic.
@@ -306,7 +270,6 @@ class _Tableau:
         built with it from the start would show in this basis, and its
         right-hand side is negative exactly when the vertex breaks it.
         """
-        self._after_phase_one()
         a = _entries(coeffs, self.nvars, "row %d" % self.nrows, "column")
         bi = _exact(bi)
         s = lcm(bi.denominator, *(v.denominator for _, v in a))
@@ -338,13 +301,12 @@ class _Tableau:
 
         In every row the column is B^-1 a, read off the slack columns: row i
         was scaled by s_i, so the column's entries are s_i*a_i in the
-        starting tableau, where slack i's column is the unit vector (up to
-        the row's sign), and by linearity its fraction-free column today is
-        sum_i s_i*a_i*T[.][slack i]; the cost row adds delta*sigma_c*cost.
+        starting tableau, where slack i's column is the unit vector, and by
+        linearity its fraction-free column today is sum_i s_i*a_i*T[.][slack
+        i]; the cost row adds delta*sigma_c*cost.
         Every s_i*a_i and sigma_c*cost must be an integer: the row scales are
         fixed when the tableau is built.
         """
-        self._after_phase_one()
         a = _entries(coeffs, self.nrows, "column %d" % self.nvars, "row")
         cost = _exact(cost)
         if any(self.row_scale[i] % v.denominator for i, v in a) or \
@@ -363,7 +325,9 @@ class _Tableau:
 
     def dual_run(self, lam=Fraction(0)):
         """Dual simplex at lam: pivot until no right-hand side is negative,
-        keeping every reduced cost z0 + lam*z1 at lam >= 0.
+        keeping every reduced cost z0 + lam*z1 at lam >= 0. lam None reads
+        every reduced cost as 0: that pass only restores feasibility, for a
+        basis that is not dual feasible.
 
         The leaving row is the most negative right-hand side, lowest basic
         index on ties; the entering column minimizes the ratio of its reduced
@@ -374,14 +338,17 @@ class _Tableau:
         objective at lam, and no basis recurs across such a rise. Once the
         objective stalls for longer than _run allows, the leaving row is the
         infeasible one with the lowest basic index instead, for good: that is
-        Bland's rule for the dual, which cannot cycle.
+        Bland's rule for the dual, which cannot cycle. With lam None every
+        ratio is 0, so the objective stalls from the first pivot and Bland's
+        rule takes over after the stall limit; every candidate column ties,
+        so the lowest index among them enters, as that rule asks.
         """
-        p, q = lam.numerator, lam.denominator
-        z, z1, T = self.z, self.z1, self.T
+        p, q = (0, 0) if lam is None else (lam.numerator, lam.denominator)
+        z, z1, T = self.z, self.z1 or [0] * len(self.z), self.T
         rhs = self.rhs_col
 
         def reduced(j):
-            return z[j] * q + z1[j] * p if z1 is not None else z[j]
+            return z[j] * q + z1[j] * p
 
         stall = 0
         stall_limit = 3 * (self.nrows + self.nvars) + 20

@@ -435,6 +435,12 @@ def test_bounds_ring(capsys):
     assert "B = 1" in out
 
 
+@pytest.mark.parametrize("p", ["1/2", "1"])
+def test_bounds_ring_rejects_p_at_most_one(p, capsys):
+    assert main(["bounds", "ring", "--k", "3", "--p", p]) == 3
+    assert "approximation factor p must exceed 1" in capsys.readouterr().err
+
+
 def test_missing_graph_file(tmp_path):
     rc = main(["lp", "solve", "--graph", str(tmp_path / "nope.txt"),
                "--lambda", "1/8"])

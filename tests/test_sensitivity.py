@@ -258,10 +258,10 @@ def test_orlp_in_lambda_matches_orlp_in_theta(corpus):
 
 
 def test_orlp_lp_pair_rows_are_integer(monkeypatch):
-    # the LP in lambda: the pair rows carry integer data with right-hand
-    # side [p in E] >= 0, and only the epsilon row may need an artificial
-    # side [p in E] >= 0, and only the epsilon row may need an artificial;
-    # every priced column is integer, with cost 0, on the pair rows alone
+    # the LP in t: the pair rows carry integer data with right-hand side
+    # [p in E] - e, and the costs (0, ..., 0, 1) make the slack basis dual
+    # feasible; every priced column is integer, with cost 0, on the pair
+    # rows alone
     seen, priced = [], []
 
     def capture(c, rows, b, columns):
@@ -281,12 +281,13 @@ def test_orlp_lp_pair_rows_are_integer(monkeypatch):
     for eps in (0, Fraction(1, 2)):
         eps_range(sol, lam0, eps, g)
     assert len(seen) == 4  # one LP per orlp call
-    for c, rows, b in seen:
+    # eps_range runs s = +1 (e = 1), then s = -1 (e = 0)
+    for (c, rows, b), e in zip(seen, (1, 0, 1, 0)):
         assert all(type(v) is int for v in c)
-        assert list(b[:len(on_edge)]) == on_edge
+        assert list(b[:len(on_edge)]) == [p - e for p in on_edge]
         for row in rows[:len(on_edge)]:
             assert all(type(v) is int for _, v in row)
-        assert sum(bi < 0 for bi in b) <= 1
+        assert c == [0] * (len(c) - 1) + [1]
     assert len(priced) == 34
     for cost, coeffs in priced:
         assert cost == 0 and type(cost) is int

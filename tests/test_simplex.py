@@ -64,6 +64,12 @@ def test_infeasible():
         solve_canonical([1], _rows([[1], [-1]]), [1, -3])
 
 
+def test_infeasible_with_negative_cost_fails_in_the_feasibility_pass():
+    # a negative cost: the dual simplex reads every reduced cost as 0
+    with pytest.raises(Infeasible, match="cannot be made feasible"):
+        solve_canonical([-1], _rows([[1], [-1]]), [1, -3])
+
+
 def test_unbounded():
     with pytest.raises(Unbounded):
         solve_canonical([-1], _rows([[-1]]), [0])
@@ -184,7 +190,7 @@ def test_float_entries_rejected_by_the_tableau(c, rows, b, slope):
 def test_int_rows_give_the_tableau_of_their_fractions(seed):
     # ints are used as given (an all-int row has scale 1), and must build
     # the tableau the same values give as Fractions; the rows mix int rows,
-    # a row with fractions, and negative right-hand sides (artificials)
+    # a row with fractions, and negative right-hand sides
     rng = random.Random(4000 + seed)
     nvars = rng.randint(1, 5)
     A = [[rng.randint(-4, 4) for _ in range(nvars)] for _ in range(rng.randint(1, 5))]
@@ -297,10 +303,9 @@ def _dense_pivot(tab, r, col):
 
 
 def _random_phase1_lp(rng):
-    """c, A, b with negative rhs entries (phase 1, the w row) and equality
-    rows written as two opposite inequalities: such a pair can leave an
-    artificial basic at zero after phase 1, which then leaves through a
-    negative pivot."""
+    """c, A, b with negative rhs entries, which the dual simplex pivots
+    away on negative entries, and equality rows written as two opposite
+    inequalities, which make degenerate vertices."""
     nvars = rng.randint(1, 5)
     A, b = [], []
     for _ in range(rng.randint(1, 4)):
@@ -317,7 +322,7 @@ def _random_phase1_lp(rng):
 
 
 def _state(tab):
-    return tab.T, tab.z, tab.z1, tab.w, tab.delta, tab.basis
+    return tab.T, tab.z, tab.z1, tab.delta, tab.basis
 
 
 def test_pivot_matches_dense_bareiss_update(monkeypatch):
@@ -355,7 +360,7 @@ def test_pivot_matches_dense_bareiss_update(monkeypatch):
 
 def _rebuilt(given, basis):
     """The tableau built from scratch on given = [c, rows, b, slope] and
-    pivoted into basis, artificial columns dropped as phase 1 drops them."""
+    pivoted into basis."""
     c, rows, b, slope = given
     ref = _Tableau(c, rows, b, slope=slope)
     for col in basis:
@@ -365,8 +370,6 @@ def _rebuilt(given, basis):
             r = next(i for i, bv in enumerate(ref.basis)
                      if bv not in basis and ref.T[i][col])
             ref.pivot(r, col)
-    for row in ref._all_rows():
-        del row[ref.art_start:ref.rhs_col]
     return ref
 
 
@@ -392,8 +395,6 @@ def growth_checked(monkeypatch):
 
     def add_row(tab, coeffs, bi):
         real_row(tab, coeffs, bi)
-        # a row with bi < 0 would start negated, with an artificial
-        assert bi >= 0
         tab.given[1].append(list(coeffs))
         tab.given[2].append(bi)
         _assert_rebuilt(tab)
@@ -486,13 +487,16 @@ def test_listing_a_column_that_does_not_price_out_is_refused():
                         columns=lambda dual_ub: [(5, ((0, 1),))])
 
 
-def test_tableau_grows_only_after_phase_one():
+def test_unsolved_tableau_with_negative_rhs_takes_a_row():
+    # one column layout from the start: a negative right-hand side is just
+    # a negative entry, so the tableau can grow before it is solved
     tab = _Tableau([1], _rows([[-1]]), [-1])
-    with pytest.raises(SimplexError, match="after phase 1"):
-        tab.add_row(((0, 1),), 3)
-    tab.solve()
     tab.add_row(((0, 1),), 3)
+    tab.given = [[1], _rows([[-1], [1]]), [-1, 3], None]
     assert tab.nrows == 2
+    _assert_rebuilt(tab)
+    tab.solve()
+    assert tab.result().x == [1]
 
 
 def test_column_needs_integral_entries_over_the_row_scales():

@@ -44,12 +44,26 @@ def test_tracer_counts_orlp():
     g = gen_ring(3)
     lam0 = Fraction(1, 5)
     sol = lp_module.solve_lp(g, lam0)
+    pivots = []
     with tracing.Tracer(tracing.binding_sites(), 0) as tr:
-        sensitivity.eps_range(sol, lam0, Fraction(1, 2), g)
+        traced = sensitivity.solve_canonical
+
+        def counted(*args, **kwargs):
+            res = traced(*args, **kwargs)
+            pivots.append(res.pivots)
+            return res
+
+        sensitivity.solve_canonical = counted
+        try:
+            sensitivity.eps_range(sol, lam0, Fraction(1, 2), g)
+        finally:
+            sensitivity.solve_canonical = traced
     assert tr.calls["sensitivity.orlp"] == 2
     assert tr.calls["simplex.orlp"] == 2  # one growing tableau per orlp
     assert tr.calls["simplex.primal"] == 0
-    assert tr.stats["simplex.orlp.pivots"] > 0
+    # the traced pivots are the two calls' own: 43 + 25
+    assert pivots == [43, 25]
+    assert tr.stats["simplex.orlp.pivots"] == sum(pivots) == 68
     assert tr.stats["simplex.orlp.cols"] == 90  # the columns each starts from
     assert sensitivity.solve_canonical is simplex.solve_canonical
 
