@@ -28,14 +28,15 @@ row with T[i][c] != 0 changes only in the columns where the pivot row is
 nonzero. Otherwise every row is rescaled, but a position where both T[i][j]
 and T[r][j] are zero stays zero.
 
-Pivot choice is Dantzig's rule with deterministic lowest-index tie-breaks,
-falling back to Bland's rule permanently once the objective stalls, which
-restores the termination guarantee on degenerate problems. The tableau
-starts from the slack basis, a negative right-hand side included, and
-dual_run, a dual simplex (Lemke, NRLQ 1, 1954) with the same rule and
-fallback, makes it feasible: at lam = 0 when every cost is >= 0, so that it
-ends optimal, else with every reduced cost read as 0. The primal simplex
-then goes on to the optimum.
+One driver, _pivot_until, runs both the primal simplex (_run) and the dual
+simplex (dual_run; Lemke, NRLQ 1, 1954); each only picks the next pivot.
+Pivot choice is Dantzig's rule with deterministic lowest-index tie-breaks.
+The driver watches the objective and, once it stalls, switches the rule to
+Bland's for good, which restores the termination guarantee on degenerate
+problems. The tableau starts from the slack basis, a negative right-hand
+side included, and dual_run makes it feasible: at lam = 0 when every cost
+is >= 0, so that it ends optimal, else with every reduced cost read as 0.
+The primal simplex then goes on to the optimum.
 
 One tableau can grow, for an LP too large to write out whose rows or
 columns a caller lists as they are needed: add_row appends a row in the
@@ -195,66 +196,80 @@ class _Tableau:
         if self.pivots > _MAX_PIVOTS:
             raise SimplexError("pivot limit exceeded")
 
-    def _entering(self, objrow, allowed_hi, bland):
-        if bland:
-            for j in range(allowed_hi):
-                if objrow[j] < 0:
-                    return j
-            return None
-        best, best_j = 0, None
-        for j in range(allowed_hi):
-            v = objrow[j]
-            if v < best:
-                best, best_j = v, j
-        return best_j
-
     def _leaving(self, col):
-        T = self.T
-        rhs_col = self.rhs_col
-        best_r = None
-        best_num = best_den = None
-        best_key = None
+        """The ratio test: the row of least T[r][rhs]/T[r][col] over
+        T[r][col] > 0, lowest basic index on ties; None if there is none."""
+        T, basis, rhs_col = self.T, self.basis, self.rhs_col
+        best_r = best_num = best_den = None
         for r in range(self.nrows):
             a = T[r][col]
             if a <= 0:
                 continue
             num = T[r][rhs_col]
             if best_r is None or num * best_den < best_num * a or (
-                num * best_den == best_num * a and self.basis[r] < best_key
+                num * best_den == best_num * a and basis[r] < basis[best_r]
             ):
                 best_r, best_num, best_den = r, num, a
-                best_key = self.basis[r]
         return best_r
 
-    def _run(self, objrow, allowed_hi):
-        stall = 0
+    def _reduced(self, lam):
+        """(z0, z1, q, p), q >= 0: q times column j's reduced cost at lam is
+        z0[j]*q + z1[j]*p. lam None reads every cost as 0 (q = p = 0)."""
+        if lam is None:
+            return self.z, self.z, 0, 0
+        if self.z1 is None:
+            return self.z, self.z, lam.denominator, 0
+        return self.z, self.z1, lam.denominator, lam.numerator
+
+    def _pivot_until(self, step, lam):
+        """Pivot at step(bland)'s (row, column) until it returns None. Once
+        the objective at lam stalls for more than 3*(rows + vars) + 20
+        pivots, bland is True for good: step must then keep Bland's rule."""
+        z0, z1, q, p = self._reduced(lam)
+        rhs = self.rhs_col
+        stall, bland = 0, False
         stall_limit = 3 * (self.nrows + self.nvars) + 20
-        bland = False
-        last_obj = (objrow[self.rhs_col], self.delta)
+        last_obj = (z0[rhs] * q + z1[rhs] * p, self.delta)
         while True:
-            col = self._entering(objrow, allowed_hi, bland)
-            if col is None:
+            rc = step(bland)
+            if rc is None:
                 return
+            self.pivot(*rc)
+            cur = (z0[rhs] * q + z1[rhs] * p, self.delta)
+            if cur[0] * last_obj[1] == last_obj[0] * cur[1]:
+                stall += 1
+                bland = bland or stall > stall_limit
+            else:
+                stall, last_obj = 0, cur
+
+    # -- phases ---------------------------------------------------------
+
+    def _run(self):
+        """Primal simplex: Dantzig's rule enters the most negative reduced
+        cost, Bland's the first negative one, lowest index on ties."""
+        z, n = self.z, self.nvars + self.nrows
+
+        def step(bland):
+            best, col = 0, None
+            for j in range(n):
+                if z[j] < best:
+                    best, col = z[j], j
+                    if bland:
+                        break
+            if col is None:
+                return None
             r = self._leaving(col)
             if r is None:
                 raise Unbounded("column %d unbounded" % col)
-            self.pivot(r, col)
-            cur = (objrow[self.rhs_col], self.delta)
-            if cur[0] * last_obj[1] == last_obj[0] * cur[1]:
-                stall += 1
-                if stall > stall_limit:
-                    bland = True
-            else:
-                stall = 0
-                last_obj = cur
+            return r, col
 
-    # -- phases ---------------------------------------------------------
+        self._pivot_until(step, Fraction(0))
 
     def solve(self):
         """The dual simplex to a feasible basis, an optimal one when no cost
         is negative, then the primal simplex to the optimum."""
         self.dual_run(None if any(v < 0 for v in self.z) else Fraction(0))
-        self._run(self.z, self.nvars + self.nrows)
+        self._run()
 
     # -- growth ---------------------------------------------------------
 
@@ -335,55 +350,39 @@ class _Tableau:
         such column means the rows have no feasible point.
 
         Termination: a pivot with a positive ratio strictly raises the
-        objective at lam, and no basis recurs across such a rise. Once the
-        objective stalls for longer than _run allows, the leaving row is the
-        infeasible one with the lowest basic index instead, for good: that is
-        Bland's rule for the dual, which cannot cycle. With lam None every
-        ratio is 0, so the objective stalls from the first pivot and Bland's
-        rule takes over after the stall limit; every candidate column ties,
-        so the lowest index among them enters, as that rule asks.
+        objective at lam, and no basis recurs across such a rise. Under
+        _pivot_until's bland, the infeasible row of lowest basic index leaves:
+        Bland's rule for the dual. With lam None every ratio is 0, so every
+        candidate column ties and the lowest index enters, as that rule asks.
         """
-        p, q = (0, 0) if lam is None else (lam.numerator, lam.denominator)
-        z, z1, T = self.z, self.z1 or [0] * len(self.z), self.T
-        rhs = self.rhs_col
+        z0, z1, q, p = self._reduced(lam)
+        T, basis, rhs = self.T, self.basis, self.rhs_col
+        n = self.nvars + self.nrows
 
-        def reduced(j):
-            return z[j] * q + z1[j] * p
-
-        stall = 0
-        stall_limit = 3 * (self.nrows + self.nvars) + 20
-        bland = False
-        last_obj = (reduced(rhs), self.delta)
-        while True:
+        def step(bland):
             r = None
             for i in range(self.nrows):
                 v = T[i][rhs]
                 if v < 0 and (r is None or (
-                        self.basis[i] < self.basis[r] if bland or v == T[r][rhs]
+                        basis[i] < basis[r] if bland or v == T[r][rhs]
                         else v < T[r][rhs])):
                     r = i
             if r is None:
-                return
+                return None
             tr = T[r]
             col = best_d = best_a = None
-            for j in range(self.nvars + self.nrows):
+            for j in range(n):
                 a = tr[j]
                 if a < 0:
-                    d = reduced(j)
+                    d = z0[j] * q + z1[j] * p
                     # d/-a < best_d/-best_a, cross-multiplied
                     if col is None or d * best_a > best_d * a:
                         col, best_d, best_a = j, d, a
             if col is None:
                 raise Infeasible("row %d cannot be made feasible" % r)
-            self.pivot(r, col)
-            cur = (reduced(rhs), self.delta)
-            if cur[0] * last_obj[1] == last_obj[0] * cur[1]:
-                stall += 1
-                if stall > stall_limit:
-                    bland = True
-            else:
-                stall = 0
-                last_obj = cur
+            return r, col
+
+        self._pivot_until(step, lam)
 
     # -- extraction -----------------------------------------------------
 
@@ -396,11 +395,10 @@ class _Tableau:
 
     def _duals(self, lam=Fraction(0)):
         """Marginals of b for the cost c + lam*slope (min convention)."""
-        p, q = lam.numerator, lam.denominator
-        z, z1 = self.z, self.z1 or [0] * len(self.z)
+        z0, z1, q, p = self._reduced(lam)
         den = q * self.delta * self.sigma_c
         return [
-            Fraction(-(z[j] * q + p * z1[j]) * s, den)
+            Fraction(-(z0[j] * q + z1[j] * p) * s, den)
             for j, s in enumerate(self.row_scale, start=self.nvars)
         ]
 
@@ -453,7 +451,7 @@ def solve_canonical(c, rows, b, cuts=None, columns=None) -> SimplexResult:
             tab.add_column(cost, coeffs)
             if tab.z[tab.nvars - 1] >= 0:
                 raise SimplexError("column %d does not price out" % (tab.nvars - 1))
-        tab._run(tab.z, tab.nvars + tab.nrows)
+        tab._run()
 
 
 def walk_canonical(c0, c1, rows, b, cuts=None):

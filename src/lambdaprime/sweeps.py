@@ -56,6 +56,8 @@ class CoverFamily:
         objective_shift(self.objective, 0)  # rejects an unknown objective
         if not self.members:
             raise ValueError("a cover family needs at least one member")
+        if self.eps < 0:
+            raise ValueError("epsilon must be >= 0")
         los = [m.interval.lo for m in self.members]
         if los != sorted(los):
             raise ValueError("members must be ordered by interval.lo")

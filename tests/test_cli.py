@@ -107,6 +107,21 @@ def test_sweep_rejects_zero_epsilon(tmp_path):
     assert rc == 3
 
 
+def test_cover_with_zero_epsilon_is_accepted(tmp_path):
+    # epsilon 0 asks for exact optimality, which star5's geometric members meet
+    gpath = tmp_path / "star.txt"
+    main(["gen", "star", "--n", "5", "--out", str(gpath)])
+    cover = tmp_path / "cover.json"
+    main(["sweep", "--graph", str(gpath), "--epsilon", "1", "--algo", "geometric",
+          "--out", str(cover)])
+    d = json.loads(cover.read_text())
+    d["epsilon"] = "0"
+    cover.write_text(json.dumps(d))
+    files = ["--cover", str(cover), "--graph", str(gpath)]
+    assert main(["verify", "cover", *files]) == 0
+    assert main(["round", *files, "--out", str(tmp_path / "c.json")]) == 0
+
+
 def test_sweep_rejects_scaled_objective_for_fe(tmp_path):
     gpath = tmp_path / "star.txt"
     main(["gen", "star", "--n", "5", "--out", str(gpath)])
@@ -214,6 +229,10 @@ def _numeric_epsilon(d):
     d["epsilon"] = 5
 
 
+def _negative_epsilon(d):
+    d["epsilon"] = "-3"
+
+
 def _member_without_interval(d):
     del d["members"][0]["interval"]
 
@@ -272,6 +291,7 @@ def _member_without_x(d):
     ((), _member_without_x),
     ((), _member_lambda_past_one),
     ((), _numeric_algo),
+    ((), _negative_epsilon),
 ])
 def test_malformed_cover_is_rejected(tmp_path, flags, forge):
     gpath, cover, d = _ring8_cover(tmp_path, *flags)

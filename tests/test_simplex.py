@@ -562,3 +562,70 @@ def test_solve_with_columns_matches_every_column(seed, growth_checked):
     for j, v in zip(order, res.x):
         x[j] = v
     _assert_certificate(A, b, c, x, res.dual_ub)
+
+
+def test_beale_cycling_example_ends_without_repeating_a_basis():
+    # Beale (1955) built this LP to cycle under Dantzig's rule; with the
+    # ratio test's lowest-basic-index tie-break it reaches the optimum in 6
+    # pivots and no basis repeats, so it never reaches the stall guard
+    c = [Fraction(-3, 4), 20, Fraction(-1, 2), 6]
+    A = [[Fraction(1, 4), -8, -1, 9], [Fraction(1, 2), -12, Fraction(-1, 2), 3],
+         [0, 0, 1, 0]]
+    tab = _Tableau(c, _rows(A), [0, 0, 1])
+    bases, pivot = [], tab.pivot
+
+    def recorded(r, col):
+        pivot(r, col)
+        bases.append(frozenset(tab.basis))
+
+    tab.pivot = recorded
+    tab.solve()
+    assert tab.result().value == Fraction(-5, 4)
+    assert tab.result().x == [1, 0, 1, 0]
+    assert len(bases) == len(set(bases)) == 6
+
+
+def _bland_flags(cols):
+    """The bland flag _pivot_until hands its step before each pivot of
+    min -x1 s.t. x0 + x1 <= 1, the k-th pivot entering column cols[k]
+    (column 2 is the slack)."""
+    tab = _Tableau([0, -1], _rows([[1, 1]]), [1])
+    seen = []
+
+    def step(bland):
+        if len(seen) == len(cols):
+            return None
+        seen.append(bland)
+        return 0, cols[len(seen) - 1]
+
+    tab._pivot_until(step, Fraction(0))
+    assert tab.pivots == len(cols)
+    return seen
+
+
+def test_stalled_objective_switches_to_bland_for_good():
+    # swapping x0 and the slack never moves the objective from 0: the switch
+    # comes on the pivot after the limit 3*(rows + vars) + 20, and stays on
+    # once x1 moves the objective to -1 and back, and through a new stall
+    limit = 3 * (1 + 2) + 20
+    flags = _bland_flags([0, 2] * 20 + [1, 2] * 2 + [0, 2])
+    assert flags == [False] * (limit + 1) + [True] * (len(flags) - limit - 1)
+
+
+def test_moving_objective_never_switches_to_bland():
+    # swapping x1 and the slack moves the objective between 0 and -1
+    assert _bland_flags([1, 2] * 50) == [False] * 100
+
+
+def test_feasibility_pass_enters_the_lowest_index_negative_entry():
+    # x0 - x1 - x2 <= -1: at lam = 0 the ratios 5 and 1 pick x2, while the
+    # zero-cost pass (lam None) ties them and takes x1
+    def tableau():
+        return _Tableau([0, 5, 1], _rows([[1, -1, -1]]), [-1])
+
+    tab = tableau()
+    tab.dual_run(None)
+    assert tab.basis == [1] and tab.pivots == 1
+    tab = tableau()
+    tab.dual_run(Fraction(0))
+    assert tab.basis == [2] and tab.pivots == 1
