@@ -33,6 +33,15 @@ tableau and re-optimizes from the basis it has, by the dual simplex. ORLP
 is one solve_canonical call and reports every pivot of its tableau. Each
 solution is still proven by verify_certificate against the full build_lp,
 so the proof does not depend on which rows the tableau holds.
+
+A point is read against the metric polytope in one integer pass, shared by
+check_solution, the separation (_separate, for cuts and ORLP's pricing) and
+the cost line of x (_line_of_x): an exact x is scaled once to integers over
+the lcm of its denominators (_scaled); _violated_rows then walks the cached
+triples (ij, ik, jk) of _triples(n), the list _metric_rows builds its rows
+from, with three integer compares per triple for rows 3t, 3t+1 and 3t+2
+and one compare per box row against the scale. A float x (HiGHS) is read
+as it is, with a tolerance of 1e-8.
 """
 from __future__ import annotations
 
@@ -82,19 +91,29 @@ def pair_index(n):
 
 
 @lru_cache(maxsize=8)
+def _triples(n):
+    """Per triple t of nodes i < j < k, the variables (ij, ik, jk): row 3t+s
+    of the metric LP on n nodes bounds the s-th by the sum of the other two.
+
+    Built once per n and shared by _metric_rows and _violated_rows."""
+    idx = pair_index(n)[1]
+    return tuple((idx[(i, j)], idx[(i, k)], idx[(j, k)])
+                 for i, j, k in combinations(range(n), 3))
+
+
+@lru_cache(maxsize=8)
 def _metric_rows(n):
     """The rows A x <= b of the metric polytope on n nodes, as in LpProblem.
 
     Built once per n and shared: the rows and b are immutable tuples."""
-    idx = pair_index(n)[1]
     rows = []
-    for i, j, k in combinations(range(n), 3):
-        ij, ik, jk = idx[(i, j)], idx[(i, k)], idx[(j, k)]
+    for ij, ik, jk in _triples(n):
         rows.append(((ij, 1), (ik, -1), (jk, -1)))
         rows.append(((ij, -1), (ik, 1), (jk, -1)))
         rows.append(((ij, -1), (ik, -1), (jk, 1)))
-    rows.extend(((p, 1),) for p in range(len(idx)))
-    return tuple(rows), (0,) * (len(rows) - len(idx)) + (1,) * len(idx)
+    nv = n * (n - 1) // 2
+    rows.extend(((p, 1),) for p in range(nv))
+    return tuple(rows), (0,) * (len(rows) - nv) + (1,) * nv
 
 
 def build_lp(g: Graph, lam) -> LpProblem:
@@ -102,9 +121,8 @@ def build_lp(g: Graph, lam) -> LpProblem:
     if not 0 <= lam <= 1:
         raise ValueError("lambda must lie in [0, 1]")
     pairs = pair_index(g.n)[0]
-    c = tuple(
-        (1 - lam) if g.has_edge(*p) else -lam for p in pairs
-    )
+    on, off = 1 - lam, -lam
+    c = tuple(on if p in g.edges else off for p in pairs)
     rows, b = _metric_rows(g.n)
     return LpProblem(
         n=g.n,
@@ -148,34 +166,53 @@ def check_solution(sol: LpSolution, g: Graph):
     if len(sol.x) != n * (n - 1) // 2:
         raise ValueError("solution vector has wrong length")
     x = sol.x
-    for v in x:
-        if v < (0 if sol.exact else -1e-8):
-            raise ValueError("entry %s outside [0, 1]" % (v,))
-    rows, b = _metric_rows(n)
-    for r in _violated_rows(rows, b, x, sol.exact):
+    xi, d = _scaled(x, sol.exact)
+    tol = 0 if sol.exact else 1e-8
+    for v, entry in zip(xi, x):
+        if v < -tol:
+            raise ValueError("entry %s outside [0, 1]" % (entry,))
+    rows = _metric_rows(n)[0]
+    for r in _violated_rows(n, xi, d, tol):
         raise ValueError("%s fails at row %d" % (
             "x <= 1" if len(rows[r]) == 1 else "triangle inequality", r))
     idx = pair_index(n)[1]
     if sol.exact:
-        if _line_of_x(g, x, idx) != sol.line:
+        if _line_of_x(g, xi, d) != sol.line:
             raise ValueError("cost line at lambda=%s is not the line of x" % sol.lam)
         if sol.line.value_at(sol.lam) != sol.value:
             raise ValueError("value at lambda=%s is not on the cost line" % sol.lam)
     return idx
 
 
-def _violated_rows(rows, b, x, exact=True):
-    """The indices of the rows A x <= b that x violates. An exact x is scaled
-    once to integers over its common denominator, so each row is an integer
-    compare; a float x may exceed b by 1e-8."""
-    if exact:
-        d = lcm(*(v.denominator for v in x))
-        x = [v.numerator * (d // v.denominator) for v in x]
-        tol = 0
-    else:
-        d, tol = 1, 1e-8
-    return [r for r, (row, bi) in enumerate(zip(rows, b))
-            if sum(coeff * x[j] for j, coeff in row) > bi * d + tol]
+def _scaled(x, exact=True):
+    """x over one scale, (xi, d) with x = xi / d: an exact x as integers over
+    the lcm d of its denominators, so every bound on it is an integer
+    compare; a float x as it is, over d = 1."""
+    if not exact:
+        return x, 1
+    d = lcm(*{v.denominator for v in x})
+    return [v.numerator * (d // v.denominator) for v in x], d
+
+
+def _violated_rows(n, xi, d, tol=0, box=True):
+    """The rows of the metric LP on n nodes that x = xi / d (_scaled) breaks
+    by more than tol, in build_lp order: row 3t+s when the s-th variable of
+    triple t exceeds the sum of the other two, then, with box, the row
+    x_p <= 1 of each pair p with xi_p > d. One pass over _triples(n), three
+    compares a triple."""
+    triples, out = _triples(n), []
+    for t, (ij, ik, jk) in enumerate(triples):
+        a, b, c = xi[ij], xi[ik], xi[jk]
+        if a > b + c + tol:
+            out.append(3 * t)
+        if b > a + c + tol:
+            out.append(3 * t + 1)
+        if c > a + b + tol:
+            out.append(3 * t + 2)
+    if box:
+        base, top = 3 * len(triples), d + tol
+        out.extend(base + p for p, v in enumerate(xi) if v > top)
+    return out
 
 
 def check_certificate(prob: LpProblem, dual, value):
@@ -208,11 +245,15 @@ def check_certificate(prob: LpProblem, dual, value):
         raise ValueError("dual certificate does not prove optimality")
 
 
-def _line_of_x(g: Graph, x, idx):
-    p = sum(x[idx[e]] for e in g.sorted_edges())
-    npairs = len(x)
-    nval = npairs - sum(x)
-    return CostLine(p, nval)
+def _line_of_x(g: Graph, xi, d, exact=True):
+    """The cost line of x = xi / d (_scaled): P sums x over the edges of g
+    and N sums 1 - x over every pair; for an exact x each is one Fraction of
+    integer sums."""
+    p = sum(v for v, e in zip(xi, combinations(range(g.n), 2)) if e in g.edges)
+    nval = len(xi) * d - sum(xi)
+    if not exact:
+        return CostLine(p, nval)
+    return CostLine(Fraction(p, d), Fraction(nval, d))
 
 
 def solve_lp(g: Graph, lam, mode="exact") -> LpSolution:
@@ -238,7 +279,7 @@ def verify_certificate(xstar: LpSolution, g: Graph):
 def _proven(g: Graph, lam, x, keep, dual_ub, pivots) -> LpSolution:
     """x at lam on the line of x, once verify_certificate passes; its dual
     pairs row keep[i] of the LP with each nonzero marginal dual_ub[i]."""
-    line = _line_of_x(g, x, pair_index(g.n)[1])
+    line = _line_of_x(g, *_scaled(x))
     sol = LpSolution(
         n=g.n, lam=lam, x=tuple(x), value=line.value_at(lam), line=line,
         dual=tuple((r, u) for r, u in zip(keep, dual_ub) if u), exact=True,
@@ -287,10 +328,9 @@ def _solve_float(g: Graph, lam) -> LpSolution:
             raise AssertionError("HiGHS failed: %s" % res.message)
         x = tuple(min(1.0, max(0.0, float(v))) for v in res.x)
         fun, nit = float(res.fun), int(res.nit)
-    _, idx = pair_index(g.n)
     sol = LpSolution(
         n=g.n, lam=lamf, x=x, value=fun + lamf * len(prob.pairs),
-        line=_line_of_x(g, x, idx), dual=(), exact=False, pivots=nit,
+        line=_line_of_x(g, x, 1, exact=False), dual=(), exact=False, pivots=nit,
     )
     check_solution(sol, g)
     return sol
@@ -303,8 +343,7 @@ def _box(prob):
 
 def _separate(x, prob):
     """The triangle rows of prob that the point x violates, in build_lp order."""
-    n_tri = prob.num_rows - prob.num_vars
-    return _violated_rows(prob.rows[:n_tri], prob.b[:n_tri], x)
+    return _violated_rows(prob.n, *_scaled(x), box=False)
 
 
 def _cuts(prob, keep):

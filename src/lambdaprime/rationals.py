@@ -28,7 +28,12 @@ def rat(x) -> Fraction:
 
 
 def parse_rat(text: str) -> Fraction:
-    """Parse 'num/den' or decimal text into a Fraction; ValueError otherwise."""
+    """Parse 'num/den' or decimal text into a Fraction; ValueError otherwise.
+
+    Exponents are refused: a few bytes such as '1e999999999' would make
+    Fraction build an integer of a billion digits."""
+    if isinstance(text, str) and ("e" in text or "E" in text):
+        raise ValueError("exponent in rational refused: %r" % (text,))
     try:
         return Fraction(text.strip())
     except (AttributeError, TypeError, ZeroDivisionError):  # not text, or n/0

@@ -106,7 +106,8 @@ def orlp(xstar: LpSolution, s: int, lam0, eps, g: Graph, objective="lamprime"):
 
     e = 1 if s > 0 else 0  # the domain edge: lam = e - s*t, t >= 0
     b = [int(g.has_edge(*p)) - e for p in prob.pairs]
-    eps_lam = -(eps * q_eff + sum(rat(v) for v in xstar.x))
+    # sum x* is Q - N, as verify_certificate checked the line of x*
+    eps_lam = -(eps * q_eff + len(prob.pairs) - xstar.line.N)
     b.append(-xstar.line.P - e * eps_lam)  # the epsilon row
 
     # y columns: the triangle rows x*'s certificate names (b = 0), so that

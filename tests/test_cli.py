@@ -302,6 +302,22 @@ def test_malformed_cover_is_rejected(tmp_path, flags, forge):
     assert main(["round", *files, "--out", str(tmp_path / "c.json")]) == 3
 
 
+@pytest.mark.parametrize("entry", ["0e5", "0E-5"])
+def test_cover_with_exponent_text_is_rejected(tmp_path, capsys, entry):
+    # the entry keeps the value 0 of the one it replaces, so the file is
+    # refused for its text alone, before any number is built from it
+    gpath, cover, d = _ring8_cover(tmp_path)
+    assert d["members"][0]["x"][0] == "0"
+    d["members"][0]["x"][0] = entry
+    cover.write_text(json.dumps(d))
+    files = ["--cover", str(cover), "--graph", str(gpath)]
+    capsys.readouterr()
+    assert main(["verify", "cover", *files]) == 3
+    assert "exponent" in capsys.readouterr().err
+    assert main(["round", *files, "--out", str(tmp_path / "c.json")]) == 3
+    assert "exponent" in capsys.readouterr().err
+
+
 def _one_point_all_ones(d):
     # x = 1 cuts every pair: value 8 at 1/2, where the LP value is 6
     m = d["members"][0]

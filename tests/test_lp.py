@@ -89,11 +89,18 @@ def _broken_rows(x, n, tol):
     return out + [base + p for p, v in enumerate(x) if v > 1 + tol]
 
 
+# 0, 1/2 or 1 moved by k/q, q one of four large pairwise coprime
+# denominators: such entries sit within 2e-6 of a tight triangle or box
+# row, over a common denominator of up to 142 bits
+_BIG_PRIMES = (1_000_003, 998_244_353, 1_000_000_007, 2**61 - 1)
 _EXACT_ENTRIES = st.one_of(
     st.sampled_from([Fraction(v) for v in (
         "-1/3", "0", "1/7", "1/6", "1/3", "2/5", "1/2", "3/5", "2/3", "5/6",
         "1", "8/7", "3/2")]),
-    st.fractions(min_value=-1, max_value=2, max_denominator=12))
+    st.fractions(min_value=-1, max_value=2, max_denominator=12),
+    st.builds(lambda base, k, q: base + Fraction(k, q),
+              st.sampled_from([0, Fraction(1, 2), 1]), st.integers(-2, 2),
+              st.sampled_from(_BIG_PRIMES)))
 # k/8 plus an offset: no sum of three offsets lies within 2e-9 of +-1e-8, so
 # the tolerance, not the rounding, decides every compare
 _FLOAT_ENTRIES = st.builds(lambda k, d: k / 8 + d, st.integers(-2, 10),
@@ -103,7 +110,7 @@ _FLOAT_ENTRIES = st.builds(lambda k, d: k / 8 + d, st.integers(-2, 10),
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(st.data())
 def test_row_evaluation_flags_the_broken_triangle_and_box_rows(data):
-    n = data.draw(st.integers(1, 6))
+    n = data.draw(st.integers(1, 8))
     exact = data.draw(st.booleans())
     x = tuple(data.draw(_EXACT_ENTRIES if exact else _FLOAT_ENTRIES)
               for _ in range(n * (n - 1) // 2))
@@ -111,9 +118,10 @@ def test_row_evaluation_flags_the_broken_triangle_and_box_rows(data):
     prob = build_lp(g, 0)
     tol = 0 if exact else 1e-8
     broken = _broken_rows(x, n, tol)
-    assert lp_module._violated_rows(prob.rows, prob.b, x, exact) == broken
+    xi, d = lp_module._scaled(x, exact)
+    assert lp_module._violated_rows(n, xi, d, tol) == broken
     lam = Fraction(1, 2)
-    line = lp_module._line_of_x(g, x, lp_module.pair_index(n)[1])
+    line = lp_module._line_of_x(g, xi, d, exact)
     sol = lp_module.LpSolution(n, lam, x, line.value_at(lam), line, (), exact)
     if broken or any(v < -tol for v in x):
         with pytest.raises(ValueError):
@@ -127,11 +135,14 @@ def test_row_evaluation_flags_the_broken_triangle_and_box_rows(data):
     ((Fraction(-1, 7), Fraction(0), Fraction(0)), r"outside \[0, 1\]"),
     ((1 + 2e-8, 1.0, 1.0), "x <= 1 fails"),
     ((-2e-8, 0.0, 0.0), r"outside \[0, 1\]"),
-], ids=["exact_above_1", "exact_below_0", "float_above_1", "float_below_0"])
+    # above 1 by 2^-61 alone, in the box row of pair (1, 2): 3 triangle rows + 2
+    ((1, 1, 1 + Fraction(1, 2**61 - 1)), "^x <= 1 fails at row 5$"),
+], ids=["exact_above_1", "exact_below_0", "float_above_1", "float_below_0",
+        "exact_just_above_1"])
 def test_check_solution_rejects_entries_outside_the_box(x, match):
     g = gen_star(3)
-    line = lp_module._line_of_x(g, x, lp_module.pair_index(3)[1])
     exact = not isinstance(x[0], float)
+    line = lp_module._line_of_x(g, *lp_module._scaled(x, exact), exact)
     sol = lp_module.LpSolution(3, Fraction(1, 2), x, line.value_at(Fraction(1, 2)),
                                line, (), exact)
     with pytest.raises(ValueError, match=match):
@@ -385,12 +396,12 @@ def test_walk_missing_a_piece_rejected(monkeypatch):
     # holds, but the pieces no longer tile [0, 1]
     g = gen_ring(3)
     assert lp_curve(g).value_at(Fraction(1, 4)) == Fraction(14, 3)
-    _, idx = lp_module.pair_index(g.n)
     real = lp_module.walk_canonical
 
     def forged(*args, **grow):
         for rng in real(*args, **grow):
-            if lp_module._line_of_x(g, rng.x, idx) != CostLine(Fraction(8, 3), 8):
+            line = lp_module._line_of_x(g, *lp_module._scaled(rng.x))
+            if line != CostLine(Fraction(8, 3), 8):
                 yield rng
 
     monkeypatch.setattr(lp_module, "walk_canonical", forged)
@@ -523,8 +534,7 @@ def test_ring8_lazy_walk_is_pinned(monkeypatch):
 
 def test_lazy_curve_matches_the_full_walk(corpus, cache):
     for name, g in corpus:
-        _, idx = lp_module.pair_index(g.n)
-        full = [(rng.lo, rng.hi, lp_module._line_of_x(g, rng.x, idx))
+        full = [(rng.lo, rng.hi, lp_module._line_of_x(g, *lp_module._scaled(rng.x)))
                 for rng in _full_walk(g)]
         lazy = [(p.lo, p.hi, p.line) for p in cache.lp_curve(name, g).pieces]
         assert lazy == full, name
@@ -551,7 +561,7 @@ def test_lazy_solve_matches_the_full_lp(corpus, lam):
     for name, g in corpus:
         prob = build_lp(g, lam)
         full = simplex.solve_canonical(prob.c, prob.rows, prob.b)
-        line = lp_module._line_of_x(g, full.x, lp_module.pair_index(g.n)[1])
+        line = lp_module._line_of_x(g, *lp_module._scaled(full.x))
         sol = solve_lp(g, lam)
         assert (sol.value == sol.line.value_at(lam) == full.value + prob.constant
                 == line.value_at(lam)), name
@@ -574,6 +584,35 @@ def test_float_mode_star():
     assert abs(fx.value - 2.6) < 1e-9
 
 
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.data())
+def test_separation_line_and_first_broken_row_match_the_brute_force(data):
+    # exact entries only, >= 0 as every simplex vertex and ORLP's w are
+    n = data.draw(st.integers(3, 8))
+    pairs = list(combinations(range(n), 2))
+    x = tuple(abs(data.draw(_EXACT_ENTRIES)) for _ in pairs)
+    g = make_graph(n, [p for p in pairs if data.draw(st.booleans())])
+    broken = _broken_rows(x, n, 0)
+    n_tri = 3 * len(list(combinations(range(n), 3)))
+    # _separate: the triangle rows alone, in build_lp order
+    assert lp_module._separate(x, build_lp(g, 0)) == [r for r in broken if r < n_tri]
+    # the line from the scaled integers equals the one of Fraction sums
+    line = lp_module._line_of_x(g, *lp_module._scaled(x))
+    edge_sum = sum((v for v, p in zip(x, pairs) if p in g.edges), Fraction(0))
+    assert line == CostLine(edge_sum, len(x) - sum(x))
+    assert all(type(v) is Fraction for v in (line.P, line.N))
+    lam = Fraction(1, 3)
+    sol = lp_module.LpSolution(n, lam, x, line.value_at(lam), line, ())
+    if not broken:
+        lp_module.check_solution(sol, g)
+        return
+    # check_solution names the first broken row
+    r = broken[0]
+    kind = "triangle inequality" if r < n_tri else "x <= 1"
+    with pytest.raises(ValueError, match="^%s fails at row %d$" % (kind, r)):
+        lp_module.check_solution(sol, g)
+
+
 @pytest.mark.parametrize("g", [
     make_graph(2, [(0, 1)]), make_graph(2, []), make_graph(1, []),
 ], ids=["edge", "edgeless", "n1"])
@@ -590,10 +629,18 @@ def test_one_proof_builds_the_metric_rows_once():
     g = gen_gnp(6, 0.5, seed=3)
     sol = solve_lp(g, Fraction(2, 7))
     lp_module._metric_rows.cache_clear()
+    lp_module._triples.cache_clear()
     prob = lp_module.verify_certificate(sol, g)
     info = lp_module._metric_rows.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     assert prob.rows is lp_module._metric_rows(g.n)[0]
+    # the triples too, once for the rows and the pass over x alike
+    assert lp_module._triples.cache_info().misses == 1
+    for t, triple in enumerate(lp_module._triples(g.n)):
+        for s in range(3):
+            row = prob.rows[3 * t + s]
+            assert [var for var, _ in row] == list(triple)
+            assert [coeff for _, coeff in row] == [1 if q == s else -1 for q in range(3)]
 
 
 def test_bad_mode_rejected():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from lambdaprime.graphs import gen_ring, gen_star
 from lambdaprime.lp import LpSolution, lp_curve, solve_lp
 from lambdaprime.objectives import CostLine
+from lambdaprime.rationals import parse_rat
 from lambdaprime.rounding import build_clustering_family
 from lambdaprime.serialize import (
     atomic_write_text,
@@ -158,3 +159,18 @@ def test_atomic_write_replaces_whole_file(tmp_path):
     atomic_write_text(p, "new contents\n")
     assert p.read_text() == "new contents\n"
     assert [f for f in os.listdir(tmp_path) if f.startswith(".tmp-")] == []
+
+
+@pytest.mark.parametrize("text", ["1e5", "1E5", " 2e-3 ", "0e0", "1/2e1"])
+def test_parse_rat_refuses_exponents(text):
+    # '1e999999999' would otherwise build a billion-digit integer
+    with pytest.raises(ValueError, match="exponent"):
+        parse_rat(text)
+
+
+def test_parse_rat_reads_fractions_and_decimals():
+    assert parse_rat("0.3") == F(3, 10)
+    assert parse_rat(" -3/10 ") == F(-3, 10)
+    assert parse_rat("7") == 7
+    with pytest.raises(ValueError):
+        parse_rat("3/0")
