@@ -25,14 +25,17 @@ affine in lam, so one parametric simplex walk over [0, 1] visits the pieces in
 order, and each of its vertex ranges is one piece.
 
 Few triangle rows ever bind, so every exact LP over them grows one tableau
-from the box rows (Grotschel & Wakabayashi, Math. Programming 45, 1989):
+from no rows at all (Grotschel & Wakabayashi, Math. Programming 45, 1989):
+x <= 1 is a bound on each column of the simplex, not a row (upper=1), and
 solve_lp and lp_curve hand the simplex a cuts callback (_cuts), which lists
 the triangle rows a vertex violates; the simplex appends them to its
 tableau and re-optimizes from the basis it has, by the dual simplex. ORLP
 (sensitivity) prices its columns by the same separation. An exact solve_lp
 is one solve_canonical call and reports every pivot of its tableau. Each
 solution is still proven by verify_certificate against the full build_lp,
-so the proof does not depend on which rows the tableau holds.
+box rows included: the simplex's marginal of each bound x_p <= 1 is the
+dual of the box row of p. So the proof does not depend on which rows the
+tableau holds.
 
 A point is read against the metric polytope in one integer pass, shared by
 check_solution, the separation (_separate, for cuts and ORLP's pricing) and
@@ -50,6 +53,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import lcm
+from types import MappingProxyType
 
 from .curves import PwlCurve, PwlPiece
 from .graphs import Graph
@@ -84,10 +88,12 @@ class LpProblem:
         return len(self.rows)
 
 
+@lru_cache(maxsize=8)
 def pair_index(n):
-    """Map lex-ordered pairs to variable indices."""
-    pairs = list(combinations(range(n), 2))
-    return pairs, {p: k for k, p in enumerate(pairs)}
+    """The lex-ordered pairs of n nodes (a tuple) and the read-only map from
+    each pair to its variable index; built once per n and shared."""
+    pairs = tuple(combinations(range(n), 2))
+    return pairs, MappingProxyType({p: k for k, p in enumerate(pairs)})
 
 
 @lru_cache(maxsize=8)
@@ -127,7 +133,7 @@ def build_lp(g: Graph, lam) -> LpProblem:
     return LpProblem(
         n=g.n,
         lam=lam,
-        pairs=tuple(pairs),
+        pairs=pairs,
         c=c,
         rows=rows,
         b=b,
@@ -158,7 +164,6 @@ def check_solution(sol: LpSolution, g: Graph):
     Checks n, the length of x, x >= 0 and every row A x <= b of the LP
     (triangles and x <= 1); for an exact solution also that x realizes the
     stored cost line and that the line takes the stored value at sol.lam.
-    Returns the pair index map of g.
     """
     n = g.n
     if sol.n != n:
@@ -175,13 +180,11 @@ def check_solution(sol: LpSolution, g: Graph):
     for r in _violated_rows(n, xi, d, tol):
         raise ValueError("%s fails at row %d" % (
             "x <= 1" if len(rows[r]) == 1 else "triangle inequality", r))
-    idx = pair_index(n)[1]
     if sol.exact:
         if _line_of_x(g, xi, d) != sol.line:
             raise ValueError("cost line at lambda=%s is not the line of x" % sol.lam)
         if sol.line.value_at(sol.lam) != sol.value:
             raise ValueError("value at lambda=%s is not on the cost line" % sol.lam)
-    return idx
 
 
 def _scaled(x, exact=True):
@@ -249,7 +252,7 @@ def _line_of_x(g: Graph, xi, d, exact=True):
     """The cost line of x = xi / d (_scaled): P sums x over the edges of g
     and N sums 1 - x over every pair; for an exact x each is one Fraction of
     integer sums."""
-    p = sum(v for v, e in zip(xi, combinations(range(g.n), 2)) if e in g.edges)
+    p = sum(v for v, e in zip(xi, pair_index(g.n)[0]) if e in g.edges)
     nval = len(xi) * d - sum(xi)
     if not exact:
         return CostLine(p, nval)
@@ -277,12 +280,15 @@ def verify_certificate(xstar: LpSolution, g: Graph):
 
 
 def _proven(g: Graph, lam, x, keep, dual_ub, pivots) -> LpSolution:
-    """x at lam on the line of x, once verify_certificate passes; its dual
-    pairs row keep[i] of the LP with each nonzero marginal dual_ub[i]."""
+    """x at lam on the line of x, once verify_certificate passes. dual_ub
+    holds a marginal per row held, then one per bound x_p <= 1: its dual
+    pairs row keep[i] of the LP with each nonzero row marginal and the box
+    row of p with each nonzero bound marginal."""
     line = _line_of_x(g, *_scaled(x))
+    rows = keep[:len(dual_ub) - len(x)] + _box(g.n)
     sol = LpSolution(
         n=g.n, lam=lam, x=tuple(x), value=line.value_at(lam), line=line,
-        dual=tuple((r, u) for r, u in zip(keep, dual_ub) if u), exact=True,
+        dual=tuple((r, u) for r, u in zip(rows, dual_ub) if u), exact=True,
         pivots=pivots,
     )
     verify_certificate(sol, g)
@@ -291,12 +297,13 @@ def _proven(g: Graph, lam, x, keep, dual_ub, pivots) -> LpSolution:
 
 def _solve_exact(g: Graph, lam) -> LpSolution:
     """One vertex of one growing tableau, proven against the full LP: the
-    solve starts from the box rows and appends each triangle row its vertex
-    breaks (_cuts), so its one solve_canonical call reports every pivot."""
+    solve starts from no rows, x <= 1 as a bound on every column, and
+    appends each triangle row its vertex breaks (_cuts), so its one
+    solve_canonical call reports every pivot."""
     prob = build_lp(g, lam)
-    keep = _box(prob)
-    res = solve_canonical(prob.c, [prob.rows[i] for i in keep],
-                          [prob.b[i] for i in keep], cuts=_cuts(prob, keep))
+    keep = []
+    res = solve_canonical(prob.c, [], [], cuts=_cuts(prob, keep),
+                          upper=[1] * prob.num_vars)
     return _proven(g, prob.lam, res.x, keep, res.dual_ub, res.pivots)
 
 
@@ -336,9 +343,11 @@ def _solve_float(g: Graph, lam) -> LpSolution:
     return sol
 
 
-def _box(prob):
-    """The indices of prob's rows x_p <= 1, where every exact LP starts."""
-    return list(range(prob.num_rows - prob.num_vars, prob.num_rows))
+def _box(n):
+    """The indices of the rows x_p <= 1 of the metric LP on n nodes, which
+    the exact solves hold as bounds."""
+    base = 3 * len(_triples(n))
+    return list(range(base, base + n * (n - 1) // 2))
 
 
 def _separate(x, prob):
@@ -364,29 +373,29 @@ def lp_curve(g: Graph) -> PwlCurve:
     """Exact piecewise-linear LP value curve on [0, 1].
 
     The cost is c0 - lam*1 (c0 is 1 on edges, 0 elsewhere), so one
-    walk_canonical from the slack basis, optimal at lam = 0, visits the
-    curve's pieces in order: each VertexRange is one piece.
+    walk_canonical from x = 0, optimal at lam = 0, visits the curve's
+    pieces in order: each VertexRange is one piece.
 
-    The walk starts from the box rows alone and grows its one tableau: at
-    each new vertex it appends the triangle rows the vertex breaks (_cuts)
-    and re-optimizes at the same lam by the dual simplex before it goes on,
-    so every range's vertex satisfies the full LP. keep maps each row of
-    the tableau to its row of the full LP.
+    The walk starts from no rows, x <= 1 as a bound on every column, and
+    grows its one tableau: at each new vertex it appends the triangle rows
+    the vertex breaks (_cuts) and re-optimizes at the same lam by the dual
+    simplex before it goes on, so every range's vertex satisfies the full
+    LP. keep maps each row of the tableau to its row of the full LP.
 
     The proof does not depend on which rows were kept. Each range's vertex
     is proven by verify_certificate at the range's lo (the last also at 1)
     against the full build_lp(g, lam), its dual naming each walked row by
-    its row of the full LP: check_solution checks x against every row, and
-    check_certificate the dual against the rows it names. PwlCurve
+    its row of the full LP and each bound by its box row: check_solution
+    checks x against every row, and check_certificate the dual against the
+    rows it names. PwlCurve
     requires the pieces to tile [0, 1] continuously in strictly concave
     order, so each line, feasible and so on or above the concave LP value,
     meets it at both ends of its piece: the curve is the LP value.
     """
     prob = build_lp(g, 0)  # prob.c is c0
-    keep = _box(prob)
-    ranges = list(walk_canonical(prob.c, [-1] * prob.num_vars,
-                                 [prob.rows[i] for i in keep],
-                                 [prob.b[i] for i in keep], cuts=_cuts(prob, keep)))
+    keep = []
+    ranges = list(walk_canonical(prob.c, [-1] * prob.num_vars, [], [],
+                                 cuts=_cuts(prob, keep), upper=[1] * prob.num_vars))
     pieces = []
     for rng in ranges:
         sol = _proven(g, rng.lo, rng.x, keep, rng.dual_ub[rng.lo], rng.pivots)

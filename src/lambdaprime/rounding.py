@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import Graph
-from .lp import LpSolution, check_solution
+from .lp import LpSolution, check_solution, pair_index
 from .objectives import Clustering, lamprime_score, objective_shift
 from .sweeps import CoverFamily
 
@@ -26,7 +26,8 @@ _HALF = Fraction(1, 2)
 
 def round_region_growing(x: LpSolution, g: Graph) -> Clustering:
     """Cut cheapest-boundary balls in the LP metric until all nodes are placed."""
-    idx = check_solution(x, g)
+    check_solution(x, g)
+    idx = pair_index(g.n)[1]
     seed = x.value / g.n
     edges = g.sorted_edges()
     unclustered = set(range(g.n))

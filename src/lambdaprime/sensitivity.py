@@ -112,7 +112,7 @@ def orlp(xstar: LpSolution, s: int, lam0, eps, g: Graph, objective="lamprime"):
 
     # y columns: the triangle rows x*'s certificate names (b = 0), so that
     # (y*, lam0) is feasible from the start, and every box row; then t
-    keep = sorted({r for r, _ in xstar.dual if not prob.b[r]}) + _box(prob)
+    keep = sorted({r for r, _ in xstar.dual if not prob.b[r]}) + _box(prob.n)
     t_col = len(keep)
     # pair rows: -(A^T y)_p - s*t <= [p in E] - e, the LP rows transposed
     A = [[] for _ in range(prob.num_vars)]

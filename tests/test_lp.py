@@ -462,39 +462,44 @@ def _recording_cuts(cuts, appended):
     return recorded
 
 
-@pytest.mark.parametrize("name, lam, cut_calls, kept, pivots", [
-    ("gnp7_05", Fraction(1, 5), 2, 18, 15),
-    ("gnp7_05", Fraction(1, 3), 2, 18, 18),
-    ("gnp8_03", Fraction(1, 5), 2, 16, 27),
-    ("gnp8_03", Fraction(1, 3), 2, 16, 30),
+@pytest.mark.parametrize("name, lam, cut_calls, kept, pivots, flips", [
+    ("gnp7_05", Fraction(1, 5), 2, 18, 8, 7),
+    ("gnp7_05", Fraction(1, 3), 2, 18, 11, 7),
+    ("gnp8_03", Fraction(1, 5), 2, 16, 11, 17),
+    ("gnp8_03", Fraction(1, 3), 2, 16, 13, 17),
 ])
-def test_lazy_solve_is_pinned(corpus, monkeypatch, name, lam, cut_calls, kept, pivots):
-    # solve_lp's one growing tableau: one solve, the calls of its cuts (the
-    # last lists nothing), the triangle rows appended, and every pivot
-    solves, appended = [], []
+def test_lazy_solve_is_pinned(corpus, monkeypatch, name, lam, cut_calls, kept,
+                              pivots, flips):
+    # solve_lp's one growing tableau: one solve from no rows, the calls of
+    # its cuts (the last lists nothing), the triangle rows appended, every
+    # pivot, and the bound flips, which are not pivots
+    solves, appended, results = [], [], []
     real = lp_module.solve_canonical
 
-    def recording(c, rows, b, cuts):
-        solves.append(len(rows))
-        return real(c, rows, b, cuts=_recording_cuts(cuts, appended))
+    def recording(c, rows, b, cuts, upper):
+        solves.append((len(rows), upper))
+        results.append(real(c, rows, b, cuts=_recording_cuts(cuts, appended),
+                            upper=upper))
+        return results[-1]
 
     monkeypatch.setattr(lp_module, "solve_canonical", recording)
     g = dict(corpus)[name]
     sol = solve_lp(g, lam)
-    assert solves == [g.n * (g.n - 1) // 2]  # the box rows
-    assert (len(appended), appended[-1], sum(appended), sol.pivots) == (
-        cut_calls, 0, kept, pivots)
+    assert solves == [(0, [1] * (g.n * (g.n - 1) // 2))]  # x <= 1 as bounds
+    assert (len(appended), appended[-1], sum(appended), sol.pivots,
+            results[0].flips) == (cut_calls, 0, kept, pivots, flips)
 
 
-def _count_pivots(monkeypatch):
+def _count_pivots(monkeypatch, method="pivot"):
+    """The column of every call of _Tableau.pivot (or of flip), in order."""
     calls = []
-    real = simplex._Tableau.pivot
+    real = getattr(simplex._Tableau, method)
 
-    def counted(tab, r, col):
-        calls.append(col)
-        real(tab, r, col)
+    def counted(tab, *args):
+        calls.append(args[-1])
+        real(tab, *args)
 
-    monkeypatch.setattr(simplex._Tableau, "pivot", counted)
+    monkeypatch.setattr(simplex._Tableau, method, counted)
     return calls
 
 
@@ -513,23 +518,25 @@ def test_ring8_walk_pivots_are_pinned(monkeypatch):
 
 
 def test_ring8_lazy_walk_is_pinned(monkeypatch):
-    # lp_curve's one walk: from the 28 box rows, cut at each new vertex
+    # lp_curve's one walk: from no rows and 28 bounds, cut at each new vertex
     calls = _count_pivots(monkeypatch)
+    flips = _count_pivots(monkeypatch, "flip")
     walked, appended = [], []
     real = lp_module.walk_canonical
 
-    def recording(c0, c1, rows, b, cuts):
-        walked.append(len(rows))
-        return real(c0, c1, rows, b, cuts=_recording_cuts(cuts, appended))
+    def recording(c0, c1, rows, b, cuts, upper):
+        walked.append((len(rows), upper))
+        return real(c0, c1, rows, b, cuts=_recording_cuts(cuts, appended),
+                    upper=upper)
 
     monkeypatch.setattr(lp_module, "walk_canonical", recording)
     c = lp_curve(gen_ring(3))
-    assert walked == [28]
+    assert walked == [(0, [1] * 28)]
     # two cuts at lam = 0, then none at the four ranges' vertices
     assert appended == [8, 24, 0, 0, 0, 0]
     assert sum(appended) == 32  # of 168 triangle rows
-    assert len(calls) == 76
-    assert [p.tag.pivots for p in c.pieces] == [40, 46, 60, 73]
+    assert (len(calls), len(flips)) == (50, 21)
+    assert [p.tag.pivots for p in c.pieces] == [20, 25, 39, 47]
 
 
 def test_lazy_curve_matches_the_full_walk(corpus, cache):
@@ -538,6 +545,19 @@ def test_lazy_curve_matches_the_full_walk(corpus, cache):
                 for rng in _full_walk(g)]
         lazy = [(p.lo, p.hi, p.line) for p in cache.lp_curve(name, g).pieces]
         assert lazy == full, name
+
+
+def test_cut_back_onto_the_same_line_extends_its_piece():
+    # at lam = 2/7 the walk leaves the piece of line P = 7, N = 31 for a
+    # vertex that breaks triangle rows; after the cut the dual simplex lands
+    # on another vertex of that same line, which must extend the piece from
+    # 1/4 rather than start a second one (PwlCurve refuses equal lines)
+    c = lp_curve(gen_gnp(12, 0.5, seed=0))
+    assert [(p.lo, p.hi, p.line) for p in c.pieces[3:5]] == [
+        (Fraction(1, 4), Fraction(5, 17), CostLine(7, 31)),
+        (Fraction(5, 17), Fraction(1, 3), CostLine(Fraction(19, 2), Fraction(45, 2))),
+    ]
+    assert len(c.pieces) == 8
 
 
 def test_curve_without_separation_rejected(monkeypatch):
@@ -630,10 +650,17 @@ def test_one_proof_builds_the_metric_rows_once():
     sol = solve_lp(g, Fraction(2, 7))
     lp_module._metric_rows.cache_clear()
     lp_module._triples.cache_clear()
+    lp_module.pair_index.cache_clear()
     prob = lp_module.verify_certificate(sol, g)
     info = lp_module._metric_rows.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     assert prob.rows is lp_module._metric_rows(g.n)[0]
+    # the pairs and their index too, shared read-only with rounding
+    assert lp_module.pair_index.cache_info().misses == 1
+    pairs, idx = lp_module.pair_index(g.n)
+    assert prob.pairs is pairs
+    with pytest.raises(TypeError):
+        idx[(0, 1)] = 5
     # the triples too, once for the rows and the pass over x alike
     assert lp_module._triples.cache_info().misses == 1
     for t, triple in enumerate(lp_module._triples(g.n)):

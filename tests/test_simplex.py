@@ -358,11 +358,13 @@ def test_pivot_matches_dense_bareiss_update(monkeypatch):
 # -- growing one tableau: appended rows and columns ----------------------
 
 
-def _rebuilt(given, basis):
-    """The tableau built from scratch on given = [c, rows, b, slope] and
-    pivoted into basis."""
-    c, rows, b, slope = given
-    ref = _Tableau(c, rows, b, slope=slope)
+def _rebuilt(given, basis, flipped):
+    """The tableau built anew on given = [c, rows, b, slope, upper],
+    the columns in flipped complemented, and pivoted into basis."""
+    c, rows, b, slope, upper = given
+    ref = _Tableau(c, rows, b, slope=slope, upper=upper)
+    for col in sorted(flipped):  # every column is nonbasic in a new tableau
+        ref.flip(col)
     for col in basis:
         if col not in ref.basis:
             # basis is nonsingular, so some row whose basic column leaves
@@ -374,10 +376,10 @@ def _rebuilt(given, basis):
 
 
 def _assert_rebuilt(tab):
-    ref = _rebuilt(tab.given, tab.basis)
+    ref = _rebuilt(tab.given, tab.basis, tab.flipped)
     assert dict(zip(tab.basis, tab.T)) == dict(zip(ref.basis, ref.T))
-    assert (tab.z, tab.z1, tab.delta, tab.row_scale) == (
-        ref.z, ref.z1, ref.delta, ref.row_scale)
+    assert (tab.z, tab.z1, tab.delta, tab.row_scale, tab.flipped) == (
+        ref.z, ref.z1, ref.delta, ref.row_scale, ref.flipped)
 
 
 @pytest.fixture
@@ -389,9 +391,9 @@ def growth_checked(monkeypatch):
     real_init, real_row, real_col = (
         _Tableau.__init__, _Tableau.add_row, _Tableau.add_column)
 
-    def init(tab, c, rows, b, slope=None):
-        real_init(tab, c, rows, b, slope)
-        tab.given = [list(c), [list(row) for row in rows], list(b), slope]
+    def init(tab, c, rows, b, slope=None, upper=None):
+        real_init(tab, c, rows, b, slope, upper)
+        tab.given = [list(c), [list(row) for row in rows], list(b), slope, upper]
 
     def add_row(tab, coeffs, bi):
         real_row(tab, coeffs, bi)
@@ -492,7 +494,7 @@ def test_unsolved_tableau_with_negative_rhs_takes_a_row():
     # a negative entry, so the tableau can grow before it is solved
     tab = _Tableau([1], _rows([[-1]]), [-1])
     tab.add_row(((0, 1),), 3)
-    tab.given = [[1], _rows([[-1], [1]]), [-1, 3], None]
+    tab.given = [[1], _rows([[-1], [1]]), [-1, 3], None, None]
     assert tab.nrows == 2
     _assert_rebuilt(tab)
     tab.solve()
@@ -629,3 +631,152 @@ def test_feasibility_pass_enters_the_lowest_index_negative_entry():
     tab = tableau()
     tab.dual_run(Fraction(0))
     assert tab.basis == [2] and tab.pivots == 1
+
+
+# -- bounded columns: x_j <= u_j as a bound, not a row ---------------------
+
+
+def _bound_rows(A, b, upper):
+    """A and b with each bound of upper written out as a row x_j <= u, in
+    column order: the LP that solve_canonical(..., upper=upper) solves."""
+    unit = [[int(i == j) for i in range(len(upper))]
+            for j, u in enumerate(upper) if u is not None]
+    return A + unit, b + [u for u in upper if u is not None]
+
+
+def test_single_variable_bound_is_a_flip():
+    res = solve_canonical([-1], [], [], upper=[1])
+    assert (res.x, res.value, res.dual_ub) == ([1], -1, [-1])
+    assert (res.pivots, res.flips) == (0, 1)
+
+
+@pytest.mark.parametrize("upper", [[-1], [Fraction(1, 2)], [1.0], [1, 1]],
+                         ids=["negative", "fraction", "float", "length"])
+def test_bad_bound_rejected(upper):
+    with pytest.raises(ValueError):
+        solve_canonical([1], _rows([[1]]), [1], upper=upper)
+
+
+def test_bounds_solve_the_lp_with_bound_rows():
+    # random LPs, some columns bounded by an int and some free: the same
+    # value and status as the LP with x <= u written as rows, and every
+    # dual, bound marginals included, proves the vertex optimal for it
+    seen = set()
+    for seed in range(80):
+        rng = random.Random(7000 + seed)
+        nvars = rng.randint(1, 6)
+        c, A, b = _random_lp(rng, nvars, rng.randint(0, 6))
+        upper = [rng.choice((None, 0, 1, 2, 3)) for _ in range(nvars)]
+        A2, b2 = _bound_rows(A, b, upper)
+        try:
+            full = solve_canonical(c, _rows(A2), b2)
+        except (Infeasible, Unbounded) as exc:
+            with pytest.raises(type(exc)):
+                solve_canonical(c, _rows(A), b, upper=upper)
+            seen.add(type(exc).__name__)
+            continue
+        res = solve_canonical(c, _rows(A), b, upper=upper)
+        assert res.value == full.value, seed
+        assert len(res.dual_ub) == len(b2)
+        _assert_certificate(A2, b2, c, res.x, res.dual_ub)
+        if res.flips:
+            seen.add("flip")
+        if any(res.dual_ub[len(b):]):
+            seen.add("bound marginal")
+    assert seen == {"Infeasible", "Unbounded", "flip", "bound marginal"}
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_bounded_walk_tiles_like_the_walk_with_bound_rows(seed):
+    # some of the box rows x <= 1 become bounds (1 or 2): the same value
+    # pieces on the same lam-intervals, and every dual a certificate
+    rng = random.Random(8000 + seed)
+    c0, c1, A, b = _random_walk_lp(rng)
+    nvars = len(c0)
+    upper = [rng.choice((None, 1, 1, 2)) for _ in range(nvars)]
+    box = [j for j, u in enumerate(upper) if u is None]
+    A = A[:-nvars] + [A[len(A) - nvars + j] for j in box]
+    b = b[:-nvars] + [1] * len(box)
+    A2, b2 = _bound_rows(A, b, upper)
+
+    def pieces(ranges):
+        return [(r.lo, r.hi, _dot(c0, r.x), _dot(c1, r.x)) for r in ranges]
+
+    ranges = list(walk_canonical(c0, c1, _rows(A), b, upper=upper))
+    assert pieces(ranges) == pieces(walk_canonical(c0, c1, _rows(A2), b2))
+    for r in ranges:
+        for lam, u in r.dual_ub.items():
+            _assert_certificate(A2, b2, [a + lam * d for a, d in zip(c0, c1)], r.x, u)
+
+
+def test_flip_twice_restores_the_tableau():
+    flipped = 0
+    for seed in range(20):
+        rng = random.Random(9000 + seed)
+        nvars = rng.randint(1, 5)
+        c, A, b = _random_lp(rng, nvars, rng.randint(1, 4))
+        upper = [rng.choice((None, 1, 2)) for _ in range(nvars)]
+        tab = _Tableau(c, _rows(A), b, upper=upper)
+        try:
+            tab.solve()
+        except SimplexError:
+            pass  # a flip needs a nonbasic column, not an optimal basis
+        for col in tab.upper:
+            if col in tab.basis:
+                continue
+            before, x = copy.deepcopy((_state(tab), tab.flipped)), tab._x()
+            tab.flip(col)
+            assert tab._x()[col] == upper[col] - x[col]
+            tab.flip(col)
+            assert (_state(tab), tab.flipped) == before and tab._x() == x
+            flipped += 1
+    assert flipped
+
+
+def test_cut_on_complemented_columns_equals_the_rebuilt_one(growth_checked,
+                                                            monkeypatch):
+    # _random_cut_lp's rows x <= 2 as bounds: each row cut in is written with
+    # the complemented columns negated, as growth_checked checks
+    complemented = []
+    checked_row = _Tableau.add_row
+
+    def add_row(tab, coeffs, bi):
+        complemented.append(bool(tab.flipped))
+        checked_row(tab, coeffs, bi)
+
+    monkeypatch.setattr(_Tableau, "add_row", add_row)
+    for seed in range(30):
+        c, A, b, cuts = _random_cut_lp(random.Random(5000 + seed))
+        held = []
+
+        def violated(x):
+            new = [(row, bi) for row, bi in cuts
+                   if (row, bi) not in held and _dot(row, x) > bi]
+            held.extend(new)
+            return [(_rows([row])[0], bi) for row, bi in new]
+
+        res = solve_canonical(c, [], [], cuts=violated, upper=b)
+        full = solve_canonical(c, _rows(A + [row for row, _ in cuts]),
+                               b + [bi for _, bi in cuts])
+        assert res.value == full.value
+        rows, rhs = _bound_rows([row for row, _ in held],
+                                [bi for _, bi in held], b)
+        _assert_certificate(rows, rhs, c, res.x, res.dual_ub)
+    assert any(complemented)
+
+
+def test_dual_simplex_repairs_a_basic_variable_above_its_bound():
+    # min x0 + 2 x1 s.t. x0 + x1 >= 3, x0 <= 1: pivoting x0 into the row
+    # puts it at 3, above its bound; the dual simplex complements it and
+    # x1 enters, which leaves x0 at its bound
+    tab = _Tableau([1, 2], _rows([[-1, -1]]), [-3], upper=[1, None])
+    tab.pivot(0, 0)
+    assert tab.basis == [0] and tab.T[0][tab.rhs_col] > tab.delta * 1
+    tab.dual_run(Fraction(0))
+    res = tab.result()
+    assert (res.x, res.value, tab.basis, tab.flipped) == ([1, 2], 5, [1], {0})
+    _assert_certificate([[-1, -1], [1, 0]], [-3, 1], [1, 2], res.x, res.dual_ub)
+    # with x0 + x1 <= 2 too, no point is left
+    tab = _Tableau([1, 2], _rows([[-1, -1], [0, 1]]), [-3, 1], upper=[1, None])
+    with pytest.raises(Infeasible):
+        tab.dual_run(Fraction(0))
