@@ -20,19 +20,33 @@ where delta is the previous pivot element; the division is exact (tableau
 entries stay minors of the integer input), and the true tableau is T/delta
 throughout. Python ints make this ~30x faster than a Fraction tableau.
 
+The tableau is condensed (a dictionary, as in lrs; Avis 2000): every basic
+column is delta times a unit vector, so it is not stored. Each row belongs
+to a basic variable (basis) and stores one entry per nonbasic variable
+(cols) and the right-hand side, last. Variables carry labels: 0..nvars-1
+the structural columns, then one slack per row. A pivot on row r and stored
+column c swaps the labels basis[r] and cols[c], and column c becomes the
+leaving variable's column: b in row r, where b is delta (or -delta once the
+row is negated, below), and -T[i][c]*b/delta in every other row, the update
+above with 0 for the leaving column's entry off row r. Every stored integer
+is the one the full tableau would hold, so every division stays exact.
+Columns are stored in the order of the pivots that put them there, so every
+tie-break ranks variables by label, never by position: the pivot path is
+the full tableau's.
+
 A pivot touches only the entries the update can change, and the skipped
 ones keep exactly the integers the full update would give. A negative pivot
 is handled by negating the pivot row first, which negates the update of
 every other row and keeps delta positive. Then when T[r][c] == delta, as in
 most pivots (the dual simplex's negative ones included),
 v*T[r][c]//delta == v, so a row with T[i][c] == 0 keeps every entry, and a
-row with T[i][c] != 0 changes only in the columns where the pivot row is
-nonzero. Otherwise every row is rescaled, but a position where both T[i][j]
-and T[r][j] are zero stays zero.
+row with T[i][c] != 0 changes only in the stored columns where the pivot
+row is nonzero. Otherwise every row is rescaled, but a position where both
+T[i][j] and T[r][j] are zero stays zero.
 
 One driver, _pivot_until, runs both the primal simplex (_run) and the dual
 simplex (dual_run; Lemke, NRLQ 1, 1954); each only picks the next pivot.
-Pivot choice is Dantzig's rule with deterministic lowest-index tie-breaks.
+Pivot choice is Dantzig's rule with deterministic lowest-label tie-breaks.
 The driver watches the objective and, once it stalls, switches the rule to
 Bland's for good, which restores the termination guarantee on degenerate
 problems. The tableau starts from the slack basis, a negative right-hand
@@ -42,23 +56,25 @@ The primal simplex then goes on to the optimum.
 
 One tableau can grow, for an LP too large to write out whose rows or
 columns a caller lists as they are needed: add_row appends a row in the
-current basis with its slack basic, and dual_run restores feasibility;
-add_column appends a column as B^-1 a, read off the slack columns, for the
-primal simplex to go on. Both give exactly the integers of a tableau built
-with the row or column from the start and pivoted into the same basis.
-solve_canonical and walk_canonical grow their tableau through callbacks
-(cuts, columns).
+current basis with its slack basic, writing that row alone, and dual_run
+restores feasibility; add_column appends a stored column to every row as
+B^-1 a, read off the slacks (a nonbasic slack's stored column, delta in a
+basic slack's own row), for the primal simplex to go on. Both give exactly
+the integers of a tableau built with the row or column from the start and
+pivoted into the same basis. solve_canonical and walk_canonical grow their
+tableau through callbacks (cuts, columns).
 
 A bound x_j <= u, u an int, is no row of the tableau (Dantzig's
 upper-bounding technique, Econometrica 23, 1955). A column at its bound is
 complemented, x_j = u - x'_j, so every nonbasic column still sits at 0 and
 the pivot rules keep their form. Complementing is exact in integers: a
-nonbasic column is negated in every row and u times it leaves the
-right-hand sides (flip), and a basic variable's row is negated with delta
-back in its basic column and delta*u added on the right (_complement_row).
-The ratio test then has three outcomes: a basic variable falls to 0 (a
-pivot), a bounded basic variable rises to its bound (complemented, then
-a pivot), or the entering column reaches its own bound (a flip, no pivot).
+nonbasic variable's stored column is negated and u times it leaves the
+right-hand sides (flip), and a basic variable's row is negated, its
+unstored basic column staying delta, and delta*u is added on the right
+(_complement_row). The ratio test then has three outcomes: a basic
+variable falls to 0 (a pivot), a bounded basic variable rises to its bound
+(complemented, then a pivot), or the entering column reaches its own bound
+(a flip, no pivot).
 The dual simplex also reads a bounded basic variable above its bound as
 infeasible, and complements it before the usual row step.
 
@@ -110,6 +126,7 @@ class VertexRange(NamedTuple):
 
 
 _MAX_PIVOTS = 500_000
+_ZERO = Fraction(0)  # one shared zero for every zero entry of x and of a dual
 
 
 def _exact(v):
@@ -138,39 +155,35 @@ class _Tableau:
         c = [_exact(v) for v in c]
         slope = None if slope is None else [_exact(v) for v in slope]
         self.sigma_c = lcm(*(v.denominator for v in c + (slope or []))) if c else 1
-        zrow = [_scaled(v, self.sigma_c) for v in c]
 
         self.nvars = nvars
         self.nrows = nrows
         b = [_exact(v) for v in b]
-        ncols = nvars + nrows + 1
-        self.rhs_col = ncols - 1
+        # the variable of each stored column, then of each row: labels
+        # 0..nvars-1 are the structural columns, nvars + i is row i's slack
+        self.cols = list(range(nvars))
+        self.basis = []
         self.row_scale = []
         self.T = []
-        self.basis = []
         for i, coeffs in enumerate(rows):
             a = _entries(coeffs, nvars, "row %d" % i, "column")
             s = lcm(b[i].denominator, *(v.denominator for _, v in a))
             self.row_scale.append(s)
-            row = [0] * ncols
+            row = [0] * (nvars + 1)
             for j, v in a:
                 row[j] = _scaled(v, s)
-            row[nvars + i] = 1
-            row[self.rhs_col] = _scaled(b[i], s)
+            row[nvars] = _scaled(b[i], s)
             self.T.append(row)
             self.basis.append(nvars + i)
 
-        z = [0] * ncols
-        z[:nvars] = zrow
-        self.z = z
+        self.z = [_scaled(v, self.sigma_c) for v in c] + [0]
         self.z1 = None  # cost-slope row, live only in walk_canonical
         if slope is not None:
-            self.z1 = [0] * ncols
-            self.z1[:nvars] = [_scaled(v, self.sigma_c) for v in slope]
+            self.z1 = [_scaled(v, self.sigma_c) for v in slope] + [0]
         self.delta = 1
         self.pivots = 0
-        # the bound u of each bounded structural column (x_j <= u), in
-        # column order; a column in flipped is complemented, x_j = u - x'_j
+        # the bound u of each bounded structural column (x_j <= u), by
+        # label; a label in flipped is complemented, x_j = u - x'_j
         self.upper = {}
         if upper is not None and len(upper) != nvars:
             raise ValueError("upper and c disagree on column count")
@@ -192,6 +205,10 @@ class _Tableau:
         yield from self.T
 
     def pivot(self, r, col):
+        """Enter the variable of stored column col in row r: the leaving
+        variable takes its column, whose entry in row r is delta (-delta
+        when the row is negated) and 0 in the other rows before the
+        update."""
         tr = self.T[r]
         piv = tr[col]
         if piv == 0:
@@ -202,6 +219,9 @@ class _Tableau:
             # other row negated too, and delta stays positive
             tr[:] = [-t for t in tr]
             piv = -piv
+            tr[col] = -delta
+        else:
+            tr[col] = delta
         if piv == delta:
             # only the pivot row's nonzero columns of rows with f != 0 change;
             # (v*delta - f*t)//delta is exact, so it equals v - f*t//delta
@@ -209,6 +229,7 @@ class _Tableau:
             for row in self._all_rows():
                 f = row[col]
                 if f and row is not tr:
+                    row[col] = 0
                     for j, t in nz:
                         row[j] -= f * t // delta
         else:
@@ -217,65 +238,67 @@ class _Tableau:
                     continue
                 f = row[col]
                 if f:
+                    row[col] = 0
                     row[:] = [(v * piv - f * t) // delta if v or t else 0
                               for v, t in zip(row, tr)]
                 else:
                     row[:] = [v * piv // delta if v else 0 for v in row]
         self.delta = piv
-        self.basis[r] = col
+        self.basis[r], self.cols[col] = self.cols[col], self.basis[r]
         self.pivots += 1
         if self.pivots > _MAX_PIVOTS:
             raise SimplexError("pivot limit exceeded")
 
     def flip(self, col):
-        """Move the nonbasic bounded column col to its other bound: in
-        x' = u - x, its column is negated in every row and u*T[i][col]
-        leaves each right-hand side, exact as u is an int. A second flip
-        undoes the first."""
-        u, rhs = self.upper[col], self.rhs_col
+        """Move the bounded variable of stored column col to its other
+        bound: in x' = u - x, its column is negated in every row and
+        u*T[i][col] leaves each right-hand side, exact as u is an int. A
+        second flip undoes the first."""
+        j = self.cols[col]
+        u = self.upper[j]
         for row in self._all_rows():
             t = row[col]
             if t:
                 row[col] = -t
-                row[rhs] -= u * t
-        self.flipped ^= {col}
+                row[-1] -= u * t
+        self.flipped ^= {j}
         self.flips += 1
 
     def _complement_row(self, r):
         """Write row r's basic variable x, bounded by u, as x' = u - x: the
-        row is negated, delta goes back in the basic column and delta*u is
-        added on the right. No other row holds the basic column."""
+        row is negated, which keeps its implicit basic column delta, and
+        delta*u is added on the right."""
         tr, bv = self.T[r], self.basis[r]
         tr[:] = [-t for t in tr]
-        tr[bv] = self.delta
-        tr[self.rhs_col] += self.delta * self.upper[bv]
+        tr[-1] += self.delta * self.upper[bv]
         self.flipped ^= {bv}
 
     def _leaving(self, col):
-        """The ratio test as col enters: how far col rises before a basic
-        variable falls to 0 (T[r][col] > 0, ratio T[r][rhs]/T[r][col]), a
-        bounded basic variable rises to its bound u (T[r][col] < 0, ratio
+        """The ratio test as column col enters: how far it rises before a
+        basic variable falls to 0 (T[r][col] > 0, ratio T[r][rhs]/T[r][col]),
+        a bounded basic variable rises to its bound u (T[r][col] < 0, ratio
         (delta*u - T[r][rhs])/-T[r][col]) or col reaches its own bound
-        (ratio u). The least ratio wins, the lowest basic index on ties,
-        where col's own bound ranks by col's index.
+        (ratio u). The least ratio wins, the lowest basic label on ties,
+        where col's own bound ranks by col's label.
 
         Returns the row to pivot on, its basic variable complemented first
         when it leaves at its bound, or None when col's own bound comes
         first: col flips. Raises Unbounded when nothing bounds col."""
-        T, basis, rhs_col, ub = self.T, self.basis, self.rhs_col, self.upper
+        basis, ub = self.basis, self.upper
         best_r = best_up = best_idx = None
-        if col in ub:
-            best_num, best_den, best_idx = ub[col], 1, col
-        for r in range(self.nrows):
-            a = T[r][col]
+        label = self.cols[col]
+        if label in ub:
+            best_num, best_den, best_idx = ub[label], 1, label
+        for r, row in enumerate(self.T):
+            a = row[col]
             up = a < 0
             if up:
                 u = ub.get(basis[r])
                 if u is None:
                     continue
-                num, a = self.delta * u - T[r][rhs_col], -a
+                num, a = self.delta * u - row[-1], -a
             elif a:
-                num = T[r][rhs_col]
+                num = row[-1]
             else:
                 continue
             if best_idx is None or num * best_den < best_num * a or (
@@ -283,7 +306,7 @@ class _Tableau:
             ):
                 best_r, best_up, best_num, best_den, best_idx = r, up, num, a, basis[r]
         if best_idx is None:
-            raise Unbounded("column %d unbounded" % col)
+            raise Unbounded("column %d unbounded" % label)
         if best_up:
             self._complement_row(best_r)
         return best_r
@@ -310,16 +333,15 @@ class _Tableau:
         stalls for more than 3*(rows + vars) + 20 steps, bland is True for
         good: step must then keep Bland's rule."""
         z0, z1, q, p = self._reduced(lam)
-        rhs = self.rhs_col
         stall, bland = 0, False
         stall_limit = 3 * (self.nrows + self.nvars) + 20
-        last_obj = (z0[rhs] * q + z1[rhs] * p, self.delta)
+        last_obj = (z0[-1] * q + z1[-1] * p, self.delta)
         while True:
             rc = step(bland)
             if rc is None:
                 return
             self._exchange(*rc)
-            cur = (z0[rhs] * q + z1[rhs] * p, self.delta)
+            cur = (z0[-1] * q + z1[-1] * p, self.delta)
             if cur[0] * last_obj[1] == last_obj[0] * cur[1]:
                 stall += 1
                 bland = bland or stall > stall_limit
@@ -330,43 +352,45 @@ class _Tableau:
 
     def _run(self):
         """Primal simplex: Dantzig's rule enters the most negative reduced
-        cost, Bland's the first negative one, lowest index on ties."""
-        z, n = self.z, self.nvars + self.nrows
+        cost, Bland's the negative one of lowest label, lowest label on
+        ties."""
+        z, cols = self.z, self.cols
 
         def step(bland):
             best, col = 0, None
-            for j in range(n):
-                if z[j] < best:
-                    best, col = z[j], j
-                    if bland:
-                        break
+            for j in range(self.nvars):
+                v = z[j]
+                if v < 0 and (col is None or (
+                        cols[j] < cols[col] if bland or v == best else v < best)):
+                    best, col = v, j
             if col is None:
                 return None
             return self._leaving(col), col
 
-        self._pivot_until(step, Fraction(0))
+        self._pivot_until(step, _ZERO)
 
     def solve(self):
         """The dual simplex to a feasible basis, an optimal one when no cost
         is negative, then the primal simplex to the optimum."""
-        self.dual_run(None if any(v < 0 for v in self.z) else Fraction(0))
+        self.dual_run(None if any(v < 0 for v in self.z) else _ZERO)
         self._run()
 
     # -- growth ---------------------------------------------------------
 
     def add_row(self, coeffs, bi):
-        """Append the row coeffs.x <= bi with its new slack basic.
+        """Append the row coeffs.x <= bi with its new slack basic; no other
+        row changes.
 
         The row is scaled by the lcm s of its denominators and written in the
         current basis: with a_j its coefficients and r_j the row where column
         j is basic, the fraction-free row is s*(delta*a - sum_j a_j*T[r_j])
-        over the basic structural columns j, delta in its own slack column,
-        and s*(delta*bi - sum_j a_j*T[r_j][rhs]) = s*delta*(bi - a.x) on the
-        right. It is zero on every basic column, so it is the row a tableau
-        built with it from the start would show in this basis, and its
-        right-hand side is negative exactly when the vertex breaks it. On a
-        complemented column, x_j = u - x'_j, the row holds -a_j and a_j*u
-        moves to the right.
+        over the basic structural columns j, with s*(delta*bi - sum_j
+        a_j*T[r_j][rhs]) = s*delta*(bi - a.x) on the right. It is zero on
+        every basic column, so it stores one entry per nonbasic column as
+        every row does: the row a tableau built with it from the start would
+        show in this basis, and its right-hand side is negative exactly when
+        the vertex breaks it. On a complemented column, x_j = u - x'_j, the
+        row holds -a_j and a_j*u moves to the right.
         """
         a = _entries(coeffs, self.nvars, "row %d" % self.nrows, "column")
         bi = _exact(bi)
@@ -374,37 +398,36 @@ class _Tableau:
             bi -= sum(v * self.upper[j] for j, v in a if j in self.flipped)
             a = [(j, -v if j in self.flipped else v) for j, v in a]
         s = lcm(bi.denominator, *(v.denominator for _, v in a))
-        slack = self.rhs_col
-        for row in self._all_rows():
-            row.insert(slack, 0)
-        self.rhs_col += 1
         delta = self.delta
-        new = [0] * (self.rhs_col + 1)
-        where = {col: r for r, col in enumerate(self.basis)}
+        new = [0] * (self.nvars + 1)
+        at = {j: k for k, j in enumerate(self.cols)}
+        where = {j: r for r, j in enumerate(self.basis)}
         for j, v in a:
             v = _scaled(v, s)
-            new[j] += delta * v
-            r = where.get(j)
-            if r is not None:  # cancels new[j] and leaves j's basic row behind
-                for k, t in enumerate(self.T[r]):
+            k = at.get(j)
+            if k is not None:
+                new[k] += delta * v
+            else:  # j is basic: its row leaves v times itself behind
+                for k, t in enumerate(self.T[where[j]]):
                     if t:
                         new[k] -= v * t
-        new[slack] = delta
-        new[self.rhs_col] += delta * _scaled(bi, s)
+        new[-1] += delta * _scaled(bi, s)
         self.T.append(new)
-        self.basis.append(slack)
+        self.basis.append(self.nvars + self.nrows)
         self.row_scale.append(s)
         self.nrows += 1
 
     def add_column(self, cost, coeffs):
         """Append a structural column of the given cost, its entries given
-        as (row, coefficient) pairs, after the last structural column.
+        as (row, coefficient) pairs, with the label after the last
+        structural column; every slack's label moves up by one.
 
-        In every row the column is B^-1 a, read off the slack columns: row i
-        was scaled by s_i, so the column's entries are s_i*a_i in the
-        starting tableau, where slack i's column is the unit vector, and by
-        linearity its fraction-free column today is sum_i s_i*a_i*T[.][slack
-        i]; the cost row adds delta*sigma_c*cost.
+        In every row the column is B^-1 a, read off the slacks: row i was
+        scaled by s_i, so the column's entries are s_i*a_i in the starting
+        tableau, where slack i's column is the unit vector, and by linearity
+        its fraction-free column today is sum_i s_i*a_i*T[.][slack i]. That
+        is the stored column of slack i when it is nonbasic, and delta in
+        its own row when it is basic; the cost row adds delta*sigma_c*cost.
         Every s_i*a_i and sigma_c*cost must be an integer: the row scales are
         fixed when the tableau is built.
         """
@@ -414,17 +437,27 @@ class _Tableau:
                 self.sigma_c % cost.denominator:
             raise ValueError("column %d is not integral over the row scales"
                              % self.nvars)
-        a = [(self.nvars + i, _scaled(v, self.row_scale[i])) for i, v in a]
-        for row in self._all_rows():
-            v = sum(t * row[k] for k, t in a)
-            if row is self.z:
-                v += self.delta * _scaled(cost, self.sigma_c)
-            row.insert(self.nvars, v)
-        self.basis = [col + (col >= self.nvars) for col in self.basis]
+        n, delta = self.nvars, self.delta
+        at = {j: k for k, j in enumerate(self.cols)}
+        where = {j: r for r, j in enumerate(self.basis)}
+        stored, own = [], {}
+        for i, v in a:
+            t = _scaled(v, self.row_scale[i])
+            if n + i in at:
+                stored.append((at[n + i], t))
+            else:
+                own[where[n + i]] = delta * t
+        self.z.insert(-1, sum(t * self.z[k] for k, t in stored)
+                      + delta * _scaled(cost, self.sigma_c))
+        if self.z1 is not None:
+            self.z1.insert(-1, sum(t * self.z1[k] for k, t in stored))
+        for r, row in enumerate(self.T):
+            row.insert(-1, sum(t * row[k] for k, t in stored) + own.get(r, 0))
+        self.cols[:] = [j + (j >= n) for j in self.cols] + [n]
+        self.basis[:] = [j + (j >= n) for j in self.basis]
         self.nvars += 1
-        self.rhs_col += 1
 
-    def dual_run(self, lam=Fraction(0)):
+    def dual_run(self, lam=_ZERO):
         """Dual simplex at lam: pivot until every basic variable lies within
         its bounds, keeping every reduced cost z0 + lam*z1 at lam >= 0. lam
         None reads every reduced cost as 0: that pass only restores
@@ -434,28 +467,27 @@ class _Tableau:
         its basic variable is bounded by u and the right-hand side exceeds
         delta*u; complementing that variable (x' = u - x) turns the excess
         into the negative right-hand side delta*u - T[r][rhs]. The leaving
-        row is the most negative right-hand side so read, lowest basic index
+        row is the most negative right-hand side so read, lowest basic label
         on ties, complemented first in the second case; the entering column
         minimizes the ratio of its reduced cost at lam to -T[r][j] over
-        T[r][j] < 0, lowest index on ties. No such column means the rows
+        T[r][j] < 0, lowest label on ties. No such column means the rows
         and bounds have no feasible point.
 
         Termination: complementing a basic variable moves neither the basis
         nor the objective, and a pivot with a positive ratio strictly raises
         the objective at lam, so no basis recurs across such a rise. Under
-        _pivot_until's bland, the infeasible row of lowest basic index
+        _pivot_until's bland, the infeasible row of lowest basic label
         leaves, whichever bound it breaks: Bland's rule for the dual. With
         lam None every ratio is 0, so every candidate column ties and the
-        lowest index enters, as that rule asks.
+        lowest label enters, as that rule asks.
         """
         z0, z1, q, p = self._reduced(lam)
-        T, basis, rhs, ub = self.T, self.basis, self.rhs_col, self.upper
-        n = self.nvars + self.nrows
+        T, basis, cols, ub = self.T, self.basis, self.cols, self.upper
 
         def step(bland):
             r = best = None
             for i, row in enumerate(T):
-                v = row[rhs]
+                v = row[-1]
                 if v >= 0:
                     u = ub.get(basis[i])
                     if u is None:
@@ -468,16 +500,20 @@ class _Tableau:
                     r, best = i, v
             if r is None:
                 return None
-            if T[r][rhs] > 0:
+            if T[r][-1] > 0:
                 self._complement_row(r)
             tr = T[r]
             col = best_d = best_a = None
-            for j in range(n):
+            for j in range(self.nvars):
                 a = tr[j]
                 if a < 0:
                     d = z0[j] * q + z1[j] * p
                     # d/-a < best_d/-best_a, cross-multiplied
-                    if col is None or d * best_a > best_d * a:
+                    if col is None:
+                        col, best_d, best_a = j, d, a
+                        continue
+                    new, old = d * best_a, best_d * a
+                    if new > old or (new == old and cols[j] < cols[col]):
                         col, best_d, best_a = j, d, a
             if col is None:
                 raise Infeasible("row %d cannot be made feasible" % r)
@@ -493,38 +529,44 @@ class _Tableau:
         v = [0] * self.nvars
         for r, bv in enumerate(self.basis):
             if bv < self.nvars:
-                v[bv] = self.T[r][self.rhs_col]
+                v[bv] = self.T[r][-1]
         for j in self.flipped:
             v[j] = self.upper[j] * self.delta - v[j]
-        return [Fraction(t, self.delta) for t in v]
+        return [Fraction(t, self.delta) if t else _ZERO for t in v]
 
-    def _duals(self, lam=Fraction(0)):
+    def _duals(self, lam=_ZERO):
         """Marginals of b, then of each bounded column's x_j <= u_j in
-        column order, for the cost c + lam*slope (min convention). A bound's
-        marginal is minus the reduced cost of its column when complemented
-        (the column sits at u), else 0."""
+        column order, for the cost c + lam*slope (min convention): minus the
+        reduced cost of row i's slack, and of a bounded column when it is
+        complemented and nonbasic (the column sits at u); 0 for a basic
+        variable."""
         z0, z1, q, p = self._reduced(lam)
         den = q * self.delta * self.sigma_c
-        return [
-            Fraction(-(z0[j] * q + z1[j] * p) * s, den)
-            for j, s in enumerate(self.row_scale, start=self.nvars)
-        ] + [
-            Fraction(-(z0[j] * q + z1[j] * p), den) if j in self.flipped
-            else Fraction(0) for j in self.upper
-        ]
+        at = {j: k for k, j in enumerate(self.cols)}
+
+        def marginal(j, s):
+            k = at.get(j)
+            if k is None:
+                return _ZERO
+            d = z0[k] * q + z1[k] * p
+            return Fraction(-d * s, den) if d else _ZERO
+
+        rows = enumerate(self.row_scale, start=self.nvars)
+        return [marginal(j, s) for j, s in rows] + [
+            marginal(j, 1) if j in self.flipped else _ZERO for j in self.upper]
 
     def result(self) -> SimplexResult:
-        value = Fraction(-self.z[self.rhs_col], self.delta) / self.sigma_c
+        value = Fraction(-self.z[-1], self.delta * self.sigma_c)
         return SimplexResult(self._x(), value, self._duals(), self.pivots,
                              self.flips)
 
 
-def _cut(tab, new, lam=Fraction(0)):
+def _cut(tab, new, lam=_ZERO):
     """Append the rows new, each (coeffs, bi), that tab's vertex breaks,
     then restore feasibility by the dual simplex at lam."""
     for coeffs, bi in new:
         tab.add_row(coeffs, bi)
-        if tab.T[-1][tab.rhs_col] >= 0:
+        if tab.T[-1][-1] >= 0:
             raise SimplexError("row %d does not cut off the vertex" % (tab.nrows - 1))
     tab.dual_run(lam)
 
@@ -582,13 +624,14 @@ def walk_canonical(c0, c1, rows, b, cuts=None, upper=None):
     c0 >= 0, so that the slack basis is feasible and optimal at lam = 0. The
     tableau keeps the reduced costs of c0 and c1 as two rows z0 and z1; the
     reduced cost of column j at lam is z0[j] + lam*z1[j], so a basis optimal
-    at lo stays optimal up to hi = min z0[j]/-z1[j] over the columns with
-    z1[j] < 0 (basic columns have z0 = z1 = 0). The walk enters the column
-    that attains hi, lowest index on ties, picks the leaving row with the
-    ratio test, or flips the column when its own bound comes first, and
-    repeats from lam = hi until hi reaches 1. Consecutive
-    bases whose vertices have the same c0.x and c1.x, read off the cost
-    rows, make one VertexRange, of the first such vertex; a dual is
+    at lo stays optimal up to hi = min z0[j]/-z1[j] over the stored columns
+    with z1[j] < 0 (basic columns have z0 = z1 = 0). The walk enters the
+    column that attains hi, lowest label on ties, picks the leaving row with
+    the ratio test, or flips the column when its own bound comes first, and
+    repeats from lam = hi until hi reaches 1. lo and hi are kept as integer
+    ratios, and become Fractions only where a range starts or ends.
+    Consecutive bases whose vertices have the same c0.x and c1.x, read off
+    the cost rows, make one VertexRange, of the first such vertex; a dual is
     computed once per range, at its lo, and once more at 1.
 
     The ranges are the optimal value function's pieces: every pivot or flip
@@ -615,7 +658,7 @@ def walk_canonical(c0, c1, rows, b, cuts=None, upper=None):
     basic variable leaving at its bound is complemented first, which moves
     no reduced cost. So while hi == lo the candidates are exactly the
     columns of zero reduced cost at lo with z1[j] < 0. Taking the lowest
-    index among them, with the ratio test's lowest-basic-index tie-break, is
+    label among them, with the ratio test's lowest-basic-label tie-break, is
     Bland's rule for min c1.x over the face of lo-optimal points, which
     cannot cycle; it ends at a basis whose hi exceeds lo. lam
     never decreases, and a basis (with its complemented columns) once left
@@ -629,23 +672,29 @@ def walk_canonical(c0, c1, rows, b, cuts=None, upper=None):
     if any(rat(v) < 0 for v in b) or any(rat(v) < 0 for v in c0):
         raise ValueError("the slack basis must be optimal at lam = 0")
     tab = _Tableau(c0, rows, b, slope=c1, upper=upper)
-    z0, z1 = tab.z, tab.z1
-    lo = Fraction(0)
+    z0, z1, cols = tab.z, tab.z1, tab.cols
+    lo_num, lo_den = 0, 1  # lo, a Fraction only where a range starts
     cur = None  # the vertex being walked; its hi is not known yet
-    line = None  # c0.x and c1.x of cur's vertex, times -sigma_c
+    line = None  # z0[rhs], z1[rhs] and delta at cur's vertex
     while True:
         col = None
-        for j in range(tab.nvars + tab.nrows):
+        for j in range(tab.nvars):
             # z0[j]/-z1[j] < z0[col]/-z1[col], cross-multiplied
-            if z1[j] < 0 and (col is None or z0[j] * z1[col] > z0[col] * z1[j]):
-                col = j
-        hi = Fraction(1)
-        if col is not None:
-            hi = min(Fraction(z0[col], -z1[col]), hi)
-        if hi > lo:
-            costs = (Fraction(z0[tab.rhs_col], tab.delta),
-                     Fraction(z1[tab.rhs_col], tab.delta))
-            if costs != line:
+            if z1[j] < 0:
+                if col is None:
+                    col = j
+                    continue
+                new, old = z0[j] * z1[col], z0[col] * z1[j]
+                if new > old or (new == old and cols[j] < cols[col]):
+                    col = j
+        hi_num, hi_den = 1, 1
+        if col is not None and z0[col] < -z1[col]:
+            hi_num, hi_den = z0[col], -z1[col]
+        if hi_num * lo_den > lo_num * hi_den:
+            costs = (z0[-1], z1[-1], tab.delta)
+            if line is None or costs[0] * line[2] != line[0] * costs[2] or \
+                    costs[1] * line[2] != line[1] * costs[2]:
+                lo = Fraction(lo_num, lo_den)
                 x = tab._x()
                 new = cuts(x) if cuts is not None else ()
                 if new:
@@ -657,9 +706,10 @@ def walk_canonical(c0, c1, rows, b, cuts=None, upper=None):
                     yield cur._replace(hi=lo)
                 cur = VertexRange(lo, None, x, {lo: y}, tab.pivots)
                 line = costs
-        if hi == 1:
+        if hi_num == hi_den:
+            hi = Fraction(1)
             cur.dual_ub[hi] = tab._duals(hi)
             yield cur._replace(hi=hi)
             return
         tab._exchange(tab._leaving(col), col)
-        lo = hi
+        lo_num, lo_den = hi_num, hi_den

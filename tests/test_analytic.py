@@ -54,6 +54,20 @@ def test_ring16_exact_curve_is_the_closed_form():
         assert ring_lp(4, lam)[0] == curve.value_at(lam), lam
 
 
+@pytest.mark.slow
+def test_ring32_exact_curve_is_the_closed_form():
+    # the 16-ring check above on the 32-ring, a walk of over 1200 pivots: the
+    # domain's ends, the curve's breakpoints inside it and the special lams
+    curve = lp_curve(gen_ring(5))
+    special = ring_special_lambdas(5)
+    lo, hi = special[0], special[-1]
+    inside = [lam for lam in curve.breakpoints if lo <= lam <= hi]
+    points = [lo, hi] + inside + special
+    assert len(points) == 21
+    for lam in points:
+        assert ring_lp(5, lam)[0] == curve.value_at(lam), lam
+
+
 def test_ring_g_and_q_frozen():
     assert abs(ring_g(3, Fraction(1, 8)) - 3.5) < 1e-12
     assert ring_g(3, 0) == 0

@@ -275,12 +275,31 @@ def test_walk_unbounded_beyond_breakpoint():
         list(walk_canonical([1], [-2], [((0, -1),)], [0]))
 
 
-def _dense_pivot(tab, r, col):
+def _dense(tab):
+    """tab's rows z, z1 (when live) and T spread over every variable label,
+    the right-hand side last: the stored columns, and each basic column
+    delta times the unit vector of its row."""
+    width = tab.nvars + tab.nrows
+
+    def spread(row, r=None):
+        out = [0] * width + [row[-1]]
+        for j, v in zip(tab.cols, row):
+            out[j] = v
+        if r is not None:
+            out[tab.basis[r]] = tab.delta
+        return out
+
+    rows = [spread(tab.z)] + ([] if tab.z1 is None else [spread(tab.z1)])
+    return rows + [spread(row, r) for r, row in enumerate(tab.T)]
+
+
+def _dense_pivot(rows, tr, col, delta):
     """The dense integer Gauss-Jordan (Bareiss) update over every entry of
-    every row: the reference that _Tableau.pivot must match integer for
-    integer."""
-    piv, delta, tr = tab.T[r][col], tab.delta, tab.T[r]
-    for row in tab._all_rows():
+    every row of rows, on the pivot row tr at column col: the reference
+    that _Tableau.pivot must match integer for integer. Returns the new
+    delta."""
+    piv = tr[col]
+    for row in rows:
         if row is tr:
             continue
         f = row[col]
@@ -292,14 +311,12 @@ def _dense_pivot(tab, r, col):
             continue
         for j, v in enumerate(row):
             row[j] = (v * piv - f * tr[j]) // delta
-    tab.delta = piv
-    tab.basis[r] = col
-    if tab.delta < 0:
-        for row in tab._all_rows():
+    if piv < 0:
+        for row in rows:
             for j, v in enumerate(row):
                 if v:
                     row[j] = -v
-        tab.delta = -tab.delta
+    return abs(piv)
 
 
 def _random_phase1_lp(rng):
@@ -322,7 +339,15 @@ def _random_phase1_lp(rng):
 
 
 def _state(tab):
-    return tab.T, tab.z, tab.z1, tab.delta, tab.basis
+    """The tableau by variable label, not by stored position: each row
+    under its basic variable, each entry under its nonbasic variable, the
+    right-hand side under "rhs"."""
+    def by_label(row):
+        return dict(zip(tab.cols + ["rhs"], row))
+
+    return ({bv: by_label(row) for bv, row in zip(tab.basis, tab.T)},
+            by_label(tab.z), None if tab.z1 is None else by_label(tab.z1),
+            tab.delta)
 
 
 def test_pivot_matches_dense_bareiss_update(monkeypatch):
@@ -337,10 +362,12 @@ def test_pivot_matches_dense_bareiss_update(monkeypatch):
             branches.add("piv != delta")
         elif any(row[col] == 0 for row in tab._all_rows()):
             branches.add("piv == delta, some f == 0")
-        ref = copy.deepcopy(tab)
-        _dense_pivot(ref, r, col)
+        ref, basis = _dense(tab), tab.basis[:]
+        basis[r] = tab.cols[col]
+        ref_delta = _dense_pivot(ref, ref[len(ref) - tab.nrows + r],
+                                 tab.cols[col], delta)
         real(tab, r, col)
-        assert _state(tab) == _state(ref)
+        assert (_dense(tab), tab.delta, tab.basis) == (ref, ref_delta, basis)
 
     monkeypatch.setattr(_Tableau, "pivot", checked)
     for seed in range(40):
@@ -355,6 +382,117 @@ def test_pivot_matches_dense_bareiss_update(monkeypatch):
     assert branches == {"piv < 0", "piv != delta", "piv == delta, some f == 0"}
 
 
+def _assert_condensed(tab):
+    """Each stored row holds one entry per nonbasic variable and the
+    right-hand side; the stored columns and the rows name every variable
+    once."""
+    assert sorted(tab.cols + tab.basis) == list(range(tab.nvars + tab.nrows))
+    assert all(len(row) == len(tab.cols) + 1 for row in tab._all_rows())
+
+
+def test_every_row_stores_one_entry_per_nonbasic_variable(corpus, monkeypatch):
+    from lambdaprime.lp import lp_curve, solve_lp
+    from lambdaprime.sensitivity import eps_range
+
+    seen = set()
+    for name in ("pivot", "flip", "add_row", "add_column"):
+        def checked(tab, *args, real=getattr(_Tableau, name), name=name):
+            real(tab, *args)
+            _assert_condensed(tab)
+            seen.add(name)
+
+        monkeypatch.setattr(_Tableau, name, checked)
+    for _, g in corpus:
+        if g.n > 6:
+            continue
+        lam = Fraction(1, 3)
+        eps_range(solve_lp(g, lam), lam, Fraction(1, 2), g)
+        lp_curve(g)
+    assert seen == {"pivot", "flip", "add_row", "add_column"}
+
+
+def test_add_row_leaves_every_held_row_unchanged(corpus, monkeypatch):
+    # z, z1 and each row of T keep their object and every entry: a cut
+    # writes its own row only
+    from lambdaprime.lp import lp_curve, solve_lp
+
+    walked = set()
+    real = _Tableau.add_row
+
+    def checked(tab, coeffs, bi):
+        held = list(tab._all_rows())
+        before = copy.deepcopy(held)
+        real(tab, coeffs, bi)
+        after = list(tab._all_rows())
+        assert all(a is b for a, b in zip(held, after)) and after[:-1] == before
+        walked.add(tab.z1 is not None)
+
+    monkeypatch.setattr(_Tableau, "add_row", checked)
+    for _, g in corpus:
+        if g.n <= 7:
+            solve_lp(g, Fraction(1, 3))
+            lp_curve(g)
+    assert walked == {False, True}
+
+
+# -- tie-breaks rank variables by label, not by stored position ------------
+
+
+def _first_step(tab, run, bland):
+    """The (row, column) that run's step picks first under bland; no pivot
+    is made."""
+    picked = []
+    tab._pivot_until = lambda step, lam: picked.append(step(bland))
+    run()
+    return picked[0]
+
+
+def test_primal_ties_enter_the_lowest_label():
+    # min x0 - x1 s.t. x0 <= 1, x1 <= 1: once x0 enters row 0, its slack
+    # (label 2) is stored in column 0 and ties x1 (label 1, column 1) at
+    # reduced cost -1; Dantzig's tie-break and Bland's rule both take x1
+    for bland in (False, True):
+        tab = _Tableau([1, -1], _rows([[1, 0], [0, 1]]), [1, 1])
+        tab.pivot(0, 0)
+        assert tab.cols == [2, 1] and tab.z[:-1] == [-1, -1]
+        r, col = _first_step(tab, tab._run, bland)
+        assert (tab.cols[col], tab.basis[r]) == (1, 3)
+
+
+def test_dual_ratio_ties_enter_the_lowest_label():
+    # min -x0 + x1/2 s.t. x0 <= 1, 2 x0 - x1 <= -1: once x0 enters row 0,
+    # row 1 is infeasible and its slack-of-row-0 column (label 2, column 0)
+    # ties x1 (label 1, column 1) in the ratio test, at lam = 0 (ratios
+    # 2/2 and 1/1) and with every cost read as 0; x1 enters both times
+    for lam in (Fraction(0), None):
+        tab = _Tableau([-1, Fraction(1, 2)], _rows([[1, 0], [2, -1]]), [1, -1])
+        tab.pivot(0, 0)
+        assert tab.cols == [2, 1] and tab.T[1] == [-2, -1, -3]
+        r, col = _first_step(tab, lambda: tab.dual_run(lam), False)
+        assert (r, tab.cols[col]) == (1, 1)
+
+
+def test_walk_ties_enter_the_lowest_label(monkeypatch):
+    # min (1 - 2 lam)(x0 + x1), x <= 1 as bounds, with the cut x0 >= 1 at
+    # lam = 0: the dual simplex enters x0 in the cut's row, and the cut's
+    # slack (label 2) is stored in column 0 with x0's costs, so at lam = 1/2
+    # it ties x1 (label 1, column 1); the walk enters x1
+    entered = []
+    real = _Tableau._leaving
+
+    def leaving(tab, col):
+        entered.append((tab.cols[:], tab.cols[col]))
+        return real(tab, col)
+
+    monkeypatch.setattr(_Tableau, "_leaving", leaving)
+    ranges = list(walk_canonical(
+        [1, 1], [-2, -2], [], [], upper=[1, 1],
+        cuts=lambda x: [(((0, -1),), -1)] if x[0] < 1 else []))
+    assert entered[0] == ([2, 1], 1)
+    assert [(r.lo, r.hi, r.x) for r in ranges] == [
+        (0, Fraction(1, 2), [1, 0]), (Fraction(1, 2), 1, [1, 1])]
+
+
 # -- growing one tableau: appended rows and columns ----------------------
 
 
@@ -363,12 +501,13 @@ def _rebuilt(given, basis, flipped):
     the columns in flipped complemented, and pivoted into basis."""
     c, rows, b, slope, upper = given
     ref = _Tableau(c, rows, b, slope=slope, upper=upper)
-    for col in sorted(flipped):  # every column is nonbasic in a new tableau
-        ref.flip(col)
-    for col in basis:
-        if col not in ref.basis:
-            # basis is nonsingular, so some row whose basic column leaves
-            # has a nonzero entry in col
+    for j in sorted(flipped):  # every column is nonbasic in a new tableau
+        ref.flip(ref.cols.index(j))
+    for j in basis:
+        if j not in ref.basis:
+            # basis is nonsingular, so some row whose basic variable leaves
+            # has a nonzero entry in j's column
+            col = ref.cols.index(j)
             r = next(i for i, bv in enumerate(ref.basis)
                      if bv not in basis and ref.T[i][col])
             ref.pivot(r, col)
@@ -377,9 +516,8 @@ def _rebuilt(given, basis, flipped):
 
 def _assert_rebuilt(tab):
     ref = _rebuilt(tab.given, tab.basis, tab.flipped)
-    assert dict(zip(tab.basis, tab.T)) == dict(zip(ref.basis, ref.T))
-    assert (tab.z, tab.z1, tab.delta, tab.row_scale, tab.flipped) == (
-        ref.z, ref.z1, ref.delta, ref.row_scale, ref.flipped)
+    assert _state(tab) == _state(ref)
+    assert (tab.row_scale, tab.flipped) == (ref.row_scale, ref.flipped)
 
 
 @pytest.fixture
@@ -587,21 +725,21 @@ def test_beale_cycling_example_ends_without_repeating_a_basis():
     assert len(bases) == len(set(bases)) == 6
 
 
-def _bland_flags(cols):
+def _bland_flags(labels):
     """The bland flag _pivot_until hands its step before each pivot of
-    min -x1 s.t. x0 + x1 <= 1, the k-th pivot entering column cols[k]
-    (column 2 is the slack)."""
+    min -x1 s.t. x0 + x1 <= 1, the k-th pivot entering the variable
+    labels[k] (label 2 is the slack), wherever its column is stored."""
     tab = _Tableau([0, -1], _rows([[1, 1]]), [1])
     seen = []
 
     def step(bland):
-        if len(seen) == len(cols):
+        if len(seen) == len(labels):
             return None
         seen.append(bland)
-        return 0, cols[len(seen) - 1]
+        return 0, tab.cols.index(labels[len(seen) - 1])
 
     tab._pivot_until(step, Fraction(0))
-    assert tab.pivots == len(cols)
+    assert tab.pivots == len(labels)
     return seen
 
 
@@ -721,13 +859,13 @@ def test_flip_twice_restores_the_tableau():
             tab.solve()
         except SimplexError:
             pass  # a flip needs a nonbasic column, not an optimal basis
-        for col in tab.upper:
-            if col in tab.basis:
+        for j in tab.upper:
+            if j in tab.basis:
                 continue
             before, x = copy.deepcopy((_state(tab), tab.flipped)), tab._x()
-            tab.flip(col)
-            assert tab._x()[col] == upper[col] - x[col]
-            tab.flip(col)
+            tab.flip(tab.cols.index(j))
+            assert tab._x()[j] == upper[j] - x[j]
+            tab.flip(tab.cols.index(j))
             assert (_state(tab), tab.flipped) == before and tab._x() == x
             flipped += 1
     assert flipped
@@ -771,7 +909,7 @@ def test_dual_simplex_repairs_a_basic_variable_above_its_bound():
     # x1 enters, which leaves x0 at its bound
     tab = _Tableau([1, 2], _rows([[-1, -1]]), [-3], upper=[1, None])
     tab.pivot(0, 0)
-    assert tab.basis == [0] and tab.T[0][tab.rhs_col] > tab.delta * 1
+    assert tab.basis == [0] and tab.T[0][-1] > tab.delta * 1
     tab.dual_run(Fraction(0))
     res = tab.result()
     assert (res.x, res.value, tab.basis, tab.flipped) == ([1, 2], 5, [1], {0})
