@@ -1,13 +1,22 @@
 """Brute-force ground truth on small graphs.
 
-Enumerates all set partitions (restricted-growth strings), builds the exact
-OPT(lam) lower envelope with one representative clustering per piece, and
-computes the scaled sparsest cut
+Enumerates all set partitions (restricted-growth strings, Knuth TAOCP 4A
+7.2.1.5), builds the exact OPT(lam) lower envelope on [0, 1] with one
+representative clustering per piece, and computes the scaled sparsest cut
 
     lam* = min_S cut(S) / (|S| |S~|)
 
 below which the single cluster is optimal. Everything here is exponential and
 capped at n <= PARTITION_CAP nodes.
+
+`exact_opt_curve` does not score partitions one by one: it walks the tree of
+restricted-growth strings depth first, in the same lexicographic order as
+`_iter_rgs`, and carries the cut and the co-clustered pair count down the
+walk, so each partition costs one step at its last node. Per pair count N it
+keeps the least cut, replaced only by a strictly smaller one, so the
+representative of N is the first partition in enumeration order with that
+cut. `enumerate_partitions` is the brute-force ground truth it is tested
+against.
 """
 from __future__ import annotations
 
@@ -50,35 +59,58 @@ def enumerate_partitions(g: Graph, n_max: int = PARTITION_CAP):
 
 
 def exact_opt_curve(g: Graph):
-    """(PwlCurve of OPT(lam) on (0,1), family of representative clusterings).
+    """(PwlCurve of OPT(lam) on [0, 1], family of representative clusterings).
 
-    The envelope is built incrementally: per negative-mass N we keep only the
-    best (lowest-P, earliest-enumerated) line, at most C(n,2)+1 candidates,
-    then take their exact lower envelope. family[i] realizes pieces[i].
+    A depth-first walk over the restricted-growth strings places nodes
+    0, 1, ... in turn, trying clusters 0..k in increasing order, so it meets
+    the partitions in the order of `_iter_rgs`, which is the lexicographic
+    order of their labels. The cut P and the co-clustered pair count N ride
+    down the walk: node i in cluster c adds |back[i]| - cnt[c] to P
+    (back[i]: i's neighbours below i, cnt[c]: how many of them are in c, counted
+    once per tree node) and sizes[c] to N; the last node scores all of its
+    choices in one loop. Per N we keep the least P, replaced only by a
+    strictly smaller one, so each N's representative is the first partition
+    with that least P. The exact lower envelope of these at most C(n,2)+1
+    lines, taken in enumeration order, gives the curve; family[i] realizes
+    pieces[i].
     """
     if g.n > PARTITION_CAP:
         raise ValueError("n=%d exceeds enumeration cap %d" % (g.n, PARTITION_CAP))
     n = g.n
-    edges = sorted(g.edges)
-    # best[N] = (P, order_index, rgs copy)
-    best = {}
-    order = 0
-    for rgs in _iter_rgs(n):
-        cut = 0
-        for u, v in edges:
-            if rgs[u] != rgs[v]:
-                cut += 1
-        sizes = [0] * n
-        for a in rgs:
-            sizes[a] += 1
-        npairs = sum(s * (s - 1) // 2 for s in sizes if s > 1)
-        cur = best.get(npairs)
-        if cur is None or cut < cur[0]:
-            best[npairs] = (cut, order, list(rgs))
-        order += 1
-    entries = sorted(best.items(), key=lambda kv: kv[1][1])  # enumeration order
-    lines = [CostLine(Fraction(p), Fraction(nn)) for nn, (p, _, _) in entries]
-    clusterings = [Clustering(tuple(rgs)) for _, (_, _, rgs) in entries]
+    back = [[] for _ in range(n)]
+    for u, v in g.edges:
+        back[v].append(u)
+    a = [0] * n
+    sizes = [0] * n
+    best = [g.m + 1] * (n * (n - 1) // 2 + 1)  # least P per N; m + 1 = none yet
+    reps = {}  # N -> labels of its first partition with P = best[N]
+
+    def place(i, k, cut, pairs):
+        # nodes 0..i-1 are placed in clusters 0..k-1, with this cut and N
+        cnt = [0] * (k + 1)
+        for u in back[i]:
+            cnt[a[u]] += 1
+        cut += len(back[i])
+        if i == n - 1:
+            for c in range(k + 1):
+                p = cut - cnt[c]
+                nn = pairs + sizes[c]
+                if p < best[nn]:
+                    best[nn] = p
+                    a[i] = c
+                    reps[nn] = tuple(a)
+            return
+        for c in range(k + 1):
+            a[i] = c
+            s = sizes[c]
+            sizes[c] = s + 1
+            place(i + 1, k + (c == k), cut - cnt[c], pairs + s)
+            sizes[c] = s
+
+    place(0, 0, 0, 0)
+    entries = sorted((rgs, nn) for nn, rgs in reps.items())  # enumeration order
+    lines = [CostLine(Fraction(best[nn]), Fraction(nn)) for _, nn in entries]
+    clusterings = [Clustering(rgs) for rgs, _ in entries]
     curve = envelope_of(lines, domain=(Fraction(0), Fraction(1)), tags=clusterings)
     family = [piece.tag for piece in curve.pieces]
     return curve, family

@@ -1,10 +1,14 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from lambdaprime.curves import envelope_of
 from lambdaprime.exact import enumerate_partitions, exact_opt_curve, scaled_sparsest_cut
-from lambdaprime.graphs import gen_gnp, gen_path, gen_ring, gen_star, make_graph
-from lambdaprime.objectives import Clustering, lamprime_score
+from lambdaprime.graphs import (
+    gen_gnp, gen_path, gen_ring, gen_star, is_connected, make_graph,
+)
+from lambdaprime.objectives import Clustering, CostLine, lamprime_score
 
 L = Fraction
 
@@ -155,3 +159,69 @@ def test_exact_curve_matches_direct_minimum():
                 lamprime_score(c, g, lam) for c in enumerate_partitions(g)
             )
             assert curve.value_at(lam) == best
+
+
+def brute_opt_curve(g):
+    """The OPT curve by the per-partition loop, the oracle for the walk.
+
+    Every partition in `enumerate_partitions` order, its cut and co-clustered
+    pair count recomputed from scratch; per N the least P is kept, the first
+    in enumeration order among equals, and the lines go to the envelope in
+    the enumeration order of their representatives.
+    """
+    best = {}  # N -> (P, enumeration index, clustering)
+    for order, c in enumerate(enumerate_partitions(g)):
+        a = c.assignment
+        cut = sum(1 for u, v in g.edges if a[u] != a[v])
+        npairs = sum(s * (s - 1) // 2 for s in Counter(a).values())
+        if npairs not in best or cut < best[npairs][0]:
+            best[npairs] = (cut, order, c)
+    entries = sorted((order, L(p), L(nn), c) for nn, (p, order, c) in best.items())
+    lines = [CostLine(p, nn) for _, p, nn, _ in entries]
+    curve = envelope_of(lines, domain=(L(0), L(1)), tags=[c for *_, c in entries])
+    return curve, [piece.tag for piece in curve.pieces]
+
+
+def assert_matches_brute_force(g):
+    curve, family = exact_opt_curve(g)
+    want, want_family = brute_opt_curve(g)
+    got = [(p.lo, p.hi, p.line, p.tag) for p in curve.pieces]
+    assert got == [(p.lo, p.hi, p.line, p.tag) for p in want.pieces], g
+    assert family == want_family, g
+
+
+@pytest.mark.parametrize(
+    "g",
+    [make_graph(1, []), make_graph(2, []), make_graph(2, [(0, 1)]),
+     gen_ring(3), gen_star(9), gen_path(9)],
+    ids=["n1", "n2_empty", "n2_edge", "ring8", "star9", "path9"],
+)
+def test_walk_matches_brute_force_named(g):
+    assert_matches_brute_force(g)
+
+
+def test_walk_matches_brute_force_gnp():
+    # 96 seeded G(n, p): n = 2..9, p in {0.2, 0.4, 0.6, 0.9}, three seeds each
+    for n in range(2, 10):
+        for p in (0.2, 0.4, 0.6, 0.9):
+            for seed in range(3):
+                assert_matches_brute_force(gen_gnp(n, p, seed=100 * n + seed))
+
+
+def test_star12_at_the_cap():
+    # criterion 02's block sizes at n = PARTITION_CAP = 12
+    n = 12
+    curve, family = exact_opt_curve(gen_star(n))
+    assert len(curve.pieces) == len(family) == n - 1
+    for j, c in enumerate(family):
+        blocks = sorted(c.blocks(), key=len, reverse=True)
+        assert len(blocks[0]) == n - j
+        assert 0 in blocks[0]
+        assert all(len(b) == 1 for b in blocks[1:])
+
+
+@pytest.mark.slow
+def test_walk_matches_brute_force_gnp12():
+    g = gen_gnp(12, L(1, 2), seed=0)
+    assert is_connected(g)
+    assert_matches_brute_force(g)
