@@ -47,14 +47,16 @@ def _check_ring_lam(k, lam):
 
 
 def ring_lp(k, lam):
-    """Exact LP optimum on the 2^k-ring, with its minimizing block size t."""
+    """Exact LP optimum on the 2^k-ring, with its minimizing block size t.
+
+    _h(n, t, lam) = n/t + n*lam*(t-1)/2 is strictly convex in t > 0 with its
+    real minimum at sqrt(2/lam), so for lam = p/q the best integer t is
+    isqrt(2q // p) = floor(sqrt(2/lam)) or the next one, clipped to [1, n];
+    a tie goes to the smaller t.
+    """
     n, lam = _check_ring_lam(k, lam)
-    best_v, best_t = None, None
-    for t in range(1, n + 1):
-        v = _h(n, t, lam)
-        if best_v is None or v < best_v:
-            best_v, best_t = v, t
-    return best_v, best_t
+    t = min(max(math.isqrt(2 * lam.denominator // lam.numerator), 1), n)
+    return min((_h(n, u, lam), u) for u in {t, min(t + 1, n)})
 
 
 def ring_g(k, lam):

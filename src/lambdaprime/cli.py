@@ -201,6 +201,11 @@ def _cmd_verify_cover(args) -> int:
         "worst ratio %s at lambda=%s (bound %s, %d points)"
         % (rep.worst_ratio, rep.worst_lambda, rep.bound, rep.points_checked)
     )
+    if rep.member_fail is not None:
+        i, lam = rep.member_fail
+        print("FAIL: member %d (lambda=%s) exceeds %s times the LP value at "
+              "lambda=%s, inside its own interval"
+              % (i, fam.members[i].solution.lam, rep.bound, lam))
     if not rep.ok:
         print("FAIL: cover does not certify")
         return 4

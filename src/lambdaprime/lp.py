@@ -13,7 +13,7 @@ N = sum over all pairs of (1 - x_ij). Integral x encode partitions, so the
 optimum lower-bounds the best clustering at every lam.
 
 LpProblem holds it as the simplex's A x <= b with sparse integer rows, which
-the exact simplex, the parametric walk, ORLP (transposed) and HiGHS all read
+the exact simplex, the parametric walk, ORLP (homogenized) and HiGHS all read
 as they are. Each side of the optimality proof is checked in one place:
 check_solution owns the primal side (x >= 0, A x <= b, the cost line of x and
 the value on it), and check_certificate only the dual side (sparse u < 0,
@@ -30,7 +30,7 @@ x <= 1 is a bound on each column of the simplex, not a row (upper=1), and
 solve_lp and lp_curve hand the simplex a cuts callback (_cuts), which lists
 the triangle rows a vertex violates; the simplex appends them to its
 tableau and re-optimizes from the basis it has, by the dual simplex. ORLP
-(sensitivity) prices its columns by the same separation. An exact solve_lp
+(sensitivity) cuts its LP dual by the same separation. An exact solve_lp
 is one solve_canonical call and reports every pivot of its tableau. Each
 solution is still proven by verify_certificate against the full build_lp,
 box rows included: the simplex's marginal of each bound x_p <= 1 is the
@@ -38,7 +38,7 @@ dual of the box row of p. So the proof does not depend on which rows the
 tableau holds.
 
 A point is read against the metric polytope in one integer pass, shared by
-check_solution, the separation (_separate, for cuts and ORLP's pricing) and
+check_solution, the separation (_separate, for every cut, ORLP's too) and
 the cost line of x (_line_of_x): an exact x is scaled once to integers over
 the lcm of its denominators (_scaled); _violated_rows then walks the cached
 triples (ij, ik, jk) of _triples(n), the list _metric_rows builds its rows

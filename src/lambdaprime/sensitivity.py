@@ -11,34 +11,45 @@ is the distance of lam from the domain edge the step runs towards:
 
     minimize t
     s.t.     -(A^T y)_p - s*t <= [p in E] - e                 every pair p
-             (1+eps) b.y - s*eps_lam*t <= -P - e*eps_lam
+             (1+eps) b.y - s*eps_lam*t <= b_eps
              y >= 0, t >= 0
 
-where eps_lam = -(eps*Q + sum x*), P is the P of x*'s line and Q the number
-of pairs. The step is theta = s*(lam* - lam0) = s*(e - s*t* - lam0). This
-is the LP in theta (pair rows -(A^T y)_p + s*theta <= c_p(lam0), the same
-epsilon row, 0 <= theta <= distance to the domain edge) except for
-theta >= 0, and that bound is redundant: x*'s own certificate (y*, lam0) is
-feasible (its epsilon row reads -eps * value <= 0, and lamprime and lamcc
-values are >= 0), so the optimum has s*lam* >= s*lam0. The pair rows have
-integer data, and no cost is negative, so the slack basis is dual feasible:
-the dual simplex that makes it feasible ends optimal.
+where b_eps = -P - e*eps_lam, eps_lam = -(eps*Q + sum x*), P is the P of
+x*'s line and Q the number of pairs. The step is
+theta = s*(lam* - lam0) = s*(e - s*t* - lam0). This is the LP in theta
+(pair rows -(A^T y)_p + s*theta <= c_p(lam0), the same epsilon row,
+0 <= theta <= distance to the domain edge) except for theta >= 0, and that
+bound is redundant: x*'s own certificate (y*, lam0) is feasible (its
+epsilon row reads -eps * value <= 0, and lamprime and lamcc values are
+>= 0), so the optimum has s*lam* >= s*lam0.
 
-Few of the y columns are ever nonzero, so orlp solves this LP by column
-generation in one tableau: solve_canonical's columns callback prices the
-left-out columns at each optimum, and the priced ones are appended, written
-in the current basis through the slack columns (B^-1 a), for the primal
-simplex to go on from the last basis. The LP starts with the y of every box
-row and of the triangle rows x*'s certificate names, so (y*, lam0) is
-feasible from the start (with the box rows alone the LP can be infeasible).
-A left-out triangle column y_r has cost 0 and meets only the pair rows,
-with -A_r, so its reduced cost is sum_p A_rp u_p = -A_r w, where u <= 0 are
-the pair-row duals and w = -u: the columns of negative reduced cost are
-exactly the triangle rows that w violates (A_r w > 0 = b_r), found by
-lp._separate, the separation of the primal solves. Once w violates none,
-every column of the full LP has reduced cost >= 0 at the last basis, so
-that basis is optimal there too: t*, theta and the clamp are those of the
-full LP, not merely sound bounds.
+orlp solves the LP dual of this LP, in w_p >= 0 (one per pair row) and
+nu = (1+eps)*mu >= 0 (mu the epsilon row's dual):
+
+    minimize sum_p ([p in E] - e)*w_p + b_eps/(1+eps)*nu
+    s.t.     A_r w - b_r*nu <= 0                        every row r of A
+             s*(sum_p w_p + eps_lam/(1+eps)*nu) <= 1
+             w >= 0, nu >= 0
+
+and t* = -value. Each column y_r of the LP in t is the row of A it came
+from, homogenized: a triangle row reads A_r w <= 0, the box row of p
+w_p - nu <= 0 (nu's scale keeps it integer), and the column t gives the
+last row. Every right-hand side is >= 0, so the slack basis is feasible
+and the dual simplex has nothing to do; w = 0 shows t* >= 0. The last
+row's marginal is -t*, and as every other right-hand side is 0 it equals
+the value: orlp checks that.
+
+Few triangle rows ever bind, so the LP grows by cuts in one tableau, as
+every exact LP here does: it starts from every box row and the triangle
+rows x*'s certificate names, and solve_canonical's cuts callback lists the
+triangle rows its optimum w violates (lp._separate, the separation of the
+primal solves), which are appended for the dual simplex to restore
+feasibility. The starting rows keep the LP bounded: (y*, lam0) is feasible
+for the LP in t over the same columns (with the box rows alone that LP can
+be infeasible, and its dual unbounded). Once w violates none, w is
+feasible for the dual over every row of A, and optimal there as it is
+optimal over fewer rows: t*, theta and the clamp are those of the full LP,
+not merely sound bounds.
 
 Weak duality makes any feasible (y, lam) a proof; LP duality at the true
 endpoint makes the bound tight, and concavity of the LP value curve makes the
@@ -105,37 +116,27 @@ def orlp(xstar: LpSolution, s: int, lam0, eps, g: Graph, objective="lamprime"):
     q_eff = len(prob.pairs) - objective_shift(objective, g.m)
 
     e = 1 if s > 0 else 0  # the domain edge: lam = e - s*t, t >= 0
-    b = [int(g.has_edge(*p)) - e for p in prob.pairs]
     # sum x* is Q - N, as verify_certificate checked the line of x*
     eps_lam = -(eps * q_eff + len(prob.pairs) - xstar.line.N)
-    b.append(-xstar.line.P - e * eps_lam)  # the epsilon row
+    b_eps = -xstar.line.P - e * eps_lam  # the epsilon row's right-hand side
+    nu = prob.num_vars  # the column after w, one w_p per pair
+    c = [int(g.has_edge(*p)) - e for p in prob.pairs] + [b_eps / (1 + eps)]
 
-    # y columns: the triangle rows x*'s certificate names (b = 0), so that
-    # (y*, lam0) is feasible from the start, and every box row; then t
+    # rows A_r w - b_r*nu <= 0: the triangle rows x*'s certificate names, so
+    # that the LP is bounded, and every box row; then t's row
     keep = sorted({r for r, _ in xstar.dual if not prob.b[r]}) + _box(prob.n)
-    t_col = len(keep)
-    # pair rows: -(A^T y)_p - s*t <= [p in E] - e, the LP rows transposed
-    A = [[] for _ in range(prob.num_vars)]
-    for col, r in enumerate(keep):
-        for var, coeff in prob.rows[r]:
-            A[var].append((col, -coeff))
-    for row in A:
-        row.append((t_col, -s))
-    # epsilon row, flipped to <=
-    A.append([(col, (1 + eps) * prob.b[r]) for col, r in enumerate(keep)
-              if prob.b[r]] + [(t_col, -s * eps_lam)])
+    rows = [prob.rows[r] + (((nu, -prob.b[r]),) if prob.b[r] else ())
+            for r in keep]
+    rows.append([(p, s) for p in range(nu)] + [(nu, s * eps_lam / (1 + eps))])
+    t_row = len(keep)
 
-    def columns(dual_ub):
-        # the pair-row duals u <= 0 price every left-out column; a triangle
-        # column meets the pair rows alone
-        w = [-u for u in dual_ub[:prob.num_vars]]
-        return [(0, [(var, -coeff) for var, coeff in prob.rows[r]])
-                for r in _separate(w, prob)]
+    def cuts(x):
+        return [(prob.rows[r], 0) for r in _separate(x[:nu], prob)]
 
-    res = solve_canonical([0] * t_col + [1], A, b, columns=columns)
-    t = res.x[t_col]
-    if t != res.value:
+    res = solve_canonical(c, rows, [0] * t_row + [1], cuts=cuts)
+    if res.dual_ub[t_row] != res.value:
         raise AssertionError("inconsistent ORLP optimum")
+    t = -res.value
     theta = s * (e - s * t - lam0)
     clamped = t == 0
     if clamped:  # stop GUARD short of the domain edge

@@ -54,15 +54,12 @@ side included, and dual_run makes it feasible: at lam = 0 when every cost
 is >= 0, so that it ends optimal, else with every reduced cost read as 0.
 The primal simplex then goes on to the optimum.
 
-One tableau can grow, for an LP too large to write out whose rows or
-columns a caller lists as they are needed: add_row appends a row in the
-current basis with its slack basic, writing that row alone, and dual_run
-restores feasibility; add_column appends a stored column to every row as
-B^-1 a, read off the slacks (a nonbasic slack's stored column, delta in a
-basic slack's own row), for the primal simplex to go on. Both give exactly
-the integers of a tableau built with the row or column from the start and
-pivoted into the same basis. solve_canonical and walk_canonical grow their
-tableau through callbacks (cuts, columns).
+One tableau can grow, for an LP too large to write out whose rows a caller
+lists as they are needed: add_row appends a row in the current basis with
+its slack basic, writing that row alone, and dual_run restores
+feasibility. It gives exactly the integers of a tableau built with the row
+from the start and pivoted into the same basis. solve_canonical and
+walk_canonical grow their tableau through one callback, cuts.
 
 A bound x_j <= u, u an int, is no row of the tableau (Dantzig's
 upper-bounding technique, Econometrica 23, 1955). A column at its bound is
@@ -139,13 +136,13 @@ def _scaled(v, s):
     return v.numerator * (s // v.denominator)
 
 
-def _entries(coeffs, hi, what, index):
-    """coeffs as (index, exact value) pairs, each index once and in [0, hi)."""
+def _entries(coeffs, hi, what):
+    """coeffs as (column, exact value) pairs, each column once and in [0, hi)."""
     a = [(j, _exact(v)) for j, v in coeffs]
     if len({j for j, _ in a}) < len(a):
-        raise ValueError("%s repeats a %s" % (what, index))
+        raise ValueError("%s repeats a column" % what)
     if not all(0 <= j < hi for j, _ in a):
-        raise ValueError("%s has a %s outside [0, %d)" % (what, index, hi))
+        raise ValueError("%s has a column outside [0, %d)" % (what, hi))
     return a
 
 
@@ -166,7 +163,7 @@ class _Tableau:
         self.row_scale = []
         self.T = []
         for i, coeffs in enumerate(rows):
-            a = _entries(coeffs, nvars, "row %d" % i, "column")
+            a = _entries(coeffs, nvars, "row %d" % i)
             s = lcm(b[i].denominator, *(v.denominator for _, v in a))
             self.row_scale.append(s)
             row = [0] * (nvars + 1)
@@ -392,7 +389,7 @@ class _Tableau:
         the vertex breaks it. On a complemented column, x_j = u - x'_j, the
         row holds -a_j and a_j*u moves to the right.
         """
-        a = _entries(coeffs, self.nvars, "row %d" % self.nrows, "column")
+        a = _entries(coeffs, self.nvars, "row %d" % self.nrows)
         bi = _exact(bi)
         if self.flipped:  # a_j*x_j = a_j*u - a_j*x'_j on complemented columns
             bi -= sum(v * self.upper[j] for j, v in a if j in self.flipped)
@@ -416,46 +413,6 @@ class _Tableau:
         self.basis.append(self.nvars + self.nrows)
         self.row_scale.append(s)
         self.nrows += 1
-
-    def add_column(self, cost, coeffs):
-        """Append a structural column of the given cost, its entries given
-        as (row, coefficient) pairs, with the label after the last
-        structural column; every slack's label moves up by one.
-
-        In every row the column is B^-1 a, read off the slacks: row i was
-        scaled by s_i, so the column's entries are s_i*a_i in the starting
-        tableau, where slack i's column is the unit vector, and by linearity
-        its fraction-free column today is sum_i s_i*a_i*T[.][slack i]. That
-        is the stored column of slack i when it is nonbasic, and delta in
-        its own row when it is basic; the cost row adds delta*sigma_c*cost.
-        Every s_i*a_i and sigma_c*cost must be an integer: the row scales are
-        fixed when the tableau is built.
-        """
-        a = _entries(coeffs, self.nrows, "column %d" % self.nvars, "row")
-        cost = _exact(cost)
-        if any(self.row_scale[i] % v.denominator for i, v in a) or \
-                self.sigma_c % cost.denominator:
-            raise ValueError("column %d is not integral over the row scales"
-                             % self.nvars)
-        n, delta = self.nvars, self.delta
-        at = {j: k for k, j in enumerate(self.cols)}
-        where = {j: r for r, j in enumerate(self.basis)}
-        stored, own = [], {}
-        for i, v in a:
-            t = _scaled(v, self.row_scale[i])
-            if n + i in at:
-                stored.append((at[n + i], t))
-            else:
-                own[where[n + i]] = delta * t
-        self.z.insert(-1, sum(t * self.z[k] for k, t in stored)
-                      + delta * _scaled(cost, self.sigma_c))
-        if self.z1 is not None:
-            self.z1.insert(-1, sum(t * self.z1[k] for k, t in stored))
-        for r, row in enumerate(self.T):
-            row.insert(-1, sum(t * row[k] for k, t in stored) + own.get(r, 0))
-        self.cols[:] = [j + (j >= n) for j in self.cols] + [n]
-        self.basis[:] = [j + (j >= n) for j in self.basis]
-        self.nvars += 1
 
     def dual_run(self, lam=_ZERO):
         """Dual simplex at lam: pivot until every basic variable lies within
@@ -571,7 +528,7 @@ def _cut(tab, new, lam=_ZERO):
     tab.dual_run(lam)
 
 
-def solve_canonical(c, rows, b, cuts=None, columns=None, upper=None) -> SimplexResult:
+def solve_canonical(c, rows, b, cuts=None, upper=None) -> SimplexResult:
     """min c.x subject to A x <= b, 0 <= x <= upper; exact rationals throughout.
 
     rows[i] lists the nonzeros of row i of A as (column, coefficient) pairs.
@@ -580,19 +537,15 @@ def solve_canonical(c, rows, b, cuts=None, columns=None, upper=None) -> SimplexR
     bound is complemented (x_j = u - x'_j), so that every nonbasic column
     still sits at 0, and dual_ub ends with one marginal per bounded column.
 
-    cuts and columns let a caller start from part of a larger LP and grow
-    it in the one tableau. At each optimum x, cuts(x) lists rows
-    (coeffs, bi) that x breaks: they are appended with their slacks basic
-    (add_row), and the dual simplex restores feasibility. Once it lists
-    none, columns(dual_ub) lists columns (cost, coeffs), coeffs over the
-    rows so far as (row, coefficient) pairs, of negative reduced cost: they
-    are appended (add_column), and the primal simplex goes on. When neither
-    lists anything the tableau is optimal for every row and column it holds.
-    x then has one entry per column and dual_ub one per row, each in the
-    order added, then one per bounded column; pivots counts every pivot of
-    the tableau and flips every bound flip, which is not a pivot. A listed row
-    that x satisfies, or a listed column that does not price out, raises
-    SimplexError: the loop would not move.
+    cuts lets a caller start from part of a larger LP and grow it in the one
+    tableau. At each optimum x, cuts(x) lists rows (coeffs, bi) that x
+    breaks: they are appended with their slacks basic (add_row), and the
+    dual simplex restores feasibility. When it lists none the tableau is
+    optimal for every row it holds. dual_ub then has one entry per row, in
+    the order added, then one per bounded column; pivots counts every pivot
+    of the tableau and flips every bound flip, which is not a pivot. A
+    listed row that x satisfies raises SimplexError: the loop would not
+    move.
     """
     if len(rows) != len(b):
         raise ValueError("rows and b disagree on row count")
@@ -600,17 +553,9 @@ def solve_canonical(c, rows, b, cuts=None, columns=None, upper=None) -> SimplexR
     tab.solve()
     while True:
         new = cuts(tab._x()) if cuts is not None else ()
-        if new:
-            _cut(tab, new)
-            continue
-        new = columns(tab._duals()) if columns is not None else ()
         if not new:
             return tab.result()
-        for cost, coeffs in new:
-            tab.add_column(cost, coeffs)
-            if tab.z[tab.nvars - 1] >= 0:
-                raise SimplexError("column %d does not price out" % (tab.nvars - 1))
-        tab._run()
+        _cut(tab, new)
 
 
 def walk_canonical(c0, c1, rows, b, cuts=None, upper=None):

@@ -19,9 +19,11 @@ Three constructions:
   covers the domain.
 
 certify_cover re-checks any family from scratch: every member's x against
-its recorded line and value, exact interval coverage, and an exact
+its recorded line and value, exact interval coverage, an exact
 worst-ratio audit at the breakpoints of the LP curve and of the member
-envelope, which bounds the ratio everywhere (see certify_cover).
+envelope, which bounds the ratio everywhere, and each member's line
+against (1+eps) times the LP value on the member's own interval (see
+certify_cover).
 """
 from __future__ import annotations
 
@@ -228,6 +230,9 @@ class CoverReport:
     worst_lambda: Fraction
     bound: Fraction
     points_checked: int
+    # None, or (i, lam): member i's line exceeds bound times the LP value at
+    # lam, inside the member's own interval
+    member_fail: object = None
 
 
 def certify_cover(family: CoverFamily, g: Graph, curve=None):
@@ -247,6 +252,14 @@ def certify_cover(family: CoverFamily, g: Graph, curve=None):
     1 means a member line dips below the curve; it fails the audit. Once
     every member has passed check_solution, no file input can cause it
     against the LP curve: the check stays as a guard.
+
+    Each member is then held to its own interval: its line must stay at or
+    below bound times the LP value on [covered_lo, covered_hi] within the
+    domain, or a family whose envelope passes could still hand a member
+    out where it is no (1+eps)-approximation. The excess of line over bound
+    times curve is an affine function minus a concave one, so convex (the
+    lamcc shift is affine too), and its largest value on that interval
+    sits at an end or at a curve breakpoint inside: those points suffice.
     """
     for mem in family.members:
         check_solution(mem.solution, g)
@@ -275,5 +288,18 @@ def certify_cover(family: CoverFamily, g: Graph, curve=None):
         below = below or ratio < 1
         if ratio > worst:
             worst, worst_lam = ratio, lam
-    ok = gap is None and worst <= bound and not below
-    return CoverReport(ok, gap, worst, worst_lam, bound, len(points))
+    member_fail = None
+    for i, mem in enumerate(family.members):
+        lo = max(lo_d, mem.interval.covered_lo())
+        hi = min(hi_d, mem.interval.covered_hi())
+        if lo > hi:
+            continue
+        line = mem.solution.line
+        at = {lo, hi}.union(b for b in curve.breakpoints if lo < b < hi)
+        over = [lam for lam in sorted(at) if line.value_at(lam) - lam * shift_m
+                > bound * (curve.value_at(lam) - lam * shift_m)]
+        if over:
+            member_fail = (i, over[0])
+            break
+    ok = gap is None and worst <= bound and not below and member_fail is None
+    return CoverReport(ok, gap, worst, worst_lam, bound, len(points), member_fail)

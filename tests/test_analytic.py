@@ -1,9 +1,11 @@
 """Closed-form ring/star oracles against exact solves and frozen values."""
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from lambdaprime import analytic
 from lambdaprime.analytic import (
     MS_CONSTANT,
     lamcc_ratio,
@@ -27,6 +29,49 @@ def test_ring_lp_frozen_values():
     assert ring_lp(3, Fraction(1, 8)) == (Fraction(7, 2), 4)
     assert ring_lp(3, Fraction(1, 2)) == (6, 2)
     assert ring_lp(4, Fraction(1, 8)) == (7, 4)
+
+
+def _ring_lp_by_scan(k, lam):
+    """The reference: the best block size by a scan of t = 1..n, the first
+    on ties."""
+    n = 2 ** k
+    best_v, best_t = None, None
+    for t in range(1, n + 1):
+        v = analytic._h(n, t, lam)
+        if best_v is None or v < best_v:
+            best_v, best_t = v, t
+    return best_v, best_t
+
+
+def test_ring_lp_matches_the_scan():
+    # random lams, the special ones, both domain ends and every tie
+    # h(t) = h(t+1), at lam = 2/(t(t+1))
+    rng = random.Random(7)
+    for k in range(3, 9):
+        n = 2 ** k
+        lo, hi = Fraction(8, n * n), Fraction(1, 2)
+        lams = [lo, hi] + ring_special_lambdas(k)
+        lams += [lo + (hi - lo) * Fraction(rng.randint(0, 10 ** 6), 10 ** 6)
+                 for _ in range(300)]
+        lams += [Fraction(2, t * (t + 1)) for t in range(1, n)
+                 if lo <= Fraction(2, t * (t + 1)) <= hi]
+        for lam in lams:
+            assert ring_lp(k, lam) == _ring_lp_by_scan(k, lam), (k, lam)
+
+
+def test_ring_lp_on_a_huge_ring_costs_two_evaluations(monkeypatch):
+    # the 2^40-ring at 1/4: sqrt(8) lies between 2 and 3, and t = 3 wins
+    calls = []
+    real = analytic._h
+
+    def counted(n, t, lam):
+        calls.append(t)
+        return real(n, t, lam)
+
+    monkeypatch.setattr(analytic, "_h", counted)
+    n = 2 ** 40
+    assert ring_lp(40, Fraction(1, 4)) == (Fraction(7 * n, 12), 3)
+    assert sorted(set(calls)) == [2, 3]
 
 
 def test_ring_lp_domain():

@@ -108,7 +108,9 @@ def test_sweep_rejects_zero_epsilon(tmp_path):
 
 
 def test_cover_with_zero_epsilon_is_accepted(tmp_path):
-    # epsilon 0 asks for exact optimality, which star5's geometric members meet
+    # epsilon 0 asks for exact optimality, which star5's geometric members
+    # meet on their intervals once the first, solved at 4/25 and optimal up
+    # to the LP curve's kink at 1/4, ends there instead of at 8/25
     gpath = tmp_path / "star.txt"
     main(["gen", "star", "--n", "5", "--out", str(gpath)])
     cover = tmp_path / "cover.json"
@@ -116,6 +118,8 @@ def test_cover_with_zero_epsilon_is_accepted(tmp_path):
           "--out", str(cover)])
     d = json.loads(cover.read_text())
     d["epsilon"] = "0"
+    assert d["members"][0]["interval"] == {"lo": "2/25", "hi": "8/25"}
+    d["members"][0]["interval"]["hi"] = "1/4"
     cover.write_text(json.dumps(d))
     files = ["--cover", str(cover), "--graph", str(gpath)]
     assert main(["verify", "cover", *files]) == 0
@@ -339,7 +343,15 @@ def _one_cluster_to_one(d):
     d.update(epsilon=str(ratio - 1), members=[m])
 
 
-@pytest.mark.parametrize("forge", [_one_point_all_ones, _one_cluster_to_one])
+def _one_member_stretched_to_one(d):
+    # member 0, solved at 1/16, claims every lambda up to 1: its ratio is 7/3
+    # at 1/2 and 7/2 at 1, past the bound 2, though the envelope of all the
+    # members stays within it
+    d["members"][0]["interval"].update(hi="1/2", hi_clamped=True)
+
+
+@pytest.mark.parametrize("forge", [_one_point_all_ones, _one_cluster_to_one,
+                                   _one_member_stretched_to_one])
 def test_verify_cover_audits_the_closed_domain(tmp_path, capsys, forge):
     gpath, cover, d = _ring8_cover(tmp_path)
     forge(d)

@@ -6,7 +6,7 @@ import pytest
 
 from lambdaprime import sensitivity
 from lambdaprime.graphs import gen_gnp, gen_ring, gen_star
-from lambdaprime.lp import lp_curve, pair_index, solve_lp
+from lambdaprime.lp import build_lp, lp_curve, pair_index, solve_lp
 from lambdaprime.objectives import CostLine, objective_shift
 from lambdaprime.rationals import GUARD
 from lambdaprime.simplex import solve_canonical
@@ -258,20 +258,21 @@ def test_orlp_in_lambda_matches_orlp_in_theta(corpus):
 
 
 def test_orlp_lp_pair_rows_are_integer(monkeypatch):
-    # the LP in t: the pair rows carry integer data with right-hand side
-    # [p in E] - e, and the costs (0, ..., 0, 1) make the slack basis dual
-    # feasible; every priced column is integer, with cost 0, on the pair
-    # rows alone
-    seen, priced = [], []
+    # the dual of the LP in t, one column w_p per pair row of that LP: the
+    # pair costs are the integers [p in E] - e, every row but t's has
+    # integer coefficients, the right-hand sides are (0, ..., 0, 1), so the
+    # slack basis is feasible, and every cut is a triangle row of build_lp
+    # with b = 0
+    seen, cut = [], []
 
-    def capture(c, rows, b, columns):
+    def capture(c, rows, b, cuts):
         seen.append((c, rows, b))
 
-        def recorded(dual_ub):
-            new = columns(dual_ub)
-            priced.extend(new)
+        def recorded(x):
+            new = cuts(x)
+            cut.extend(new)
             return new
-        return solve_canonical(c, rows, b, columns=recorded)
+        return solve_canonical(c, rows, b, cuts=recorded)
 
     monkeypatch.setattr(sensitivity, "solve_canonical", capture)
     g = gen_gnp(7, 0.5, seed=2)
@@ -283,20 +284,23 @@ def test_orlp_lp_pair_rows_are_integer(monkeypatch):
     assert len(seen) == 4  # one LP per orlp call
     # eps_range runs s = +1 (e = 1), then s = -1 (e = 0)
     for (c, rows, b), e in zip(seen, (1, 0, 1, 0)):
-        assert all(type(v) is int for v in c)
-        assert list(b[:len(on_edge)]) == [p - e for p in on_edge]
-        for row in rows[:len(on_edge)]:
+        assert c[:len(on_edge)] == [p - e for p in on_edge]
+        assert all(type(v) is int for v in c[:len(on_edge)])
+        for row in rows[:-1]:
             assert all(type(v) is int for _, v in row)
-        assert c == [0] * (len(c) - 1) + [1]
-    assert len(priced) == 34
-    for cost, coeffs in priced:
-        assert cost == 0 and type(cost) is int
-        assert all(type(v) is int and 0 <= p < len(on_edge) for p, v in coeffs)
+        assert b == [0] * (len(rows) - 1) + [1]
+    prob = build_lp(g, lam0)
+    triangles = {row for row, bi in zip(prob.rows, prob.b) if bi == 0}
+    assert len(cut) == 34
+    for coeffs, bi in cut:
+        assert bi == 0 and type(bi) is int
+        assert coeffs in triangles
 
 
 def test_column_generation_matches_every_column(corpus, monkeypatch):
-    # the one tableau grown by pricing against _orlp_in_theta, the LP over
-    # every column: theta and the clamp in both directions
+    # the one tableau grown by cuts against _orlp_in_theta, the LP over
+    # every column of the LP in t (every row of its dual): theta and the
+    # clamp in both directions; priced counts the rows cut
     priced = []
     real = sensitivity._separate
 
@@ -322,9 +326,25 @@ def test_column_generation_matches_every_column(corpus, monkeypatch):
     assert most_priced > 0
 
 
+@pytest.mark.slow
+def test_orlp_matches_orlp_in_theta_where_more_rows_are_cut(corpus):
+    # the larger corpus graphs, whose LPs cut more triangle rows, against
+    # the LP over every column of the LP in t: 7 graphs, 56 calls
+    graphs = [g for _, g in corpus if g.n >= 9]
+    assert len(graphs) == 7
+    for g in graphs:
+        for lam0 in (Fraction(1, 5), Fraction(3, 5)):
+            sol = solve_lp(g, lam0)
+            for eps in (0, Fraction(1, 2)):
+                for s in (1, -1):
+                    got = orlp(sol, s, lam0, eps, g)
+                    assert got == _orlp_in_theta(sol, s, lam0, eps, g, "lamprime")
+
+
 def test_orlp_without_pricing_falls_short(corpus, monkeypatch):
-    # with no column ever priced in, orlp's LP keeps only its starting
-    # columns: its theta is still a sound bound, but short of the optimum
+    # with no row ever cut, orlp's LP keeps only its starting rows, the
+    # columns of the LP in t: its theta is still a sound bound, but short of
+    # the optimum
     calls = [(g, lam0, solve_lp(g, lam0)) for _, g in corpus if g.n <= 8
              for lam0 in (Fraction(1, 5), Fraction(3, 5))]
     exact = [orlp(sol, s, lam0, Fraction(1, 2), g)[0]

@@ -395,7 +395,7 @@ def test_every_row_stores_one_entry_per_nonbasic_variable(corpus, monkeypatch):
     from lambdaprime.sensitivity import eps_range
 
     seen = set()
-    for name in ("pivot", "flip", "add_row", "add_column"):
+    for name in ("pivot", "flip", "add_row"):
         def checked(tab, *args, real=getattr(_Tableau, name), name=name):
             real(tab, *args)
             _assert_condensed(tab)
@@ -408,7 +408,7 @@ def test_every_row_stores_one_entry_per_nonbasic_variable(corpus, monkeypatch):
         lam = Fraction(1, 3)
         eps_range(solve_lp(g, lam), lam, Fraction(1, 2), g)
         lp_curve(g)
-    assert seen == {"pivot", "flip", "add_row", "add_column"}
+    assert seen == {"pivot", "flip", "add_row"}
 
 
 def test_add_row_leaves_every_held_row_unchanged(corpus, monkeypatch):
@@ -493,7 +493,7 @@ def test_walk_ties_enter_the_lowest_label(monkeypatch):
         (0, Fraction(1, 2), [1, 0]), (Fraction(1, 2), 1, [1, 1])]
 
 
-# -- growing one tableau: appended rows and columns ----------------------
+# -- growing one tableau: appended rows ----------------------------------
 
 
 def _rebuilt(given, basis, flipped):
@@ -522,12 +522,11 @@ def _assert_rebuilt(tab):
 
 @pytest.fixture
 def growth_checked(monkeypatch):
-    """Checks every appended row and column against the tableau rebuilt
-    from scratch on the same rows and columns in the same basis; returns
-    the kinds appended. Each tableau records what it was given."""
+    """Checks every appended row against the tableau rebuilt from scratch
+    on the same rows in the same basis; returns the kinds appended. Each
+    tableau records what it was given."""
     appended = []
-    real_init, real_row, real_col = (
-        _Tableau.__init__, _Tableau.add_row, _Tableau.add_column)
+    real_init, real_row = _Tableau.__init__, _Tableau.add_row
 
     def init(tab, c, rows, b, slope=None, upper=None):
         real_init(tab, c, rows, b, slope, upper)
@@ -540,18 +539,8 @@ def growth_checked(monkeypatch):
         _assert_rebuilt(tab)
         appended.append("row")
 
-    def add_column(tab, cost, coeffs):
-        j = tab.nvars
-        real_col(tab, cost, coeffs)
-        tab.given[0].append(cost)
-        for i, v in coeffs:
-            tab.given[1][i].append((j, v))
-        _assert_rebuilt(tab)
-        appended.append("column")
-
     monkeypatch.setattr(_Tableau, "__init__", init)
     monkeypatch.setattr(_Tableau, "add_row", add_row)
-    monkeypatch.setattr(_Tableau, "add_column", add_column)
     return appended
 
 
@@ -566,7 +555,7 @@ def test_grown_tableau_equals_the_rebuilt_one(corpus, growth_checked):
         sol = solve_lp(g, lam)
         eps_range(sol, lam, Fraction(1, 2), g)
         lp_curve(g)
-    assert set(growth_checked) == {"row", "column"}
+    assert set(growth_checked) == {"row"}
 
 
 def _random_cut_lp(rng):
@@ -621,12 +610,6 @@ def test_listing_a_row_the_vertex_keeps_is_refused():
                             cuts=lambda x: [(((0, 1),), 1)]))
 
 
-def test_listing_a_column_that_does_not_price_out_is_refused():
-    with pytest.raises(SimplexError, match="does not price out"):
-        solve_canonical([-1], _rows([[1]]), [1],
-                        columns=lambda dual_ub: [(5, ((0, 1),))])
-
-
 def test_unsolved_tableau_with_negative_rhs_takes_a_row():
     # one column layout from the start: a negative right-hand side is just
     # a negative entry, so the tableau can grow before it is solved
@@ -637,15 +620,6 @@ def test_unsolved_tableau_with_negative_rhs_takes_a_row():
     _assert_rebuilt(tab)
     tab.solve()
     assert tab.result().x == [1]
-
-
-def test_column_needs_integral_entries_over_the_row_scales():
-    tab = _Tableau([1], [((0, Fraction(1, 2)),)], [1])  # row scale 2
-    tab.solve()
-    with pytest.raises(ValueError, match="not integral"):
-        tab.add_column(0, ((0, Fraction(1, 3)),))
-    tab.add_column(0, ((0, Fraction(1, 2)),))
-    assert tab.nvars == 2
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -670,38 +644,6 @@ def test_walk_with_cuts_matches_every_row(seed, growth_checked):
     assert pieces(ranges) == pieces(walk_canonical(c0, c1, _rows(A), b))
     for r in ranges:
         assert all(_dot(row, r.x) <= bi for row, bi in cuts)
-
-
-@pytest.mark.parametrize("seed", range(30))
-def test_solve_with_columns_matches_every_column(seed, growth_checked):
-    # columns held back until they price out: the primal simplex from the
-    # last basis must land on the optimum of the LP over every column
-    rng = random.Random(6000 + seed)
-    nrows, nvars, more = rng.randint(1, 4), rng.randint(1, 3), rng.randint(1, 5)
-    # the last row bounds every column; the others carry fractions in b
-    A = [[rng.randint(-3, 3) for _ in range(nvars + more)] for _ in range(nrows)]
-    A.append([rng.randint(1, 3) for _ in range(nvars + more)])
-    b = [Fraction(rng.randint(0, 6), rng.randint(1, 3)) for _ in range(nrows)] + [4]
-    c = [Fraction(rng.randint(-6, 3), rng.randint(1, 4)) for _ in range(nvars)]
-    c += [rng.randint(-6, 3) for _ in range(more)]
-    held = list(range(nvars, nvars + more))
-    order = list(range(nvars))
-
-    def priced(dual_ub):
-        new = [j for j in held if c[j] - _dot([row[j] for row in A], dual_ub) < 0]
-        for j in new:
-            held.remove(j)
-        order.extend(new)
-        return [(c[j], [(i, row[j]) for i, row in enumerate(A) if row[j]])
-                for j in new]
-
-    res = solve_canonical(c[:nvars], _rows([row[:nvars] for row in A]), b,
-                          columns=priced)
-    assert res.value == solve_canonical(c, _rows(A), b).value
-    x = [0] * len(c)
-    for j, v in zip(order, res.x):
-        x[j] = v
-    _assert_certificate(A, b, c, x, res.dual_ub)
 
 
 def test_beale_cycling_example_ends_without_repeating_a_basis():

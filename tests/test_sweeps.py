@@ -309,6 +309,28 @@ def test_fe_exceeds_plain_subcover_bound_on_small_star():
     assert ranges[0].lo == F(1, 3) and febe.domain[0] == F(1, 4)
 
 
+def test_member_stretched_past_its_range_fails_its_own_audit():
+    # ring8's geometric cover with member 0, solved at 1/16, stretched
+    # through 1: the envelope of all the members still passes, but member
+    # 0's own line is 7/3 times the LP value at 1/2 and 7/2 times it at 1
+    g = gen_ring(3)
+    fam = sweep_geometric(g, 1)
+    curve = lp_curve(g)
+    assert certify_cover(fam, g, curve=curve).member_fail is None
+    first = fam.members[0]
+    assert first.solution.lam == F(1, 16)
+    line = first.solution.line
+    assert line.value_at(F(1, 2)) == F(7, 3) * curve.value_at(F(1, 2))
+    assert line.value_at(1) == F(7, 2) * curve.value_at(1)
+    stretched = replace(first, interval=replace(first.interval, hi=F(1, 2),
+                                                hi_clamped=True))
+    rep = certify_cover(replace(fam, members=(stretched,) + fam.members[1:]),
+                        g, curve=curve)
+    assert rep.gap is None and 1 <= rep.worst_ratio <= rep.bound == 2
+    assert rep.member_fail == (0, F(1))
+    assert not rep.ok
+
+
 def test_certify_reports_gap_for_truncated_family():
     g = gen_star(5)
     fam = sweep_geometric(g, 1)

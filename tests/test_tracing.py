@@ -62,10 +62,11 @@ def test_tracer_counts_orlp():
     assert tr.calls["sensitivity.orlp"] == 2
     assert tr.calls["simplex.orlp"] == 2  # one growing tableau per orlp
     assert tr.calls["simplex.primal"] == 0
-    # the traced pivots are the two calls' own: 43 + 25
-    assert pivots == [43, 25]
-    assert tr.stats["simplex.orlp.pivots"] == sum(pivots) == 68
-    assert tr.stats["simplex.orlp.cols"] == 90  # the columns each starts from
+    # the traced pivots are the two calls' own: 40 + 25
+    assert pivots == [40, 25]
+    assert tr.stats["simplex.orlp.pivots"] == sum(pivots) == 65
+    # each LP has C(8, 2) + 1 = 29 columns: w, one per pair, and nu
+    assert tr.stats["simplex.orlp.cols"] == 58
     assert sensitivity.solve_canonical is simplex.solve_canonical
 
 
