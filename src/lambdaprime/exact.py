@@ -15,8 +15,19 @@ restricted-growth strings depth first, in the same lexicographic order as
 walk, so each partition costs one step at its last node. Per pair count N it
 keeps the least cut, replaced only by a strictly smaller one, so the
 representative of N is the first partition in enumeration order with that
-cut. `enumerate_partitions` is the brute-force ground truth it is tested
-against.
+cut.
+
+The walk is a branch and bound with Russian-doll suffix bounds (Verfaillie,
+Lemaitre & Schiex, AAAI 1996). Each node has a concave lower bound f on the
+lines of the partitions below it, made of the placed part and of OPT on the
+unplaced suffix, which the same walk finds first on the suffixes n-3, ..., 1.
+A node is cut when f >= E, the envelope of the lines found so far, at x = 0,
+at x = 1 and at every breakpoint of E between; E is linear between those
+points, so f >= E on all of [0, 1]. A line cut that way can be a piece of the
+final envelope only where it equals E on an interval, that is, only if it is
+a line found earlier in enumeration order, whose representative stays. So the
+pieces, lines and representatives are those of the full enumeration.
+`enumerate_partitions` is the brute-force ground truth it is tested against.
 """
 from __future__ import annotations
 
@@ -26,7 +37,11 @@ from .curves import PwlCurve, envelope_of
 from .graphs import Graph
 from .objectives import Clustering, CostLine
 
-PARTITION_CAP = 12  # Bell(12) ~ 4.2e6
+# Bell(12) ~ 4.2e6 partitions. That bounds the walk of exact_opt_curve but is
+# not its cost: its bound cuts all but a small fraction of them on G(12, 1/2),
+# fewer on stars. The cap also guards enumerate_partitions and
+# scaled_sparsest_cut, which visit every partition or bipartition.
+PARTITION_CAP = 12
 
 
 def _iter_rgs(n: int):
@@ -58,6 +73,150 @@ def enumerate_partitions(g: Graph, n_max: int = PARTITION_CAP):
         yield Clustering(tuple(rgs))
 
 
+def _envelope_points(lines):
+    """Checkpoints of the lower envelope E of integer lines (P, N) on [0, 1].
+
+    A list of (p, q, e) with q > 0, ascending in x = p/q: x = 0, every
+    breakpoint of E strictly inside (0, 1), then x = 1; e = q * E(x). E is
+    linear between consecutive points, so a concave function that is at least
+    E at every point is at least E on all of [0, 1]. Integers only: crossings
+    are compared by cross-multiplication and left unreduced.
+    """
+    hull = []  # lines of E, slopes strictly descending
+    xs = []  # xs[j] = (num, den): hull[j] and hull[j + 1] cross at num/den
+    for P, N in sorted(lines, key=lambda line: (-line[1], line[0])):
+        if hull and hull[-1][1] == N:
+            continue  # same slope, larger P
+        while hull:
+            num, den = P - hull[-1][0], hull[-1][1] - N
+            if xs and num * xs[-1][1] <= xs[-1][0] * den:
+                hull.pop()  # active at one point at most
+                xs.pop()
+                continue
+            xs.append((num, den))
+            break
+        hull.append((P, N))
+    pts = [(0, 1, min(P for P, _ in hull))]
+    pts += [(num, den, P * den + N * num)
+            for (P, N), (num, den) in zip(hull, xs) if 0 < num < den]
+    pts.append((1, 1, min(P + N for P, N in hull)))
+    return pts
+
+
+def _walk(fwd, back, s, opt, reps=None):
+    """Lines (P, N): the least cut per pair count over partitions of s..n-1.
+
+    The walk of `exact_opt_curve` on the subgraph induced by s..n-1, as a
+    branch and bound. Per N found, P is the least cut among the partitions
+    the walk visits, and every line of the envelope is among them. With
+    `reps` (s = 0 only) it records, per improved N, the labels of the
+    partition; without, it finds values only and starts from the singleton
+    line (m, 0), which is not first in enumeration order.
+
+    At a node where s..i-1 are placed and at least three nodes remain, every
+    completion costs at least
+
+        f(x) = cut + x*pairs + sum_{j >= i} (b_j - gain_j(x)) + opt[i](x),
+        gain_j(x) = max(0, max_c (cnt_j[c] - x*sizes[c])),
+
+    where b_j and cnt_j[c] count j's placed neighbours in all and in cluster
+    c: j pays its placed edges, less those into the cluster it joins, plus x
+    per placed node there, and the pairs and cuts among i..n-1 cost at least
+    their own OPT, opt[i]. f is concave and the envelope E of the lines found
+    so far is linear between its checkpoints, so f >= E at every checkpoint
+    means every line below the node is >= E on [0, 1], and the node is cut.
+    With fewer than three nodes to go the leaf loop costs less than the bound.
+    """
+    n = len(fwd)
+    last = n - 1
+    cnt = [[0] * n for _ in range(n)]  # cnt[j][c]: j's placed neighbours in c
+    b = [sum(1 for u in back[i] if u >= s) for i in range(n)]
+    m = sum(b)
+    cross = [0] * (n + 1)  # cross[i]: edges from s..i-1 to i..n-1
+    for i in range(s, n):
+        cross[i + 1] = cross[i] - b[i] + len(fwd[i])
+    rows = [[cnt[j] for j in range(i, n) if any(s <= u < i for u in back[j])]
+            for i in range(n)]
+    frows = [[cnt[j] for j in fwd[i]] for i in range(n)]
+    a = [0] * n
+    sizes = [0] * n
+    best = [m + 1] * ((n - s) * (n - s - 1) // 2 + 1)
+    env = []  # _envelope_points of the lines found so far
+    th = [None] * n  # th[i]: beaten's thresholds for node i, None when stale
+
+    def rebuild():
+        env[:] = _envelope_points(
+            [(P, N) for N, P in enumerate(best) if P <= m])
+        env.insert(0, env.pop())  # x = 1 first: cnt_j[c] <= sizes[c], no gains
+        th[:] = [None] * n
+
+    def beaten(i, k, base, pairs):
+        # is f >= E at every checkpoint? (nodes s..i-1 in k clusters)
+        ts = th[i]
+        if ts is None:  # q*(E - opt[i]) at each checkpoint p/q
+            ts = th[i] = [(p, q, e - min([P * q + N * p for P, N in opt[i]]))
+                          for p, q, e in env]
+        cr = cross[i]  # no sum of gains exceeds the placed edges of i..n-1
+        joins = None  # per j >= i: (cnt_j[c], sizes[c]) where cnt_j[c] > 0
+        for p, q, t in ts:
+            slack = base * q + pairs * p - t
+            if slack >= q * cr:
+                continue
+            if slack < 0:
+                return False
+            if joins is None:
+                joins = [[(v, sizes[c]) for c, v in enumerate(r[:k]) if v]
+                         for r in rows[i]]
+            for js in joins:
+                gain = 0
+                for v, z in js:
+                    d = v * q - p * z
+                    if d > gain:
+                        gain = d
+                slack -= gain
+                if slack < 0:
+                    return False
+        return True
+
+    def place(i, k, cut, pairs):
+        # nodes s..i-1 are placed in clusters 0..k-1, with this cut and N
+        ci = cnt[i]
+        if i == last:
+            cut += b[i]
+            for c in range(k + 1):
+                p = cut - ci[c]
+                nn = pairs + sizes[c]
+                if p < best[nn]:
+                    best[nn] = p
+                    if reps is not None:
+                        a[i] = c
+                        reps[nn] = tuple(a)
+                    if not env or any([p * den + nn * num < e
+                                       for num, den, e in env]):
+                        rebuild()
+            return
+        if env and s < i < n - 2 and beaten(i, k, cut + cross[i], pairs):
+            return
+        cut += b[i]
+        fr = frows[i]
+        for c in range(k + 1):
+            a[i] = c
+            for r in fr:
+                r[c] += 1
+            z = sizes[c]
+            sizes[c] = z + 1
+            place(i + 1, k + (c == k), cut - ci[c], pairs + z)
+            sizes[c] = z
+            for r in fr:
+                r[c] -= 1
+
+    if reps is None:
+        best[0] = m
+        rebuild()
+    place(s, 0, 0, 0)
+    return [(P, N) for N, P in enumerate(best) if P <= m]
+
+
 def exact_opt_curve(g: Graph):
     """(PwlCurve of OPT(lam) on [0, 1], family of representative clusterings).
 
@@ -66,48 +225,34 @@ def exact_opt_curve(g: Graph):
     the partitions in the order of `_iter_rgs`, which is the lexicographic
     order of their labels. The cut P and the co-clustered pair count N ride
     down the walk: node i in cluster c adds |back[i]| - cnt[c] to P
-    (back[i]: i's neighbours below i, cnt[c]: how many of them are in c, counted
-    once per tree node) and sizes[c] to N; the last node scores all of its
-    choices in one loop. Per N we keep the least P, replaced only by a
-    strictly smaller one, so each N's representative is the first partition
-    with that least P. The exact lower envelope of these at most C(n,2)+1
-    lines, taken in enumeration order, gives the curve; family[i] realizes
-    pieces[i].
+    (back[i]: i's neighbours below i, cnt[c]: how many of them are in c, kept
+    per node as neighbours are placed and undone) and sizes[c] to N; the last
+    node scores all of its choices in one loop. Per N we keep the least P,
+    replaced only by a strictly smaller one, so each N's representative is
+    the first partition with that least P. The exact lower envelope of these
+    at most C(n,2)+1 lines, taken in enumeration order, gives the curve;
+    family[i] realizes pieces[i].
+
+    The walk skips every subtree whose lower bound is at least the envelope
+    of the lines found before it, checked at the envelope's breakpoints (see
+    `_walk` and the module notes): a skipped partition can only repeat an
+    earlier piece's line, so no piece, line or representative changes. The
+    bound needs OPT of each suffix i..n-1, got from the same walk, values
+    only, on i = n-3 down to 1.
     """
     if g.n > PARTITION_CAP:
         raise ValueError("n=%d exceeds enumeration cap %d" % (g.n, PARTITION_CAP))
     n = g.n
+    fwd = [[] for _ in range(n)]
     back = [[] for _ in range(n)]
     for u, v in g.edges:
+        fwd[u].append(v)
         back[v].append(u)
-    a = [0] * n
-    sizes = [0] * n
-    best = [g.m + 1] * (n * (n - 1) // 2 + 1)  # least P per N; m + 1 = none yet
+    opt = [()] * n  # opt[i]: lines whose minimum is OPT on the nodes i..n-1
+    for s in range(n - 3, 0, -1):
+        opt[s] = _walk(fwd, back, s, opt)
     reps = {}  # N -> labels of its first partition with P = best[N]
-
-    def place(i, k, cut, pairs):
-        # nodes 0..i-1 are placed in clusters 0..k-1, with this cut and N
-        cnt = [0] * (k + 1)
-        for u in back[i]:
-            cnt[a[u]] += 1
-        cut += len(back[i])
-        if i == n - 1:
-            for c in range(k + 1):
-                p = cut - cnt[c]
-                nn = pairs + sizes[c]
-                if p < best[nn]:
-                    best[nn] = p
-                    a[i] = c
-                    reps[nn] = tuple(a)
-            return
-        for c in range(k + 1):
-            a[i] = c
-            s = sizes[c]
-            sizes[c] = s + 1
-            place(i + 1, k + (c == k), cut - cnt[c], pairs + s)
-            sizes[c] = s
-
-    place(0, 0, 0, 0)
+    best = {N: P for P, N in _walk(fwd, back, 0, opt, reps)}
     entries = sorted((rgs, nn) for nn, rgs in reps.items())  # enumeration order
     lines = [CostLine(Fraction(best[nn]), Fraction(nn)) for _, nn in entries]
     clusterings = [Clustering(rgs) for rgs, _ in entries]

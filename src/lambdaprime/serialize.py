@@ -184,7 +184,16 @@ def curve_samples(curve: PwlCurve, grid: int = 50) -> list:
     pts.update(curve.breakpoints)
     step = Fraction(hi - lo, grid)
     pts.update(lo + i * step for i in range(grid + 1))
-    return [(lam, curve.value_at(lam)) for lam in sorted(pts)]
+    # one merge pass: each point reads the first piece whose hi reaches it,
+    # the piece `PwlCurve.piece_at` would find
+    out = []
+    pieces = iter(curve.pieces)
+    piece = next(pieces)
+    for lam in sorted(pts):
+        while piece.hi < lam:
+            piece = next(pieces)
+        out.append((lam, piece.line.value_at(lam)))
+    return out
 
 
 def write_samples_csv(curve: PwlCurve, path, grid: int = 50) -> None:

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from lambdaprime.curves import envelope_of
-from lambdaprime.exact import enumerate_partitions, exact_opt_curve, scaled_sparsest_cut
+from lambdaprime.exact import (
+    _envelope_points, enumerate_partitions, exact_opt_curve, scaled_sparsest_cut,
+)
 from lambdaprime.graphs import (
     gen_gnp, gen_path, gen_ring, gen_star, is_connected, make_graph,
 )
@@ -206,6 +208,103 @@ def test_walk_matches_brute_force_gnp():
         for p in (0.2, 0.4, 0.6, 0.9):
             for seed in range(3):
                 assert_matches_brute_force(gen_gnp(n, p, seed=100 * n + seed))
+
+
+def complete_bipartite(a, b):
+    return make_graph(a + b, [(u, v) for u in range(a) for v in range(a, a + b)])
+
+
+def clique_edges(nodes):
+    return [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:]]
+
+
+def twin_pairs():
+    # a 4-cycle of pairs {2t, 2t+1}: both nodes of a pair have the same
+    # neighbours outside it; pairs 0 and 2 are joined inside, 1 and 3 not
+    edges = [(2 * t, 2 * t + 1) for t in (0, 2)]
+    for t in range(4):
+        u = (t + 1) % 4
+        edges += [(2 * t + x, 2 * u + y) for x in (0, 1) for y in (0, 1)]
+    return make_graph(8, [(min(e), max(e)) for e in edges])
+
+
+# graphs with many partitions per line: the bound prunes at f = E, so only
+# the first-in-order rule keeps each piece's representative
+@pytest.mark.parametrize(
+    "g",
+    [complete_bipartite(3, 4), complete_bipartite(4, 4),
+     make_graph(8, clique_edges(range(4)) + clique_edges(range(4, 8)) + [(3, 4)]),
+     make_graph(8, clique_edges(range(5))),
+     make_graph(8, []), make_graph(8, clique_edges(range(8))),
+     make_graph(9, [(0, i) for i in range(1, 9)] + [(3, 7)]),
+     make_graph(8, [(i, 7) for i in range(7)]),
+     twin_pairs()],
+    ids=["K3_4", "K4_4", "two_K4_bridged", "K5_3_isolated", "edgeless8", "K8",
+         "star9_leaf_edge", "star8_hub_last", "twin_pairs"],
+)
+def test_walk_matches_brute_force_ties(g):
+    assert_matches_brute_force(g)
+
+
+def assert_checkpoints_match_envelope(lines):
+    pts = _envelope_points(lines)
+    curve = envelope_of([CostLine(L(P), L(N)) for P, N in lines])
+    xs = [curve.domain_lo] + [piece.hi for piece in curve.pieces]
+    assert all(q > 0 for _, q, _ in pts), lines
+    assert [L(p, q) for p, q, _ in pts] == xs, lines
+    assert [L(e, q) for _, q, e in pts] == [curve.value_at(x) for x in xs], lines
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [[(3, 2)],
+     [(1, 4), (0, 4), (2, 1), (2, 1), (5, 1)],  # duplicate slopes and lines
+     [(0, 4), (1, 2), (2, 0)],  # three lines through (1/2, 2)
+     [(0, 4), (1, 2), (2, 0), (1, 3), (3, 0)],
+     [(3, 4), (1, 2)],  # crossing at x = -1
+     [(1, 2), (3, 1)],  # crossing at x = 2
+     [(0, 3), (0, 1)],  # crossing at x = 0
+     [(1, 3), (3, 1)],  # crossing at x = 1
+     [(0, 6), (9, 0), (1, 4), (2, 3), (5, 1), (4, 2)]],
+    ids=["single", "duplicate_slopes", "three_concurrent", "concurrent_and_more",
+         "cross_below_0", "cross_above_1", "cross_at_0", "cross_at_1", "six_lines"],
+)
+def test_envelope_points_named(lines):
+    assert_checkpoints_match_envelope(lines)
+
+
+def test_envelope_points_random():
+    import random
+
+    rng = random.Random(24)
+    for _ in range(400):
+        lines = [(rng.randrange(-3, 8), rng.randrange(0, 7))
+                 for _ in range(rng.randrange(1, 9))]
+        assert_checkpoints_match_envelope(lines)
+
+
+def test_walk_gnp12_pinned():
+    # the walk's curve on a connected G(12, 1/2); test_walk_matches_brute_force_gnp12
+    # (slow) checks the same graph against the per-partition loop
+    g = gen_gnp(12, L(1, 2), seed=0)
+    curve, family = exact_opt_curve(g)
+    got = [(p.lo, p.hi, p.line.P, p.line.N) for p in curve.pieces]
+    assert got == [
+        (L(0), L(2, 11), 0, 66), (L(2, 11), L(3, 16), 2, 55),
+        (L(3, 16), L(1, 4), 5, 39), (L(1, 4), L(3, 10), 7, 31),
+        (L(3, 10), L(2, 5), 10, 21), (L(2, 5), L(1, 2), 12, 16),
+        (L(1, 2), L(1), 14, 12),
+    ]
+    assert [c.assignment for c in family] == [
+        (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+        (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0),
+        (0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1),
+        (0, 1, 0, 0, 0, 2, 0, 0, 0, 0, 1, 1),
+        (0, 1, 0, 1, 1, 2, 0, 0, 0, 2, 1, 1),
+        (0, 0, 1, 0, 2, 3, 0, 1, 1, 0, 2, 2),
+        (0, 1, 2, 0, 3, 4, 0, 2, 2, 0, 3, 3),
+    ]
+    assert [p.tag for p in curve.pieces] == family
 
 
 def test_star12_at_the_cap():
