@@ -68,11 +68,41 @@ class PwlCurve:
         return self.pieces[lo]
 
 
+def lower_hull(lines):
+    """(hull, xs): the lines of min_i (P_i + x*N_i) over all real x.
+
+    `lines` are tuples (P, N, ...) of ints or Fractions. hull lists the lines
+    on the envelope, slopes strictly descending; xs[j] = (num, den), den > 0,
+    is where hull[j] and hull[j+1] cross, at x = num/den, strictly ascending.
+    The sort is by slope descending, then P, and stable, so among lines of
+    one slope the least P stays, the earliest in input order on ties; a line
+    active at one point at most is dropped. Crossings are left unreduced and
+    compared by cross-multiplication, so the hull is exact.
+    """
+    hull = []
+    xs = []
+    for line in sorted(lines, key=lambda t: (-t[1], t[0])):
+        P, N = line[0], line[1]
+        if hull and hull[-1][1] == N:
+            continue  # same slope, larger P or later
+        while hull:
+            num, den = P - hull[-1][0], hull[-1][1] - N
+            if xs and num * xs[-1][1] <= xs[-1][0] * den:
+                hull.pop()
+                xs.pop()
+                continue
+            xs.append((num, den))
+            break
+        hull.append(line)
+    return hull, xs
+
+
 def envelope_of(lines, domain=(Fraction(0), Fraction(1)), tags=None) -> PwlCurve:
     """Exact lower envelope min_i (P_i + lam*N_i) over a closed rational domain.
 
-    Ties prefer the earliest line in input order: duplicate (P, N) lines keep
-    the first, and a line active only at a single point contributes no piece.
+    The pieces are those of `lower_hull` clipped to the domain, so ties
+    prefer the earliest line in input order: duplicate (P, N) lines keep the
+    first, and a line active only at a single point contributes no piece.
     """
     lo, hi = rat(domain[0]), rat(domain[1])
     if lo >= hi:
@@ -81,40 +111,13 @@ def envelope_of(lines, domain=(Fraction(0), Fraction(1)), tags=None) -> PwlCurve
     if not items:
         raise ValueError("need at least one line")
     if tags is None:
-        tags = list(range(len(items)))
+        tags = range(len(items))
+    elif len(tags) != len(items):
+        raise ValueError("%d tags for %d lines" % (len(tags), len(items)))
 
-    # one candidate per slope: smallest P wins, earliest input index on ties;
-    # scan order is slope descending (the active slope of a lower envelope of
-    # lines decreases as lambda grows)
-    order = sorted(range(len(items)), key=lambda i: (-items[i].N, items[i].P, i))
-    cand = []
-    for i in order:
-        if cand and items[cand[-1]].N == items[i].N:
-            continue
-        cand.append(i)
-
-    hull = []  # line indices on the envelope, slopes descending
-    xs = []  # xs[j] = crossing of hull[j] and hull[j+1]
-    for i in cand:
-        while hull:
-            x = items[hull[-1]].intersect(items[i])
-            if xs and x <= xs[-1]:
-                hull.pop()
-                xs.pop()
-                continue
-            break
-        if hull:
-            xs.append(items[hull[-1]].intersect(items[i]))
-        hull.append(i)
-
-    pieces = []
-    for j, idx in enumerate(hull):
-        start = xs[j - 1] if j > 0 else None
-        end = xs[j] if j < len(xs) else None
-        p_lo = lo if start is None else max(start, lo)
-        p_hi = hi if end is None else min(end, hi)
-        if p_lo < p_hi:
-            pieces.append(PwlPiece(items[idx], p_lo, p_hi, tags[idx]))
-    # xs is strictly increasing, so the hull pieces tile the real line and
-    # [lo, hi] (positive width) meets one of them in positive length
+    hull, xs = lower_hull([(ln.P, ln.N, ln, tag) for ln, tag in zip(items, tags)])
+    cuts = [lo] + [min(max(Fraction(num, den), lo), hi) for num, den in xs] + [hi]
+    # xs ascends, so the clipped hull pieces tile [lo, hi] (positive width)
+    pieces = [PwlPiece(line, a, b, tag)
+              for (_, _, line, tag), a, b in zip(hull, cuts, cuts[1:]) if a < b]
     return PwlCurve(tuple(pieces), lo, hi)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .curves import PwlCurve, envelope_of
+from .curves import envelope_of, lower_hull
 from .graphs import Graph
 from .objectives import Clustering, CostLine
 
@@ -79,23 +79,10 @@ def _envelope_points(lines):
     A list of (p, q, e) with q > 0, ascending in x = p/q: x = 0, every
     breakpoint of E strictly inside (0, 1), then x = 1; e = q * E(x). E is
     linear between consecutive points, so a concave function that is at least
-    E at every point is at least E on all of [0, 1]. Integers only: crossings
-    are compared by cross-multiplication and left unreduced.
+    E at every point is at least E on all of [0, 1]. Integers only: the
+    crossings of `lower_hull` are kept unreduced.
     """
-    hull = []  # lines of E, slopes strictly descending
-    xs = []  # xs[j] = (num, den): hull[j] and hull[j + 1] cross at num/den
-    for P, N in sorted(lines, key=lambda line: (-line[1], line[0])):
-        if hull and hull[-1][1] == N:
-            continue  # same slope, larger P
-        while hull:
-            num, den = P - hull[-1][0], hull[-1][1] - N
-            if xs and num * xs[-1][1] <= xs[-1][0] * den:
-                hull.pop()  # active at one point at most
-                xs.pop()
-                continue
-            xs.append((num, den))
-            break
-        hull.append((P, N))
+    hull, xs = lower_hull(lines)
     pts = [(0, 1, min(P for P, _ in hull))]
     pts += [(num, den, P * den + N * num)
             for (P, N), (num, den) in zip(hull, xs) if 0 < num < den]
@@ -230,8 +217,8 @@ def exact_opt_curve(g: Graph):
     node scores all of its choices in one loop. Per N we keep the least P,
     replaced only by a strictly smaller one, so each N's representative is
     the first partition with that least P. The exact lower envelope of these
-    at most C(n,2)+1 lines, taken in enumeration order, gives the curve;
-    family[i] realizes pieces[i].
+    at most C(n,2)+1 lines, one per N, gives the curve; family[i] realizes
+    pieces[i].
 
     The walk skips every subtree whose lower bound is at least the envelope
     of the lines found before it, checked at the envelope's breakpoints (see
@@ -251,12 +238,10 @@ def exact_opt_curve(g: Graph):
     opt = [()] * n  # opt[i]: lines whose minimum is OPT on the nodes i..n-1
     for s in range(n - 3, 0, -1):
         opt[s] = _walk(fwd, back, s, opt)
-    reps = {}  # N -> labels of its first partition with P = best[N]
-    best = {N: P for P, N in _walk(fwd, back, 0, opt, reps)}
-    entries = sorted((rgs, nn) for nn, rgs in reps.items())  # enumeration order
-    lines = [CostLine(Fraction(best[nn]), Fraction(nn)) for _, nn in entries]
-    clusterings = [Clustering(rgs) for rgs, _ in entries]
-    curve = envelope_of(lines, domain=(Fraction(0), Fraction(1)), tags=clusterings)
+    reps = {}  # N -> labels of the first partition with the least cut at N
+    lines = _walk(fwd, back, 0, opt, reps)
+    curve = envelope_of([CostLine(Fraction(P), Fraction(N)) for P, N in lines],
+                        tags=[Clustering(reps[N]) for _, N in lines])
     family = [piece.tag for piece in curve.pieces]
     return curve, family
 

@@ -29,12 +29,6 @@ class CostLine:
     def value_at(self, lam) -> Fraction:
         return self.P + rat(lam) * self.N
 
-    def intersect(self, other) -> Fraction:
-        """lam where the two lines meet; requires distinct slopes."""
-        if self.N == other.N:
-            raise ValueError("parallel lines do not intersect")
-        return (other.P - self.P) / (self.N - other.N)
-
 
 @dataclass(frozen=True)
 class Clustering:

@@ -164,16 +164,15 @@ def sweep_fe(g: Graph, eps) -> CoverFamily:
         sol = solve_lp(g, lam0)
         if frontier:
             # (1+eps)*lam0 >= 1: reuse of this solution covers [lam0, 1)
-            hi, clamped = 1 - GUARD, True
+            iv = _transfer_interval(lam0, eps)
         else:
             theta, clamped = orlp(sol, 1, lam0, eps, g)
-            hi = lam0 + theta
-        iv = LambdaInterval(lam0 / (1 + eps), hi, eps, hi_clamped=clamped)
+            iv = LambdaInterval(lam0 / (1 + eps), lam0 + theta, eps, hi_clamped=clamped)
         members.append(CoverMember(sol, iv))
-        if clamped:
+        if iv.hi_clamped:
             break
-        frontier = (1 + eps) * hi >= 1
-        lam0 = hi if frontier else (1 + eps) * hi
+        frontier = (1 + eps) * iv.hi >= 1
+        lam0 = iv.hi if frontier else (1 + eps) * iv.hi
     return CoverFamily(tuple(members), eps, domain, len(members), "lamprime", "fe")
 
 

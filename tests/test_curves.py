@@ -101,3 +101,66 @@ def test_random_envelopes_match_pointwise_min():
             lam = L(rng.randrange(0, 101), 100)
             expect = min(ln.value_at(lam) for ln in lines)
             assert c.value_at(lam) == expect, (trial, lam)
+
+
+def test_int_lines_break_at_exact_fraction():
+    c = envelope_of([CostLine(0, 3), CostLine(2, 0)])
+    assert c.breakpoints == [L(2, 3)]
+    assert type(c.breakpoints[0]) is Fraction
+    assert c.value_at(L(2, 3)) == 2
+
+
+def test_tags_must_match_lines():
+    lines = [CostLine(L(0), L(2)), CostLine(L(1), L(0))]
+    for tags in (["a"], ["a", "b", "c"]):
+        with pytest.raises(ValueError):
+            envelope_of(lines, tags=tags)
+
+
+def crossings_and_midpoints(lines):
+    """0, 1, every crossing of two lines inside [0, 1], the midpoints between.
+
+    Both the envelope and min(P + x*N) are linear between consecutive
+    crossings, so agreeing at these points means agreeing on all of [0, 1].
+    """
+    xs = {L(0), L(1)}
+    for i, a in enumerate(lines):
+        for b in lines[:i]:
+            if a.N != b.N:
+                x = L(b.P - a.P) / L(a.N - b.N)
+                if 0 <= x <= 1:
+                    xs.add(x)
+    xs = sorted(xs)
+    return xs + [(u + v) / 2 for u, v in zip(xs, xs[1:])]
+
+
+def assert_envelope_is_pointwise_min(lines):
+    c = envelope_of(lines)
+    for x in crossings_and_midpoints(lines):
+        assert c.value_at(x) == min(ln.P + x * ln.N for ln in lines), (lines, x)
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [[(0, 4), (1, 2), (2, 0)],  # three lines through (1/2, 2)
+     [(1, 4), (0, 4), (2, 1), (2, 1), (5, 1)],  # duplicate slopes and lines
+     [(3, 4), (1, 2), (5, 0)],  # crossings at x = -1 and x = 2
+     [(L(1, 3), L(3, 2)), (L(1, 2), L(1, 2)), (L(5, 9), L(1, 6))]],  # through (1/6, 7/12)
+    ids=["three_concurrent", "duplicate_slopes", "cross_outside", "fractions"],
+)
+def test_envelope_matches_brute_force_named(lines):
+    assert_envelope_is_pointwise_min([CostLine(P, N) for P, N in lines])
+
+
+def test_envelope_matches_brute_force_random():
+    import random
+
+    rng = random.Random(25)
+    for _ in range(300):
+        k = rng.randrange(1, 9)
+        ints = [CostLine(rng.randrange(-3, 8), rng.randrange(0, 7)) for _ in range(k)]
+        fracs = [CostLine(L(rng.randrange(-6, 12), rng.randrange(1, 4)),
+                          L(rng.randrange(0, 12), rng.randrange(1, 4)))
+                 for _ in range(k)]
+        assert_envelope_is_pointwise_min(ints)
+        assert_envelope_is_pointwise_min(fracs)
