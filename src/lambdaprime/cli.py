@@ -14,13 +14,12 @@ from functools import lru_cache
 from .analytic import (MS_CONSTANT, ms_gamma, ring_lower_bound, ring_sandwich,
                        ring_special_lambdas)
 from .exact import exact_opt_curve
-from .graphs import format_edgelist, gen_ring, gen_star, load_graph
+from .graphs import gen_ring, gen_star, load_graph, save_graph
 from .lp import solve_lp
 from .rationals import parse_rat
 from .rounding import build_clustering_family
 from .serialize import (
     assignments_to_list,
-    atomic_write_text,
     clustering_family_to_list,
     family_from_dict,
     family_to_dict,
@@ -118,13 +117,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen_ring(args) -> int:
-    atomic_write_text(args.out, format_edgelist(gen_ring(args.k)))
+    save_graph(gen_ring(args.k), args.out)
     print("wrote ring 2^%d -> %s" % (args.k, args.out))
     return 0
 
 
 def _cmd_gen_star(args) -> int:
-    atomic_write_text(args.out, format_edgelist(gen_star(args.n)))
+    save_graph(gen_star(args.n), args.out)
     print("wrote star n=%d -> %s" % (args.n, args.out))
     return 0
 

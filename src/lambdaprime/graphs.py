@@ -141,7 +141,10 @@ def parse_edgelist(text: str) -> Graph:
                 raise ValueError("line %d: duplicate n header" % lineno)
             if len(parts) != 2:
                 raise ValueError("line %d: malformed header %r" % (lineno, raw))
-            header_n = int(parts[1])
+            try:
+                header_n = int(parts[1])
+            except ValueError:
+                raise ValueError("line %d: non-integer n in %r" % (lineno, raw))
             if header_n < 1:
                 raise ValueError("line %d: n must be positive" % lineno)
             continue
@@ -184,5 +187,5 @@ def load_graph(path) -> Graph:
 
 
 def save_graph(g: Graph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_edgelist(g))
+    from .serialize import atomic_write_text  # serialize imports graphs
+    atomic_write_text(path, format_edgelist(g))

@@ -315,21 +315,18 @@ _HIGHS_OPTS = {
 
 def _solve_float(g: Graph, lam) -> LpSolution:
     from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix
 
     prob = build_lp(g, lam)
     lamf = float(prob.lam)
-    nv = prob.num_vars
-    cf = [float(v) for v in prob.c]
-    # triangle rows only; box handled via bounds
-    n_tri = prob.num_rows - nv
-    Gf = [[0.0] * nv for _ in range(n_tri)]
-    for dense, row in zip(Gf, prob.rows):
-        for j, coeff in row:
-            dense[j] = float(coeff)
-    # HiGHS refuses an empty A_ub (n = 2) and an empty c (n = 1)
+    # the triangle rows as they are, 3 nonzeros each; the box x <= 1 is bounds
+    tri = prob.rows[:prob.num_rows - prob.num_vars]
+    a_ub = csr_matrix(([a for r in tri for _, a in r], [j for r in tri for j, _ in r],
+                       range(0, 3 * len(tri) + 1, 3)), (len(tri), prob.num_vars), dtype=float)
+    # HiGHS refuses an empty c (n = 1)
     x, fun, nit = (), 0.0, 0
-    if nv:
-        res = linprog(cf, A_ub=Gf or None, b_ub=prob.b[:n_tri] or None,
+    if prob.num_vars:
+        res = linprog([float(v) for v in prob.c], A_ub=a_ub, b_ub=prob.b[:len(tri)],
                       bounds=(0, 1), method="highs", options=_HIGHS_OPTS)
         if res.status != 0:
             raise AssertionError("HiGHS failed: %s" % res.message)

@@ -185,6 +185,26 @@ def _one_stretched_member(d):
     d["members"] = [m]
 
 
+def test_verify_cover_where_the_lp_value_vanishes_is_an_error(tmp_path, capsys):
+    # domain [0, 1] without member 0: the LP value is 0 at 0, the envelope not
+    gpath, cover, d = _ring8_cover(tmp_path)
+    d["domain"] = ["0", "1"]
+    d["members"] = d["members"][1:]
+    cover.write_text(json.dumps(d))
+    capsys.readouterr()
+    rc = main(["verify", "cover", "--cover", str(cover), "--graph", str(gpath)])
+    assert rc == 3
+    assert capsys.readouterr().err == "error: LP value vanishes at 0; ratio undefined\n"
+
+
+def test_malformed_edge_list_is_an_error(tmp_path, capsys):
+    gpath = tmp_path / "g.txt"
+    gpath.write_text("n x\n0 1\n")
+    rc = main(["lp", "solve", "--graph", str(gpath), "--lambda", "1/3"])
+    assert rc == 3
+    assert capsys.readouterr().err == "error: line 1: non-integer n in 'n x'\n"
+
+
 @pytest.mark.parametrize("forge", [_zero_members, _one_stretched_member])
 def test_verify_cover_rejects_forged_lines(tmp_path, forge):
     gpath, cover, d = _ring8_cover(tmp_path)

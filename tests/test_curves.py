@@ -80,6 +80,25 @@ def test_curve_validation():
         PwlCurve((), L(0), L(1))
 
 
+@pytest.mark.parametrize("pieces, domain, message", [
+    # one piece on [0, 1/2] of a curve said to run to 1
+    ([(0, 2, L(0), L(1, 2))], (L(0), L(1)), "pieces do not span the stated domain"),
+    ([(0, 2, L(1, 4), L(1))], (L(0), L(1)), "pieces do not span the stated domain"),
+    # a piece from 1/2 down to 1/4, on a domain said to run so too
+    ([(0, 2, L(1, 2), L(1, 4))], (L(1, 2), L(1, 4)), "empty piece interval"),
+    # continuous at 1/2 (both lines read 1), but the steeper line comes second
+    ([(1, 0, L(0), L(1, 2)), (0, 2, L(1, 2), L(1))], (L(0), L(1)),
+     "pieces not strictly concave-ordered"),
+    # one line split in two is continuous but not strictly concave
+    ([(1, 1, L(0), L(1, 2)), (1, 1, L(1, 2), L(1))], (L(0), L(1)),
+     "pieces not strictly concave-ordered"),
+], ids=["short_hi", "late_lo", "empty_piece", "convex_turn", "same_line"])
+def test_curve_rejects_pieces_that_are_not_a_concave_tiling(pieces, domain, message):
+    ps = tuple(PwlPiece(CostLine(L(P), L(N)), lo, hi) for P, N, lo, hi in pieces)
+    with pytest.raises(ValueError, match="^%s$" % message):
+        PwlCurve(ps, *domain)
+
+
 def test_value_at_outside_domain():
     c = envelope_of([CostLine(L(0), L(1))], domain=(L(1, 4), L(1, 2)))
     with pytest.raises(ValueError):

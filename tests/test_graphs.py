@@ -1,7 +1,9 @@
+import os
 from fractions import Fraction
 
 import pytest
 
+from lambdaprime import serialize
 from lambdaprime.graphs import (
     Graph,
     cut_size,
@@ -11,8 +13,10 @@ from lambdaprime.graphs import (
     gen_ring,
     gen_star,
     is_connected,
+    load_graph,
     make_graph,
     parse_edgelist,
+    save_graph,
 )
 
 
@@ -76,6 +80,40 @@ def test_parse_errors():
         parse_edgelist("0 x")
     with pytest.raises(ValueError):
         parse_edgelist("# nothing here")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("n x\n0 1", "line 1: non-integer n in 'n x'"),
+    ("n 3\nn 3\n0 1", "line 2: duplicate n header"),
+    ("# c\nn\n0 1", "line 2: malformed header 'n'"),
+    ("n 0", "line 1: n must be positive"),
+    ("0 1\n1 2 3", "line 2: expected 'u v', got '1 2 3'"),
+    ("n 3\n0 -1", "line 2: negative node index"),
+])
+def test_parse_errors_name_their_line(text, message):
+    with pytest.raises(ValueError) as exc:
+        parse_edgelist(text)
+    assert str(exc.value) == message
+
+
+def test_save_graph_is_atomic(tmp_path, monkeypatch):
+    # a write that fails before its rename leaves the old file whole and no
+    # temporary file behind
+    out = tmp_path / "g.txt"
+    out.write_text("old\n")
+
+    def crash(src, dst):
+        raise OSError("disk full")
+
+    with monkeypatch.context() as m:
+        m.setattr(serialize.os, "replace", crash)
+        with pytest.raises(OSError, match="disk full"):
+            save_graph(gen_ring(3), out)
+    assert out.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["g.txt"]
+    save_graph(gen_ring(3), out)
+    assert load_graph(out) == gen_ring(3)
+    assert out.read_text() == format_edgelist(gen_ring(3))
 
 
 def test_roundtrip_byte_identical():

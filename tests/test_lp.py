@@ -645,6 +645,36 @@ def test_float_mode_without_triangle_rows_matches_exact(g):
     assert fx.x == tuple(float(v) for v in ex.x)
 
 
+@pytest.mark.parametrize("g", [gen_gnp(7, 0.5, seed=3), gen_ring(3), make_graph(2, [(0, 1)])],
+                         ids=["gnp7", "ring8", "n2"])
+def test_float_mode_hands_highs_the_sparse_triangle_rows(g, monkeypatch):
+    # HiGHS reads build_lp's triangle rows as one sparse matrix, no dense copy
+    import scipy.optimize
+    import scipy.sparse
+
+    seen = []
+    linprog = scipy.optimize.linprog
+
+    def spy(c, **kw):
+        seen.append(kw)
+        return linprog(c, **kw)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", spy)
+    lam = Fraction(1, 3)
+    solve_lp(g, lam, mode="float")
+    [kw] = seen
+    a_ub, prob = kw["A_ub"], build_lp(g, lam)
+    n_tri = 3 * len(list(combinations(range(g.n), 3)))
+    assert scipy.sparse.issparse(a_ub)
+    assert a_ub.shape == (n_tri, g.n * (g.n - 1) // 2) == (n_tri, prob.num_vars)
+    assert list(a_ub.getnnz(axis=1)) == [3] * n_tri
+    csr = scipy.sparse.csr_matrix(a_ub)
+    assert [tuple(zip(csr[r].indices.tolist(), csr[r].data.tolist())) for r in range(n_tri)] \
+        == list(prob.rows[:n_tri])
+    assert list(kw["b_ub"]) == [0] * n_tri
+    assert kw["bounds"] == (0, 1)
+
+
 def test_one_proof_builds_the_metric_rows_once():
     g = gen_gnp(6, 0.5, seed=3)
     sol = solve_lp(g, Fraction(2, 7))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from lambdaprime.graphs import gen_ring, gen_star
 from lambdaprime.lp import LpSolution, lp_curve, solve_lp
 from lambdaprime.objectives import CostLine
-from lambdaprime.rationals import parse_rat
+from lambdaprime.rationals import ceil_log, floor_log, parse_rat
 from lambdaprime.rounding import build_clustering_family
 from lambdaprime.serialize import (
     atomic_write_text,
@@ -153,6 +153,13 @@ def test_curve_samples_cover_endpoints_and_breaks():
     assert all(curve.value_at(k) == v for k, v in pts.items())
 
 
+def test_curve_samples_needs_a_grid():
+    curve = lp_curve(gen_star(5))
+    with pytest.raises(ValueError, match="^grid must be at least 1$"):
+        curve_samples(curve, 0)
+    assert curve_samples(curve, 1)[0] == (F(0), F(0))
+
+
 def test_atomic_write_replaces_whole_file(tmp_path):
     p = tmp_path / "out.txt"
     p.write_text("old")
@@ -174,3 +181,16 @@ def test_parse_rat_reads_fractions_and_decimals():
     assert parse_rat("7") == 7
     with pytest.raises(ValueError):
         parse_rat("3/0")
+
+
+def test_floor_and_ceil_log_below_one():
+    assert (floor_log(2, F(1, 3)), ceil_log(2, F(1, 3))) == (-2, -1)
+    assert (floor_log(2, F(1, 4)), ceil_log(2, F(1, 4))) == (-2, -2)
+    assert (floor_log(F(3, 2), F(1, 2)), ceil_log(F(3, 2), F(1, 2))) == (-2, -1)
+    assert (floor_log(F(3, 2), F(4, 9)), ceil_log(F(3, 2), F(4, 9))) == (-2, -2)
+    # against the definition, on both sides of 1
+    for base in (2, 3, F(3, 2), F(11, 10)):
+        for x in (F(1, 100), F(1, 7), F(2, 3), F(9, 10), F(1), F(5, 4), F(50)):
+            js = range(-60, 60)
+            assert floor_log(base, x) == max(j for j in js if F(base) ** j <= x)
+            assert ceil_log(base, x) == min(j for j in js if F(base) ** j >= x)

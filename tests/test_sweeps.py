@@ -79,6 +79,27 @@ def test_geometric_cover_ring8():
     assert 1 <= rep.worst_ratio <= 2
 
 
+def test_certify_cover_ring8_on_wider_and_narrower_domains():
+    g = gen_ring(3)
+    fam = sweep_geometric(g, 1)
+    # at 0 both the LP value and member 0's line (P = 0) vanish: the point is
+    # skipped, and only the uncovered [0, 1/32) fails the report
+    assert fam.members[0].solution.line.P == 0
+    rep = certify_cover(replace(fam, domain=(F(0), F(1))), g)
+    assert not rep.ok
+    assert rep.gap == (F(0), F(1, 32))
+    assert rep.member_fail is None and rep.worst_ratio <= rep.bound
+    # without member 0 the envelope is positive where the LP value is 0
+    with pytest.raises(ValueError, match="^LP value vanishes at 0; ratio undefined$"):
+        certify_cover(replace(fam, domain=(F(0), F(1)), members=fam.members[1:]), g)
+    # on [1/2, 1] member 0, wholly below 1/2, is not held to the domain (its
+    # line 28*lam exceeds twice the LP value 6 at 1/2): the report is ok
+    assert fam.members[0].interval.covered_hi() < F(1, 2)
+    assert fam.members[0].solution.line.value_at(F(1, 2)) > 2 * lp_curve(g).value_at(F(1, 2))
+    rep = certify_cover(replace(fam, domain=(F(1, 2), F(1))), g)
+    assert rep.ok and rep.gap is None and rep.member_fail is None
+
+
 @pytest.mark.parametrize(
     "g",
     [gen_star(5), gen_path(6), gen_gnp(7, 0.5, seed=2)],
