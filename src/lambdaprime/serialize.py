@@ -11,7 +11,6 @@ import io
 import json
 import math
 import os
-import tempfile
 from fractions import Fraction
 
 from .curves import PwlCurve
@@ -23,9 +22,14 @@ from .sweeps import CoverFamily, CoverMember
 
 
 def atomic_write_text(path, text: str) -> None:
+    """Write text to path through a temporary file and a rename.
+
+    The temporary file is created with mode 0o666, so the umask applies as it
+    does for a plain `open`.
+    """
     path = os.fspath(path)
-    d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
+    tmp = os.path.join(os.path.dirname(path), ".tmp-" + os.urandom(8).hex())
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)

@@ -5,7 +5,8 @@ import pytest
 
 from lambdaprime.curves import envelope_of
 from lambdaprime.exact import (
-    _envelope_points, enumerate_partitions, exact_opt_curve, scaled_sparsest_cut,
+    _envelope_points, _twins, enumerate_partitions, exact_opt_curve,
+    scaled_sparsest_cut,
 )
 from lambdaprime.graphs import (
     gen_gnp, gen_path, gen_ring, gen_star, is_connected, make_graph,
@@ -214,6 +215,15 @@ def complete_bipartite(a, b):
     return make_graph(a + b, [(u, v) for u in range(a) for v in range(a, a + b)])
 
 
+def complete_multipartite(*sizes):
+    parts, first = [], 0
+    for z in sizes:
+        parts.append(range(first, first + z))
+        first += z
+    return make_graph(first, [(u, v) for i, a in enumerate(parts)
+                              for b in parts[i + 1:] for u in a for v in b])
+
+
 def clique_edges(nodes):
     return [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:]]
 
@@ -229,7 +239,8 @@ def twin_pairs():
 
 
 # graphs with many partitions per line: the bound prunes at f = E, so only
-# the first-in-order rule keeps each piece's representative
+# the first-in-order rule keeps each piece's representative; in the twin-rich
+# ones most partitions are also pruned as twin swaps of earlier ones
 @pytest.mark.parametrize(
     "g",
     [complete_bipartite(3, 4), complete_bipartite(4, 4),
@@ -238,12 +249,41 @@ def twin_pairs():
      make_graph(8, []), make_graph(8, clique_edges(range(8))),
      make_graph(9, [(0, i) for i in range(1, 9)] + [(3, 7)]),
      make_graph(8, [(i, 7) for i in range(7)]),
-     twin_pairs()],
+     twin_pairs(),
+     complete_multipartite(2, 3, 3),
+     # leaves 1..8 of hub 0, with the pendant pairs 2-5 and 4-7 joined
+     make_graph(9, [(0, i) for i in range(1, 9)] + [(2, 5), (4, 7)]),
+     # true twins (a K4 on the even nodes) and false twins (the odd nodes)
+     make_graph(8, clique_edges(range(0, 8, 2))),
+     # a broom: the path 0-1-2-3 with the leaves 4..8 on node 3
+     make_graph(9, [(0, 1), (1, 2), (2, 3)] + [(3, i) for i in range(4, 9)])],
     ids=["K3_4", "K4_4", "two_K4_bridged", "K5_3_isolated", "edgeless8", "K8",
-         "star9_leaf_edge", "star8_hub_last", "twin_pairs"],
+         "star9_leaf_edge", "star8_hub_last", "twin_pairs", "K2_3_3",
+         "star_pendant_pairs", "K4_4_isolated", "broom9"],
 )
 def test_walk_matches_brute_force_ties(g):
     assert_matches_brute_force(g)
+
+
+def twin_list(g):
+    fwd = [[] for _ in range(g.n)]
+    back = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        fwd[u].append(v)
+        back[v].append(u)
+    return _twins(fwd, back)
+
+
+@pytest.mark.parametrize(
+    "g,want",
+    [(gen_star(6), [-1, -1, 1, 2, 3, 4]),
+     (make_graph(5, clique_edges(range(5))), [-1, 0, 1, 2, 3]),
+     (gen_path(5), [-1] * 5),
+     (complete_bipartite(3, 3), [-1, 0, 1, -1, 3, 4])],
+    ids=["star6", "K5", "path5", "K3_3"],
+)
+def test_twins_nearest_earlier(g, want):
+    assert twin_list(g) == want
 
 
 def assert_checkpoints_match_envelope(lines):
@@ -324,3 +364,9 @@ def test_walk_matches_brute_force_gnp12():
     g = gen_gnp(12, L(1, 2), seed=0)
     assert is_connected(g)
     assert_matches_brute_force(g)
+
+
+@pytest.mark.slow
+def test_walk_matches_brute_force_k66():
+    # every node has five twins: K6,6 at the cap, as pruned by the twin rule
+    assert_matches_brute_force(complete_bipartite(6, 6))

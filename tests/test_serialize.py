@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lambdaprime.graphs import gen_ring, gen_star
+from lambdaprime.graphs import gen_ring, gen_star, save_graph
 from lambdaprime.lp import LpSolution, lp_curve, solve_lp
 from lambdaprime.objectives import CostLine
 from lambdaprime.rationals import ceil_log, floor_log, parse_rat
@@ -166,6 +166,21 @@ def test_atomic_write_replaces_whole_file(tmp_path):
     atomic_write_text(p, "new contents\n")
     assert p.read_text() == "new contents\n"
     assert [f for f in os.listdir(tmp_path) if f.startswith(".tmp-")] == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_written_files_follow_the_umask(tmp_path, umask):
+    # the mode a plain open() gives: 0o666 less the umask
+    old = os.umask(umask)
+    try:
+        write_json({"a": 1}, tmp_path / "out.json")
+        save_graph(gen_ring(3), tmp_path / "ring8.txt")
+        with open(tmp_path / "plain.txt", "w") as fh:
+            fh.write("x")
+    finally:
+        os.umask(old)
+    for name in ("out.json", "ring8.txt", "plain.txt"):
+        assert os.stat(tmp_path / name).st_mode & 0o777 == 0o666 & ~umask, name
 
 
 @pytest.mark.parametrize("text", ["1e5", "1E5", " 2e-3 ", "0e0", "1/2e1"])
