@@ -20,12 +20,13 @@ cut.
 The walk is a branch and bound with Russian-doll suffix bounds (Verfaillie,
 Lemaitre & Schiex, AAAI 1996). Each node has a concave lower bound f on the
 lines of the partitions below it, made of the placed part and of OPT on the
-unplaced suffix, which the same walk finds first on the suffixes n-3, ..., 1.
-A node is cut when f >= E, the envelope of the lines found so far, at x = 0,
-at x = 1 and at every breakpoint of E between; E is linear between those
-points, so f >= E on all of [0, 1]. A line cut that way can be a piece of the
-final envelope only where it equals E on an interval, that is, only if it is
-a line found earlier in enumeration order, whose representative stays.
+unplaced suffix, which the same walk finds first on the suffixes n-3, ..., 2
+(no walk reads OPT of 1..n-1; see `_walk`). A node is cut when f >= E, the
+envelope of the lines found so far, at x = 0, at x = 1 and at every
+breakpoint of E between; E is linear between those points, so f >= E on all
+of [0, 1]. A line cut that way can be a piece of the final envelope only
+where it equals E on an interval, that is, only if it is a line found earlier
+in enumeration order, whose representative stays.
 
 The walk also breaks twin symmetry. Nodes t < i with N(t) - {i} = N(i) - {t}
 can swap without changing any cut or pair count, so the walk places each
@@ -89,7 +90,11 @@ def _envelope_points(lines):
     E at every point is at least E on all of [0, 1]. Integers only: the
     crossings of `lower_hull` are kept unreduced.
     """
-    hull, xs = lower_hull(lines)
+    return _checkpoints(*lower_hull(lines))
+
+
+def _checkpoints(hull, xs):
+    """`_envelope_points` of the lines whose `lower_hull` is (hull, xs)."""
     pts = [(0, 1, min(P for P, _ in hull))]
     pts += [(num, den, P * den + N * num)
             for (P, N), (num, den) in zip(hull, xs) if 0 < num < den]
@@ -120,8 +125,18 @@ def _walk(fwd, back, twin, s, opt, reps=None):
     branch and bound. Per N found, P is the least cut among the partitions
     the walk visits, and every line of the envelope is among them. With
     `reps` (s = 0 only) it records, per improved N, the labels of the
-    partition; without, it finds values only and starts from the singleton
-    line (m, 0), which is not first in enumeration order.
+    partition; without, it finds values only and starts from the lines of
+    partitions it has not visited, which are not first in enumeration order:
+    the singleton line (m, 0), and node s alone beside each line (P, N) of
+    opt[s+1], that is (P + |fwd[s]|, N). Each is the line of a partition of
+    s..n-1, so E stays above OPT, nothing below OPT is cut, and the lines
+    found have OPT as their envelope on [0, 1]; a lower E from the start
+    only cuts more. The walk above reads opt[s] only through its minima,
+    which are OPT, so its cuts do not change.
+
+    Suffix walks run for s = n-3 down to 2 only. Walk s bounds nodes i > s,
+    and the top walk reaches node 1 once, before any leaf, while E is still
+    empty: no walk reads opt[1].
 
     At a node where s..i-1 are placed and at least three nodes remain, every
     completion costs at least
@@ -136,6 +151,14 @@ def _walk(fwd, back, twin, s, opt, reps=None):
     so far is linear between its checkpoints, so f >= E at every checkpoint
     means every line below the node is >= E on [0, 1], and the node is cut.
     With fewer than three nodes to go the leaf loop costs less than the bound.
+
+    E is kept as its hull lines, the lines of `lower_hull`. A leaf that
+    lowers the least cut at N and dips below E at a checkpoint rebuilds E
+    from the hull plus the new line; `lower_hull` drops the old line at N,
+    parallel to it and above. A line off the hull lies above E; the new line
+    lies below the old line at N and, where it does not dip, above E on
+    [0, 1]. So the lines left out never reach E on [0, 1], and the
+    checkpoints are those of every line found so far.
 
     Twin symmetry is pruned too: with t = twin[i] among s..i-1, node i tries
     only the clusters c >= a[t]. A partition with a[i] < a[t] has the same
@@ -163,12 +186,13 @@ def _walk(fwd, back, twin, s, opt, reps=None):
     a = [0] * n
     sizes = [0] * n
     best = [m + 1] * ((n - s) * (n - s - 1) // 2 + 1)
-    env = []  # _envelope_points of the lines found so far
+    hull = []  # E's lines: the lower hull of the lines found so far
+    env = []  # E's checkpoints, as _envelope_points gives them
     th = [None] * n  # th[i]: beaten's thresholds for node i, None when stale
 
-    def rebuild():
-        env[:] = _envelope_points(
-            [(P, N) for N, P in enumerate(best) if P <= m])
+    def rebuild(lines):
+        hull[:], xs = lower_hull(lines)
+        env[:] = _checkpoints(hull, xs)
         env.insert(0, env.pop())  # x = 1 first: cnt_j[c] <= sizes[c], no gains
         th[:] = [None] * n
 
@@ -217,7 +241,7 @@ def _walk(fwd, back, twin, s, opt, reps=None):
                         reps[nn] = tuple(a)
                     if not env or any([p * den + nn * num < e
                                        for num, den, e in env]):
-                        rebuild()
+                        rebuild(hull + [(p, nn)])
             return
         if env and s < i < n - 2 and beaten(i, k, cut + cross[i], pairs):
             return
@@ -236,7 +260,9 @@ def _walk(fwd, back, twin, s, opt, reps=None):
 
     if reps is None:
         best[0] = m
-        rebuild()
+        for P, N in opt[s + 1]:  # node s alone beside the next suffix's lines
+            best[N] = min(best[N], P + len(fwd[s]))
+        rebuild([(P, N) for N, P in enumerate(best) if P <= m])
     place(s, 0, 0, 0)
     return [(P, N) for N, P in enumerate(best) if P <= m]
 
@@ -263,7 +289,8 @@ def exact_opt_curve(g: Graph):
     earlier twin (see `_walk` and the module notes): a skipped partition can
     only repeat an earlier line, so no piece, line or representative changes.
     The bound needs OPT of each suffix i..n-1, got from the same walk, values
-    only, on i = n-3 down to 1.
+    only, on i = n-3 down to 2, each seeded with the lines of the next (see
+    `_walk`). The clusterings are built for the hull lines only.
     """
     if g.n > PARTITION_CAP:
         raise ValueError("n=%d exceeds enumeration cap %d" % (g.n, PARTITION_CAP))
@@ -275,12 +302,12 @@ def exact_opt_curve(g: Graph):
         back[v].append(u)
     opt = [()] * n  # opt[i]: lines whose minimum is OPT on the nodes i..n-1
     twin = _twins(fwd, back)
-    for s in range(n - 3, 0, -1):
+    for s in range(n - 3, 1, -1):  # opt[1] would go unread
         opt[s] = _walk(fwd, back, twin, s, opt)
     reps = {}  # N -> labels of the first partition with the least cut at N
-    lines = _walk(fwd, back, twin, 0, opt, reps)
-    curve = envelope_of([CostLine(Fraction(P), Fraction(N)) for P, N in lines],
-                        tags=[Clustering(reps[N]) for _, N in lines])
+    hull, _ = lower_hull(_walk(fwd, back, twin, 0, opt, reps))
+    curve = envelope_of([CostLine(Fraction(P), Fraction(N)) for P, N in hull],
+                        tags=[Clustering(reps[N]) for _, N in hull])
     family = [piece.tag for piece in curve.pieces]
     return curve, family
 

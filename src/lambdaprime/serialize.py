@@ -180,23 +180,38 @@ def write_curve_csv(curve: PwlCurve, path) -> None:
 
 
 def curve_samples(curve: PwlCurve, grid: int = 50) -> list:
-    """(lambda, value) rows at piece endpoints plus a uniform grid."""
+    """(lambda, value) rows at piece endpoints plus a uniform grid.
+
+    Ascending and without repeats; each point reads the first piece whose hi
+    reaches it, the piece `PwlCurve.piece_at` would find. Grid point i is
+    (a + i*w)/d in integers, merged in one pass with the breakpoints.
+    """
     if grid < 1:
         raise ValueError("grid must be at least 1")
     lo, hi = curve.domain_lo, curve.domain_hi
-    pts = {lo, hi}
-    pts.update(curve.breakpoints)
-    step = Fraction(hi - lo, grid)
-    pts.update(lo + i * step for i in range(grid + 1))
-    # one merge pass: each point reads the first piece whose hi reaches it,
-    # the piece `PwlCurve.piece_at` would find
+    d = lo.denominator * hi.denominator * grid
+    a = lo.numerator * hi.denominator * grid
+    w = hi.numerator * lo.denominator - lo.numerator * hi.denominator
+    breaks = curve.breakpoints
     out = []
     pieces = iter(curve.pieces)
     piece = next(pieces)
-    for lam in sorted(pts):
-        while piece.hi < lam:
+    k = 0  # breaks[:k] are merged
+    for x in range(a, a + (grid + 1) * w, w) if w else (a,):
+        while k < len(breaks) and breaks[k].numerator * d < x * breaks[k].denominator:
+            lam = breaks[k]
+            k += 1
+            if out and out[-1][0] == lam:  # a repeat, or the last grid point
+                continue
+            while piece.hi < lam:
+                piece = next(pieces)
+            out.append((lam, piece.line.value_at(lam)))
+        while piece.hi.numerator * d < x * piece.hi.denominator:
             piece = next(pieces)
-        out.append((lam, piece.line.value_at(lam)))
+        P, N = piece.line.P, piece.line.N
+        out.append((Fraction(x, d), Fraction(
+            P.numerator * N.denominator * d + N.numerator * P.denominator * x,
+            P.denominator * N.denominator * d)))
     return out
 
 

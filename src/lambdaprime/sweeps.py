@@ -250,7 +250,10 @@ def certify_cover(family: CoverFamily, g: Graph, curve=None):
     and its extremes over the whole domain sit at audit points. A ratio below
     1 means a member line dips below the curve; it fails the audit. Once
     every member has passed check_solution, no file input can cause it
-    against the LP curve: the check stays as a guard.
+    against the LP curve: the check stays as a guard. A point where both
+    values are 0 (an edgeless graph, or lamcc on a disjoint union of
+    cliques) counts as ratio 1, as `round` counts it, so worst_lambda is always
+    a point that was audited.
 
     Each member is then held to its own interval: its line must stay at or
     below bound times the LP value on [covered_lo, covered_hi] within the
@@ -280,10 +283,11 @@ def certify_cover(family: CoverFamily, g: Graph, curve=None):
         lpv = curve.value_at(lam) - lam * shift_m
         mv = env.value_at(lam) - lam * shift_m
         if lpv == 0:
-            if mv == 0:
-                continue
-            raise ValueError("LP value vanishes at %s; ratio undefined" % lam)
-        ratio = mv / lpv
+            if mv != 0:
+                raise ValueError("LP value vanishes at %s; ratio undefined" % lam)
+            ratio = Fraction(1)  # 0/0: the envelope meets the curve, as in round
+        else:
+            ratio = mv / lpv
         below = below or ratio < 1
         if ratio > worst:
             worst, worst_lam = ratio, lam

@@ -197,6 +197,26 @@ def test_verify_cover_where_the_lp_value_vanishes_is_an_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: LP value vanishes at 0; ratio undefined\n"
 
 
+@pytest.mark.parametrize(
+    "edges,flags",
+    [("n 4\n", ["--algo", "geometric"]), ("n 4\n", ["--algo", "febe"]),
+     ("n 3\n0 1\n", ["--objective", "lamcc"])],
+    ids=["edgeless_geometric", "edgeless_febe", "lamcc_one_edge"],
+)
+def test_verify_cover_counts_zero_over_zero_as_one(tmp_path, capsys, edges, flags):
+    gpath = tmp_path / "g.txt"
+    gpath.write_text(edges)
+    cover = tmp_path / "cover.json"
+    assert main(["sweep", "--graph", str(gpath), "--epsilon", "1/2",
+                 "--out", str(cover), *flags]) == 0
+    lo = json.loads(cover.read_text())["domain"][0]
+    capsys.readouterr()
+    assert main(["verify", "cover", "--cover", str(cover), "--graph", str(gpath)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].startswith("worst ratio 1 at lambda=%s (bound 3/2," % lo)
+    assert out[-1] == "OK"
+
+
 def test_malformed_edge_list_is_an_error(tmp_path, capsys):
     gpath = tmp_path / "g.txt"
     gpath.write_text("n x\n0 1\n")

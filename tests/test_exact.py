@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from lambdaprime.curves import envelope_of
+from lambdaprime import exact
+from lambdaprime.curves import envelope_of, lower_hull
 from lambdaprime.exact import (
-    _envelope_points, _twins, enumerate_partitions, exact_opt_curve,
-    scaled_sparsest_cut,
+    _checkpoints, _envelope_points, _twins, enumerate_partitions,
+    exact_opt_curve, scaled_sparsest_cut,
 )
 from lambdaprime.graphs import (
     gen_gnp, gen_path, gen_ring, gen_star, is_connected, make_graph,
@@ -164,21 +165,30 @@ def test_exact_curve_matches_direct_minimum():
             assert curve.value_at(lam) == best
 
 
-def brute_opt_curve(g):
-    """The OPT curve by the per-partition loop, the oracle for the walk.
+def brute_best(g):
+    """N -> (least cut P, enumeration index, clustering), the first with P.
 
     Every partition in `enumerate_partitions` order, its cut and co-clustered
-    pair count recomputed from scratch; per N the least P is kept, the first
-    in enumeration order among equals, and the lines go to the envelope in
-    the enumeration order of their representatives.
+    pair count recomputed from scratch.
     """
-    best = {}  # N -> (P, enumeration index, clustering)
+    best = {}
     for order, c in enumerate(enumerate_partitions(g)):
         a = c.assignment
         cut = sum(1 for u, v in g.edges if a[u] != a[v])
         npairs = sum(s * (s - 1) // 2 for s in Counter(a).values())
         if npairs not in best or cut < best[npairs][0]:
             best[npairs] = (cut, order, c)
+    return best
+
+
+def brute_opt_curve(g):
+    """The OPT curve by the per-partition loop, the oracle for the walk.
+
+    Per N the least P of `brute_best`, the first in enumeration order among
+    equals; the lines go to the envelope in the enumeration order of their
+    representatives.
+    """
+    best = brute_best(g)
     entries = sorted((order, L(p), L(nn), c) for nn, (p, order, c) in best.items())
     lines = [CostLine(p, nn) for _, p, nn, _ in entries]
     curve = envelope_of(lines, domain=(L(0), L(1)), tags=[c for *_, c in entries])
@@ -241,9 +251,7 @@ def twin_pairs():
 # graphs with many partitions per line: the bound prunes at f = E, so only
 # the first-in-order rule keeps each piece's representative; in the twin-rich
 # ones most partitions are also pruned as twin swaps of earlier ones
-@pytest.mark.parametrize(
-    "g",
-    [complete_bipartite(3, 4), complete_bipartite(4, 4),
+TIE_GRAPHS = [complete_bipartite(3, 4), complete_bipartite(4, 4),
      make_graph(8, clique_edges(range(4)) + clique_edges(range(4, 8)) + [(3, 4)]),
      make_graph(8, clique_edges(range(5))),
      make_graph(8, []), make_graph(8, clique_edges(range(8))),
@@ -256,13 +264,66 @@ def twin_pairs():
      # true twins (a K4 on the even nodes) and false twins (the odd nodes)
      make_graph(8, clique_edges(range(0, 8, 2))),
      # a broom: the path 0-1-2-3 with the leaves 4..8 on node 3
-     make_graph(9, [(0, 1), (1, 2), (2, 3)] + [(3, i) for i in range(4, 9)])],
-    ids=["K3_4", "K4_4", "two_K4_bridged", "K5_3_isolated", "edgeless8", "K8",
-         "star9_leaf_edge", "star8_hub_last", "twin_pairs", "K2_3_3",
-         "star_pendant_pairs", "K4_4_isolated", "broom9"],
-)
+     make_graph(9, [(0, 1), (1, 2), (2, 3)] + [(3, i) for i in range(4, 9)])]
+TIE_IDS = ["K3_4", "K4_4", "two_K4_bridged", "K5_3_isolated", "edgeless8", "K8",
+           "star9_leaf_edge", "star8_hub_last", "twin_pairs", "K2_3_3",
+           "star_pendant_pairs", "K4_4_isolated", "broom9"]
+
+
+@pytest.mark.parametrize("g", TIE_GRAPHS, ids=TIE_IDS)
 def test_walk_matches_brute_force_ties(g):
     assert_matches_brute_force(g)
+
+
+def spy_walks(monkeypatch, g):
+    """exact_opt_curve(g) with every `_walk` call logged as (s, its lines)."""
+    calls = []
+    walk = exact._walk
+
+    def spy(fwd, back, twin, s, opt, reps=None):
+        lines = walk(fwd, back, twin, s, opt, reps)
+        calls.append((s, lines))
+        return lines
+
+    monkeypatch.setattr(exact, "_walk", spy)
+    exact_opt_curve(g)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "g,want",
+    [(gen_gnp(10, L(1, 2), seed=3), [7, 6, 5, 4, 3, 2, 0]),
+     (gen_gnp(5, L(1, 2), seed=3), [2, 0]),
+     (make_graph(1, []), [0]), (make_graph(2, [(0, 1)]), [0]),
+     (gen_path(3), [0]), (gen_ring(2), [0])],
+    ids=["gnp10", "gnp5", "n1", "n2", "path3", "ring4"],
+)
+def test_walk_starts(monkeypatch, g, want):
+    # no suffix walk for node 1: the top walk reaches it once, before any
+    # leaf, and the suffix walk s bounds only nodes after s
+    assert [s for s, _ in spy_walks(monkeypatch, g)] == want
+
+
+def assert_suffix_walks_are_opt(monkeypatch, g):
+    # each seeded values-only walk s has OPT of the subgraph on s..n-1 as the
+    # lower envelope of its lines on [0, 1]
+    for s, lines in spy_walks(monkeypatch, g):
+        if s:
+            sub = make_graph(g.n - s, [(u - s, v - s) for u, v in g.edges if u >= s])
+            want = [(P, N) for N, (P, _, _) in brute_best(sub).items()]
+            assert _envelope_points(lines) == _envelope_points(want), (g, s)
+
+
+def test_suffix_walks_match_brute_force_gnp(monkeypatch):
+    for n in range(2, 10):
+        for p in (0.2, 0.4, 0.6, 0.9):
+            for seed in range(3):
+                assert_suffix_walks_are_opt(monkeypatch, gen_gnp(n, p, seed=100 * n + seed))
+
+
+@pytest.mark.parametrize("g", TIE_GRAPHS, ids=TIE_IDS)
+def test_suffix_walks_match_brute_force_ties(monkeypatch, g):
+    assert_suffix_walks_are_opt(monkeypatch, g)
 
 
 def twin_list(g):
@@ -321,6 +382,28 @@ def test_envelope_points_random():
         lines = [(rng.randrange(-3, 8), rng.randrange(0, 7))
                  for _ in range(rng.randrange(1, 9))]
         assert_checkpoints_match_envelope(lines)
+
+
+@pytest.mark.parametrize("every", [True, False], ids=["every_line", "below_e_only"])
+def test_kept_hull_random(every):
+    # the walk's E: on a line that lowers its N's least cut, and (as in the
+    # walk) only if it dips below E at a checkpoint, the hull is rebuilt from
+    # the kept hull plus the new line; lines off the hull stay above E, so
+    # the checkpoints are those of every line so far
+    import random
+
+    rng = random.Random(28)
+    for _ in range(300):
+        best, hull, pts = {}, [], None
+        for _ in range(rng.randrange(1, 16)):
+            P, N = rng.randrange(-3, 12), rng.randrange(0, 9)
+            if N in best and best[N] <= P:
+                continue
+            best[N] = P
+            if every or pts is None or any(P * q + N * p < e for p, q, e in pts):
+                hull, xs = lower_hull(hull + [(P, N)])
+                pts = _checkpoints(hull, xs)
+            assert pts == _envelope_points([(P, N) for N, P in best.items()]), best
 
 
 def test_walk_gnp12_pinned():

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lambdaprime.curves import PwlCurve, PwlPiece
 from lambdaprime.graphs import gen_ring, gen_star, save_graph
 from lambdaprime.lp import LpSolution, lp_curve, solve_lp
 from lambdaprime.objectives import CostLine
-from lambdaprime.rationals import ceil_log, floor_log, parse_rat
+from lambdaprime.rationals import ceil_log, floor_log, format_rat, parse_rat
 from lambdaprime.rounding import build_clustering_family
 from lambdaprime.serialize import (
     atomic_write_text,
@@ -24,6 +25,7 @@ from lambdaprime.serialize import (
     solution_from_dict,
     solution_to_dict,
     write_json,
+    write_samples_csv,
 )
 from lambdaprime.sensitivity import LambdaInterval
 from lambdaprime.sweeps import CoverFamily, CoverMember, certify_cover, sweep_geometric
@@ -158,6 +160,69 @@ def test_curve_samples_needs_a_grid():
     with pytest.raises(ValueError, match="^grid must be at least 1$"):
         curve_samples(curve, 0)
     assert curve_samples(curve, 1)[0] == (F(0), F(0))
+
+
+def set_and_sort_samples(curve, grid):
+    # the definition: endpoints, breakpoints and grid points, each once
+    lo, hi = curve.domain_lo, curve.domain_hi
+    pts = {lo, hi}
+    pts.update(curve.breakpoints)
+    step = F(hi - lo, grid)
+    pts.update(lo + i * step for i in range(grid + 1))
+    return [(lam, curve.piece_at(lam).line.value_at(lam)) for lam in sorted(pts)]
+
+
+def random_curve(rng, grid):
+    # a concave curve on [lo, hi] inside (0, 4), some breakpoints on grid
+    # points, some off the grid, some repeated (a piece of width 0)
+    lo = F(rng.randrange(0, 30), rng.randrange(1, 10))
+    hi = lo + F(rng.randrange(1, 30), rng.randrange(1, 10))
+    step = (hi - lo) / grid
+    breaks = []
+    for _ in range(rng.randrange(0, 6)):
+        if rng.random() < 0.5 and grid > 1:
+            breaks.append(lo + rng.randrange(1, grid) * step)
+        else:
+            breaks.append(lo + (hi - lo) * F(rng.randrange(1, 97), 97))
+    if lo > 0 and rng.random() < 0.2:
+        breaks.append(lo)
+    breaks.sort()
+    if breaks and rng.random() < 0.2:
+        j = rng.randrange(len(breaks))
+        breaks.insert(j, breaks[j])
+    line = CostLine(F(rng.randrange(0, 9), rng.randrange(1, 4)), F(rng.randrange(40, 60)))
+    pieces, a = [], lo
+    for b in breaks:
+        pieces.append(PwlPiece(line, a, b))
+        slope = line.N - rng.randrange(1, 5)
+        line = CostLine(line.value_at(b) - b * slope, slope)
+        a = b
+    pieces.append(PwlPiece(line, a, hi))
+    return PwlCurve(tuple(pieces), lo, hi)
+
+
+def test_curve_samples_match_set_and_sort():
+    import random
+
+    rng = random.Random(28)
+    for _ in range(400):
+        grid = rng.randrange(1, 61)
+        curve = random_curve(rng, grid)
+        assert curve_samples(curve, grid) == set_and_sort_samples(curve, grid), curve
+    point = PwlCurve((PwlPiece(CostLine(F(1), F(2)), F(1, 3), F(1, 3)),), F(1, 3), F(1, 3))
+    assert curve_samples(point, 4) == [(F(1, 3), F(5, 3))]
+
+
+def test_samples_csv_unchanged_on_corpus(corpus, cache, tmp_path):
+    for name, g in corpus:
+        curve, _ = cache.opt_curve(name, g)
+        for grid in (1, 7, 50):
+            path = tmp_path / ("%s.%d.csv" % (name, grid))
+            write_samples_csv(curve, path, grid)
+            want = "lambda,value\r\n" + "".join(
+                "%s,%s\r\n" % (format_rat(lam), format_rat(v))
+                for lam, v in set_and_sort_samples(curve, grid))
+            assert path.read_bytes() == want.encode(), (name, grid)
 
 
 def test_atomic_write_replaces_whole_file(tmp_path):

@@ -54,6 +54,23 @@ def test_schedule_never_repeats_its_last_point():
     assert certify_cover(fam, g).ok
 
 
+@pytest.mark.parametrize(
+    "g,make",
+    [(make_graph(4, []), lambda g: sweep_geometric(g, F(1, 2))),
+     (make_graph(4, []), lambda g: sweep_febe(g, F(1, 2))),
+     (make_graph(3, [(0, 1)]), lambda g: sweep_geometric(g, F(1, 2), objective="lamcc"))],
+    ids=["edgeless_geometric", "edgeless_febe", "lamcc_one_edge"],
+)
+def test_certify_cover_counts_zero_over_zero_as_one(g, make):
+    # LP and envelope are both 0 at every audit point: each ratio is 0/0,
+    # which counts as 1, so the worst is 1 at the first audited point
+    fam = make(g)
+    rep = certify_cover(fam, g)
+    assert rep.ok and rep.gap is None and rep.member_fail is None
+    assert rep.worst_ratio == 1
+    assert rep.worst_lambda == fam.domain[0]
+
+
 def test_schedule_huge_eps_two_points():
     assert len(geometric_schedule(9, 1000)) == 2
 
