@@ -39,12 +39,16 @@ tableau holds.
 
 A point is read against the metric polytope in one integer pass, shared by
 check_solution, the separation (_separate, for every cut, ORLP's too) and
-the cost line of x (_line_of_x): an exact x is scaled once to integers over
-the lcm of its denominators (_scaled); _violated_rows then walks the cached
-triples (ij, ik, jk) of _triples(n), the list _metric_rows builds its rows
-from, with three integer compares per triple for rows 3t, 3t+1 and 3t+2
-and one compare per box row against the scale. A float x (HiGHS) is read
-as it is, with a tolerance of 1e-8.
+the cost line of x (_line_of_x). Each reads x as integers xi over one
+scale d. The cuts and the line of each solution the simplex returns read
+its vertex as the tableau holds it, over its delta, so a round of cuts
+builds no Fraction; check_solution scales an exact x once over the lcm of
+its denominators (_scaled), so the proof does not trust the tableau's
+integers. _violated_rows then walks the cached triples (ij, ik, jk) of
+_triples(n), the list _metric_rows builds its rows from, with three
+integer compares per triple for rows 3t, 3t+1 and 3t+2 and one compare per
+box row against the scale. A float x (HiGHS) is read as it is, with a
+tolerance of 1e-8.
 """
 from __future__ import annotations
 
@@ -279,17 +283,20 @@ def verify_certificate(xstar: LpSolution, g: Graph):
     return prob
 
 
-def _proven(g: Graph, lam, x, keep, dual_ub, pivots) -> LpSolution:
-    """x at lam on the line of x, once verify_certificate passes. dual_ub
-    holds a marginal per row held, then one per bound x_p <= 1: its dual
-    pairs row keep[i] of the LP with each nonzero row marginal and the box
-    row of p with each nonzero bound marginal."""
-    line = _line_of_x(g, *_scaled(x))
+def _proven(g: Graph, lam, vertex, keep, dual_ub) -> LpSolution:
+    """The simplex's vertex (a SimplexResult or VertexRange) at lam, once
+    verify_certificate passes. Its line is read from the tableau's integers
+    vertex.xi over vertex.delta; check_solution reads it again from x.
+    dual_ub holds a marginal per row held, then one per bound x_p <= 1: its
+    dual pairs row keep[i] of the LP with each nonzero row marginal and the
+    box row of p with each nonzero bound marginal."""
+    x = vertex.x
+    line = _line_of_x(g, vertex.xi, vertex.delta)
     rows = keep[:len(dual_ub) - len(x)] + _box(g.n)
     sol = LpSolution(
         n=g.n, lam=lam, x=tuple(x), value=line.value_at(lam), line=line,
         dual=tuple((r, u) for r, u in zip(rows, dual_ub) if u), exact=True,
-        pivots=pivots,
+        pivots=vertex.pivots,
     )
     verify_certificate(sol, g)
     return sol
@@ -304,7 +311,7 @@ def _solve_exact(g: Graph, lam) -> LpSolution:
     keep = []
     res = solve_canonical(prob.c, [], [], cuts=_cuts(prob, keep),
                           upper=[1] * prob.num_vars)
-    return _proven(g, prob.lam, res.x, keep, res.dual_ub, res.pivots)
+    return _proven(g, prob.lam, res, keep, res.dual_ub)
 
 
 _HIGHS_OPTS = {
@@ -347,20 +354,23 @@ def _box(n):
     return list(range(base, base + n * (n - 1) // 2))
 
 
-def _separate(x, prob):
-    """The triangle rows of prob that the point x violates, in build_lp order."""
-    return _violated_rows(prob.n, *_scaled(x), box=False)
+def _separate(xi, d, prob):
+    """The triangle rows of prob that the point x = xi / d violates, in
+    build_lp order. It reads only the pair entries of xi, and any scale d
+    gives the same rows."""
+    return _violated_rows(prob.n, xi, d, box=False)
 
 
 def _cuts(prob, keep):
-    """The simplex's cuts for prob: the triangle rows a vertex breaks.
+    """The simplex's cuts for prob: the triangle rows a vertex, integers xi
+    over the tableau's delta, breaks.
 
     keep lists the row of prob behind each row of the tableau; every cut
     is appended to it, so it names the rows of every dual the tableau
     reports, whose length is the number of rows held at the time.
     """
-    def cuts(x):
-        new = _separate(x, prob)
+    def cuts(xi, d):
+        new = _separate(xi, d, prob)
         keep.extend(new)
         return [(prob.rows[r], prob.b[r]) for r in new]
     return cuts
@@ -395,9 +405,9 @@ def lp_curve(g: Graph) -> PwlCurve:
                                  cuts=_cuts(prob, keep), upper=[1] * prob.num_vars))
     pieces = []
     for rng in ranges:
-        sol = _proven(g, rng.lo, rng.x, keep, rng.dual_ub[rng.lo], rng.pivots)
+        sol = _proven(g, rng.lo, rng, keep, rng.dual_ub[rng.lo])
         pieces.append(PwlPiece(sol.line, rng.lo, rng.hi, sol))
     curve = PwlCurve(tuple(pieces), Fraction(0), Fraction(1))
     last = ranges[-1]
-    _proven(g, Fraction(1), last.x, keep, last.dual_ub[Fraction(1)], last.pivots)
+    _proven(g, Fraction(1), last, keep, last.dual_ub[Fraction(1)])
     return curve

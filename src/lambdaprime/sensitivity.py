@@ -44,12 +44,14 @@ every exact LP here does: it starts from every box row and the triangle
 rows x*'s certificate names, and solve_canonical's cuts callback lists the
 triangle rows its optimum w violates (lp._separate, the separation of the
 primal solves), which are appended for the dual simplex to restore
-feasibility. The starting rows keep the LP bounded: (y*, lam0) is feasible
-for the LP in t over the same columns (with the box rows alone that LP can
-be infeasible, and its dual unbounded). Once w violates none, w is
-feasible for the dual over every row of A, and optimal there as it is
-optimal over fewer rows: t*, theta and the clamp are those of the full LP,
-not merely sound bounds.
+feasibility. The callback reads the optimum as the tableau holds it, (w,
+nu) as integers xi over delta, of which _separate reads only w, so no
+round of cuts builds a Fraction. The starting rows keep the LP bounded:
+(y*, lam0) is feasible for the LP in t over the same columns (with the
+box rows alone that LP can be infeasible, and its dual unbounded). Once w
+violates none, w is feasible for the dual over every row of A, and
+optimal there as it is optimal over fewer rows: t*, theta and the clamp
+are those of the full LP, not merely sound bounds.
 
 Weak duality makes any feasible (y, lam) a proof; LP duality at the true
 endpoint makes the bound tight, and concavity of the LP value curve makes the
@@ -130,8 +132,8 @@ def orlp(xstar: LpSolution, s: int, lam0, eps, g: Graph, objective="lamprime"):
     rows.append([(p, s) for p in range(nu)] + [(nu, s * eps_lam / (1 + eps))])
     t_row = len(keep)
 
-    def cuts(x):
-        return [(prob.rows[r], 0) for r in _separate(x[:nu], prob)]
+    def cuts(xi, d):
+        return [(prob.rows[r], 0) for r in _separate(xi, d, prob)]
 
     res = solve_canonical(c, rows, [0] * t_row + [1], cuts=cuts)
     if res.dual_ub[t_row] != res.value:

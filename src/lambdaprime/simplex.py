@@ -59,7 +59,10 @@ lists as they are needed: add_row appends a row in the current basis with
 its slack basic, writing that row alone, and dual_run restores
 feasibility. It gives exactly the integers of a tableau built with the row
 from the start and pivoted into the same basis. solve_canonical and
-walk_canonical grow their tableau through one callback, cuts.
+walk_canonical grow their tableau through one callback, cuts(xi, delta),
+which reads the vertex as the tableau holds it: integers xi over delta.
+Fractions are built only for what the two return (SimplexResult,
+VertexRange), never for a round of cuts.
 
 A bound x_j <= u, u an int, is no row of the tableau (Dantzig's
 upper-bounding technique, Econometrica 23, 1955). A column at its bound is
@@ -109,7 +112,9 @@ class SimplexResult:
     # order; <= 0, nonzero only for binding rows and bounds (min convention)
     dual_ub: list
     pivots: int
-    flips: int = 0  # bound flips: a column moved to its other bound, no pivot
+    flips: int  # bound flips: a column moved to its other bound, no pivot
+    xi: list  # x as the tableau held it: x[j] = xi[j] / delta, integers
+    delta: int
 
 
 class VertexRange(NamedTuple):
@@ -120,6 +125,8 @@ class VertexRange(NamedTuple):
     x: list  # the vertex, Fractions
     dual_ub: dict  # lo and hi -> marginals of b, then of the bounds, at that lam
     pivots: int  # pivots from the slack basis to the vertex
+    xi: list  # the vertex as the tableau held it, x[j] = xi[j] / delta
+    delta: int
 
 
 _MAX_PIVOTS = 500_000
@@ -192,14 +199,26 @@ class _Tableau:
             self.upper[j] = u
         self.flipped = set()
         self.flips = 0
+        self._label_maps = None  # _labels(), until the next pivot
 
     # -- pivoting -------------------------------------------------------
 
     def _all_rows(self):
-        yield self.z
-        if self.z1 is not None:
-            yield self.z1
-        yield from self.T
+        """The cost rows, then the constraint rows, as one list."""
+        if self.z1 is None:
+            return [self.z, *self.T]
+        return [self.z, self.z1, *self.T]
+
+    def _labels(self):
+        """(at, where): the stored column of each nonbasic label and the row
+        of each basic structural column. Built once and kept until the next
+        pivot: a flip or a complemented row moves no label, and a row added
+        makes a slack basic."""
+        if self._label_maps is None:
+            self._label_maps = (
+                {j: k for k, j in enumerate(self.cols)},
+                {j: r for r, j in enumerate(self.basis) if j < self.nvars})
+        return self._label_maps
 
     def pivot(self, r, col):
         """Enter the variable of stored column col in row r: the leaving
@@ -221,14 +240,19 @@ class _Tableau:
             tr[col] = delta
         if piv == delta:
             # only the pivot row's nonzero columns of rows with f != 0 change;
-            # (v*delta - f*t)//delta is exact, so it equals v - f*t//delta
+            # (v*delta - f*t)//delta is exact, so it equals v - f*t//delta,
+            # which is v - f*t when delta is 1
             nz = [(j, t) for j, t in enumerate(tr) if t]
             for row in self._all_rows():
                 f = row[col]
                 if f and row is not tr:
                     row[col] = 0
-                    for j, t in nz:
-                        row[j] -= f * t // delta
+                    if delta == 1:
+                        for j, t in nz:
+                            row[j] -= f * t
+                    else:
+                        for j, t in nz:
+                            row[j] -= f * t // delta
         else:
             for row in self._all_rows():
                 if row is tr:
@@ -242,6 +266,7 @@ class _Tableau:
                     row[:] = [v * piv // delta if v else 0 for v in row]
         self.delta = piv
         self.basis[r], self.cols[col] = self.cols[col], self.basis[r]
+        self._label_maps = None
         self.pivots += 1
         if self.pivots > _MAX_PIVOTS:
             raise SimplexError("pivot limit exceeded")
@@ -387,7 +412,8 @@ class _Tableau:
         every row does: the row a tableau built with it from the start would
         show in this basis, and its right-hand side is negative exactly when
         the vertex breaks it. On a complemented column, x_j = u - x'_j, the
-        row holds -a_j and a_j*u moves to the right.
+        row holds -a_j and a_j*u moves to the right. The label maps
+        (_labels) serve every row of a batch of cuts, as none moves a label.
         """
         a = _entries(coeffs, self.nvars, "row %d" % self.nrows)
         bi = _exact(bi)
@@ -397,8 +423,7 @@ class _Tableau:
         s = lcm(bi.denominator, *(v.denominator for _, v in a))
         delta = self.delta
         new = [0] * (self.nvars + 1)
-        at = {j: k for k, j in enumerate(self.cols)}
-        where = {j: r for r, j in enumerate(self.basis)}
+        at, where = self._labels()
         for j, v in a:
             v = _scaled(v, s)
             k = at.get(j)
@@ -480,16 +505,22 @@ class _Tableau:
 
     # -- extraction -----------------------------------------------------
 
-    def _x(self):
-        """The vertex, each entry over delta: T[r][rhs] for a basic column,
-        0 for a nonbasic one, and u*delta minus that for a complemented one."""
+    def _xi(self):
+        """The vertex as the tableau holds it, each entry an integer over
+        delta: T[r][rhs] for a basic column, 0 for a nonbasic one, and
+        u*delta minus that for a complemented one."""
         v = [0] * self.nvars
         for r, bv in enumerate(self.basis):
             if bv < self.nvars:
                 v[bv] = self.T[r][-1]
         for j in self.flipped:
             v[j] = self.upper[j] * self.delta - v[j]
-        return [Fraction(t, self.delta) if t else _ZERO for t in v]
+        return v
+
+    def _x(self):
+        """The vertex as Fractions, _xi() over delta; built for results only."""
+        d = self.delta
+        return [Fraction(t, d) if t else _ZERO for t in self._xi()]
 
     def _duals(self, lam=_ZERO):
         """Marginals of b, then of each bounded column's x_j <= u_j in
@@ -515,7 +546,7 @@ class _Tableau:
     def result(self) -> SimplexResult:
         value = Fraction(-self.z[-1], self.delta * self.sigma_c)
         return SimplexResult(self._x(), value, self._duals(), self.pivots,
-                             self.flips)
+                             self.flips, self._xi(), self.delta)
 
 
 def _cut(tab, new, lam=_ZERO):
@@ -538,21 +569,24 @@ def solve_canonical(c, rows, b, cuts=None, upper=None) -> SimplexResult:
     still sits at 0, and dual_ub ends with one marginal per bounded column.
 
     cuts lets a caller start from part of a larger LP and grow it in the one
-    tableau. At each optimum x, cuts(x) lists rows (coeffs, bi) that x
+    tableau. At each optimum x, cuts(xi, delta) is handed x as the tableau
+    holds it, x[j] = xi[j] / delta with xi a list of ints (which it must
+    leave as it is) and delta >= 1, and lists rows (coeffs, bi) that x
     breaks: they are appended with their slacks basic (add_row), and the
     dual simplex restores feasibility. When it lists none the tableau is
-    optimal for every row it holds. dual_ub then has one entry per row, in
-    the order added, then one per bounded column; pivots counts every pivot
-    of the tableau and flips every bound flip, which is not a pivot. A
-    listed row that x satisfies raises SimplexError: the loop would not
-    move.
+    optimal for every row it holds, and only then is x built as Fractions,
+    for the result, which keeps xi and delta too. dual_ub then has one
+    entry per row, in the order added, then one per bounded column; pivots
+    counts every pivot of the tableau and flips every bound flip, which is
+    not a pivot. A listed row that x satisfies raises SimplexError: the
+    loop would not move.
     """
     if len(rows) != len(b):
         raise ValueError("rows and b disagree on row count")
     tab = _Tableau(c, rows, b, upper=upper)
     tab.solve()
     while True:
-        new = cuts(tab._x()) if cuts is not None else ()
+        new = cuts(tab._xi(), tab.delta) if cuts is not None else ()
         if not new:
             return tab.result()
         _cut(tab, new)
@@ -584,8 +618,10 @@ def walk_canonical(c0, c1, rows, b, cuts=None, upper=None):
     c1.x, and the slope c1.x strictly falls from range to range.
 
     cuts grows the LP during the walk, as in solve_canonical: each new
-    vertex x, before it becomes a range, is handed to cuts(x). The rows it
-    breaks are appended and the dual simplex at lo, with its ratio test on
+    vertex x, before it becomes a range, is handed to cuts(xi, delta) as
+    the integers the tableau holds; it is built as Fractions only once it
+    becomes a range, which keeps xi and delta too. The rows cuts lists
+    are appended and the dual simplex at lo, with its ratio test on
     z0 + lo*z1, restores feasibility while keeping the basis optimal at lo;
     the walk then goes on from lo. Every range's vertex so satisfies every
     row cuts could list, and is optimal for the rows held on its range. The
@@ -640,8 +676,8 @@ def walk_canonical(c0, c1, rows, b, cuts=None, upper=None):
             if line is None or costs[0] * line[2] != line[0] * costs[2] or \
                     costs[1] * line[2] != line[1] * costs[2]:
                 lo = Fraction(lo_num, lo_den)
-                x = tab._x()
-                new = cuts(x) if cuts is not None else ()
+                xi = tab._xi()
+                new = cuts(xi, tab.delta) if cuts is not None else ()
                 if new:
                     _cut(tab, new, lo)
                     continue
@@ -649,7 +685,8 @@ def walk_canonical(c0, c1, rows, b, cuts=None, upper=None):
                 if cur is not None:
                     cur.dual_ub[lo] = y
                     yield cur._replace(hi=lo)
-                cur = VertexRange(lo, None, x, {lo: y}, tab.pivots)
+                cur = VertexRange(lo, None, tab._x(), {lo: y}, tab.pivots,
+                                  xi, tab.delta)
                 line = costs
         if hi_num == hi_den:
             hi = Fraction(1)

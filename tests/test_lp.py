@@ -455,8 +455,8 @@ def test_pivot_path_is_pinned(corpus, name, lam, pivots):
 
 def _recording_cuts(cuts, appended):
     """cuts, noting how many rows each call lists."""
-    def recorded(x):
-        new = cuts(x)
+    def recorded(xi, d):
+        new = cuts(xi, d)
         appended.append(len(new))
         return new
     return recorded
@@ -563,7 +563,7 @@ def test_cut_back_onto_the_same_line_extends_its_piece():
 def test_curve_without_separation_rejected(monkeypatch):
     # with no row ever added, the walk stops at its box-only vertices, which
     # break triangle rows: the proof against the full LP must refuse them
-    monkeypatch.setattr(lp_module, "_separate", lambda x, prob: [])
+    monkeypatch.setattr(lp_module, "_separate", lambda xi, d, prob: [])
     with pytest.raises(ValueError, match="triangle inequality fails"):
         lp_curve(gen_ring(3))
 
@@ -571,9 +571,144 @@ def test_curve_without_separation_rejected(monkeypatch):
 def test_solve_without_separation_rejected(monkeypatch):
     # with no row ever added, solve_lp stops at its box-only vertex, which
     # breaks triangle rows: the proof against the full LP must refuse it
-    monkeypatch.setattr(lp_module, "_separate", lambda x, prob: [])
+    monkeypatch.setattr(lp_module, "_separate", lambda xi, d, prob: [])
     with pytest.raises(ValueError, match="triangle inequality fails"):
         solve_lp(gen_ring(3), Fraction(1, 5))
+
+
+def _cuts_spied(monkeypatch, check):
+    """Route the cuts of solve_lp, lp_curve and ORLP through check(kind,
+    xi, d), before the real callback; returns the calls, (kind, rows
+    listed), in order."""
+    from lambdaprime import sensitivity
+
+    calls = []
+
+    def spying(module, name, kind):
+        real = getattr(module, name)
+
+        def call(*args, cuts, **kw):
+            def recorded(xi, d):
+                check(kind, xi, d)
+                new = cuts(xi, d)
+                calls.append((kind, len(new)))
+                return new
+            return real(*args, cuts=recorded, **kw)
+        monkeypatch.setattr(module, name, call)
+
+    spying(lp_module, "solve_canonical", "solve")
+    spying(lp_module, "walk_canonical", "walk")
+    spying(sensitivity, "solve_canonical", "orlp")
+    return calls
+
+
+def test_cuts_read_the_tableau_vertex_as_integers(corpus, monkeypatch):
+    # every cuts(xi, d) call of solve_lp, lp_curve and eps_range: xi over d
+    # is the Fraction vertex of the tableau being cut, and the separation
+    # on it names the rows it names on x scaled over its own denominators
+    from lambdaprime.sensitivity import eps_range
+
+    tableaux = []
+    real_init = simplex._Tableau.__init__
+
+    def init(tab, *args, **kw):
+        real_init(tab, *args, **kw)
+        tableaux.append(tab)
+
+    def check(kind, xi, d):
+        tab, n = tableaux[-1], g.n
+        assert all(type(v) is int for v in xi) and type(d) is int and d >= 1
+        assert d == tab.delta
+        x = [Fraction(v, d) for v in xi]
+        assert x == tab._x()
+        prob = build_lp(g, 0)
+        pairs_x = x[:prob.num_vars]  # ORLP's w, without nu
+        assert lp_module._separate(xi, d, prob) == lp_module._violated_rows(
+            n, *lp_module._scaled(pairs_x), box=False)
+
+    monkeypatch.setattr(simplex._Tableau, "__init__", init)
+    calls = _cuts_spied(monkeypatch, check)
+    lam = Fraction(1, 3)
+    for name, g in corpus:
+        if g.n > 7:
+            continue
+        eps_range(solve_lp(g, lam), lam, Fraction(1, 2), g)
+        lp_curve(g)
+    assert {kind for kind, listed in calls if listed} == {"solve", "walk", "orlp"}
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.data())
+def test_separation_does_not_depend_on_the_scale(data):
+    # x = xi / d read over k*d: the tableau's delta, not the lcm of x's
+    # denominators, is the scale the cuts see
+    n = data.draw(st.integers(3, 7))
+    xi = [data.draw(st.integers(0, 12)) for _ in range(n * (n - 1) // 2)]
+    d, k = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 10**6))
+    prob = build_lp(make_graph(n, []), 0)
+    assert lp_module._separate([k * v for v in xi], k * d, prob) \
+        == lp_module._separate(xi, d, prob)
+
+
+def test_line_from_the_integer_vertex_is_checked_against_x(corpus, cache, monkeypatch):
+    # every lp_curve range's line is read from the tableau's integers; the
+    # proof reads it again from x, so a line the integers get wrong fails
+    for name, g in corpus:
+        for p in cache.lp_curve(name, g).pieces:
+            assert p.line == p.tag.line == lp_module._line_of_x(
+                g, *lp_module._scaled(p.tag.x)), name
+    real = lp_module._proven
+    proven = []
+
+    def spy(*args):
+        proven.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lp_module, "_proven", spy)
+    g = gen_ring(3)
+    lp_curve(g)
+    solve_lp(g, Fraction(1, 5))
+    assert len(proven) == 4 + 1 + 1  # each range, the last again at 1, solve_lp
+    for g, lam, vertex, keep, dual_ub in proven:
+        assert lp_module._line_of_x(g, vertex.xi, vertex.delta) \
+            == lp_module._line_of_x(g, *lp_module._scaled(vertex.x))
+        xi = [vertex.xi[0] + 1] + vertex.xi[1:]  # x unchanged, N one 1/delta less
+        forged = (vertex._replace(xi=xi) if isinstance(vertex, simplex.VertexRange)
+                  else dataclasses.replace(vertex, xi=xi))
+        with pytest.raises(ValueError, match="^cost line at lambda=.* is not the line of x$"):
+            real(g, lam, forged, keep, dual_ub)
+
+
+def test_fraction_vertices_are_built_for_results_only(monkeypatch):
+    # _Tableau._x builds the Fraction vertex: once per range of ring8's
+    # lp_curve, once per solve_lp and per ORLP solve, never in a cut round
+    from lambdaprime.sensitivity import eps_range
+
+    built, seen = [], []  # seen: how many were built at each cuts call
+    real_x = simplex._Tableau._x
+
+    def counted(tab):
+        built.append(tab.pivots)
+        return real_x(tab)
+
+    monkeypatch.setattr(simplex._Tableau, "_x", counted)
+    calls = _cuts_spied(monkeypatch, lambda kind, xi, d: seen.append(len(built)))
+    g = gen_ring(3)
+    assert len(lp_curve(g).pieces) == len(built) == 4
+    # the walk's cuts at lam = 0 list 8 rows, then 24, then none: only
+    # then is the first range's vertex built
+    assert list(zip(calls, seen)) == [
+        (("walk", 8), 0), (("walk", 24), 0), (("walk", 0), 0),
+        (("walk", 0), 1), (("walk", 0), 2), (("walk", 0), 3)]
+    sol = solve_lp(g, Fraction(1, 5))
+    assert len(built) == 5
+    eps_range(sol, Fraction(1, 5), Fraction(1, 2), g)
+    assert len(built) == 7
+    # every cuts call that lists rows is followed by one with no build between
+    for i, ((kind, listed), b) in enumerate(zip(calls, seen)):
+        if listed:
+            assert calls[i + 1][0] == kind and seen[i + 1] == b
+    assert {kind for kind, listed in calls if listed} == {"walk", "solve", "orlp"}
 
 
 @pytest.mark.parametrize("lam", [Fraction(1, 5), Fraction(1, 3), Fraction(3, 5)])
@@ -615,7 +750,8 @@ def test_separation_line_and_first_broken_row_match_the_brute_force(data):
     broken = _broken_rows(x, n, 0)
     n_tri = 3 * len(list(combinations(range(n), 3)))
     # _separate: the triangle rows alone, in build_lp order
-    assert lp_module._separate(x, build_lp(g, 0)) == [r for r in broken if r < n_tri]
+    assert lp_module._separate(*lp_module._scaled(x), build_lp(g, 0)) == [
+        r for r in broken if r < n_tri]
     # the line from the scaled integers equals the one of Fraction sums
     line = lp_module._line_of_x(g, *lp_module._scaled(x))
     edge_sum = sum((v for v, p in zip(x, pairs) if p in g.edges), Fraction(0))

@@ -268,8 +268,8 @@ def test_orlp_lp_pair_rows_are_integer(monkeypatch):
     def capture(c, rows, b, cuts):
         seen.append((c, rows, b))
 
-        def recorded(x):
-            new = cuts(x)
+        def recorded(xi, d):
+            new = cuts(xi, d)
             cut.extend(new)
             return new
         return solve_canonical(c, rows, b, cuts=recorded)
@@ -304,8 +304,8 @@ def test_column_generation_matches_every_column(corpus, monkeypatch):
     priced = []
     real = sensitivity._separate
 
-    def counted(w, prob):
-        new = real(w, prob)
+    def counted(wi, d, prob):
+        new = real(wi, d, prob)
         priced.append(len(new))
         return new
 
@@ -349,7 +349,7 @@ def test_orlp_without_pricing_falls_short(corpus, monkeypatch):
              for lam0 in (Fraction(1, 5), Fraction(3, 5))]
     exact = [orlp(sol, s, lam0, Fraction(1, 2), g)[0]
              for g, lam0, sol in calls for s in (1, -1)]
-    monkeypatch.setattr(sensitivity, "_separate", lambda w, prob: [])
+    monkeypatch.setattr(sensitivity, "_separate", lambda wi, d, prob: [])
     unpriced = [orlp(sol, s, lam0, Fraction(1, 2), g)[0]
                 for g, lam0, sol in calls for s in (1, -1)]
     assert all(t <= e for t, e in zip(unpriced, exact))

@@ -487,7 +487,7 @@ def test_walk_ties_enter_the_lowest_label(monkeypatch):
     monkeypatch.setattr(_Tableau, "_leaving", leaving)
     ranges = list(walk_canonical(
         [1, 1], [-2, -2], [], [], upper=[1, 1],
-        cuts=lambda x: [(((0, -1),), -1)] if x[0] < 1 else []))
+        cuts=lambda xi, d: [(((0, -1),), -1)] if xi[0] < d else []))
     assert entered[0] == ([2, 1], 1)
     assert [(r.lo, r.hi, r.x) for r in ranges] == [
         (0, Fraction(1, 2), [1, 0]), (Fraction(1, 2), 1, [1, 1])]
@@ -579,7 +579,8 @@ def test_solve_with_cuts_matches_every_row(seed, growth_checked):
     c, A, b, cuts = _random_cut_lp(random.Random(5000 + seed))
     held = []
 
-    def violated(x):
+    def violated(xi, d):
+        x = [Fraction(v, d) for v in xi]
         new = [(row, bi) for row, bi in cuts
                if (row, bi) not in held and _dot(row, x) > bi]
         held.extend(new)
@@ -599,15 +600,15 @@ def test_cut_that_empties_the_lp_is_infeasible():
     # x >= 1 by phase 1, then the cut x <= 1/2
     with pytest.raises(Infeasible):
         solve_canonical([1], _rows([[-1]]), [-1],
-                        cuts=lambda x: [(((0, 1),), Fraction(1, 2))])
+                        cuts=lambda xi, d: [(((0, 1),), Fraction(1, 2))])
 
 
 def test_listing_a_row_the_vertex_keeps_is_refused():
     with pytest.raises(SimplexError, match="does not cut off"):
-        solve_canonical([-1], _rows([[1]]), [1], cuts=lambda x: [(((0, 1),), 2)])
+        solve_canonical([-1], _rows([[1]]), [1], cuts=lambda xi, d: [(((0, 1),), 2)])
     with pytest.raises(SimplexError, match="does not cut off"):
         list(walk_canonical([0], [-1], _rows([[1]]), [1],
-                            cuts=lambda x: [(((0, 1),), 1)]))
+                            cuts=lambda xi, d: [(((0, 1),), 1)]))
 
 
 def test_unsolved_tableau_with_negative_rhs_takes_a_row():
@@ -631,7 +632,8 @@ def test_walk_with_cuts_matches_every_row(seed, growth_checked):
     cuts, box = list(zip(A[:-nbox], b[:-nbox])), A[-nbox:]
     held = []
 
-    def violated(x):
+    def violated(xi, d):
+        x = [Fraction(v, d) for v in xi]
         new = [(row, bi) for row, bi in cuts
                if (row, bi) not in held and _dot(row, x) > bi]
         held.extend(new)
@@ -829,7 +831,8 @@ def test_cut_on_complemented_columns_equals_the_rebuilt_one(growth_checked,
         c, A, b, cuts = _random_cut_lp(random.Random(5000 + seed))
         held = []
 
-        def violated(x):
+        def violated(xi, d):
+            x = [Fraction(v, d) for v in xi]
             new = [(row, bi) for row, bi in cuts
                    if (row, bi) not in held and _dot(row, x) > bi]
             held.extend(new)
