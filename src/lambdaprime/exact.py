@@ -322,12 +322,10 @@ def scaled_sparsest_cut(g: Graph):
     edge_masks = [(1 << u) | (1 << v) for u, v in sorted(g.edges)]
     best = None
     best_set = None
-    # fix node 0 inside S to visit each bipartition once
-    for mask in range(1, 1 << (n - 1)):
+    # fix node 0 inside S to visit each bipartition once; mask = 0 is S = {0}
+    for mask in range((1 << (n - 1)) - 1):
         s_mask = (mask << 1) | 1
         size = s_mask.bit_count()
-        if size == n:
-            continue
         cut = 0
         for em in edge_masks:
             inter = em & s_mask
@@ -337,6 +335,5 @@ def scaled_sparsest_cut(g: Graph):
         if best is None or val < best:
             best = val
             best_set = s_mask
-    assert best_set is not None
     s_nodes = frozenset(i for i in range(n) if best_set >> i & 1)
     return best, s_nodes

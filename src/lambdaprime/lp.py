@@ -30,7 +30,7 @@ x <= 1 is a bound on each column of the simplex, not a row (upper=1), and
 solve_lp and lp_curve hand the simplex a cuts callback (_cuts), which lists
 the triangle rows a vertex violates; the simplex appends them to its
 tableau and re-optimizes from the basis it has, by the dual simplex. ORLP
-(sensitivity) cuts its LP dual by the same separation. An exact solve_lp
+(sensitivity) cuts its LP dual by the same callback, _cuts. An exact solve_lp
 is one solve_canonical call and reports every pivot of its tableau. Each
 solution is still proven by verify_certificate against the full build_lp,
 box rows included: the simplex's marginal of each bound x_p <= 1 is the
@@ -363,7 +363,9 @@ def _separate(xi, d, prob):
 
 def _cuts(prob, keep):
     """The simplex's cuts for prob: the triangle rows a vertex, integers xi
-    over the tableau's delta, breaks.
+    over the tableau's delta, breaks. ORLP passes it too: of its (w, nu)
+    only the pair entries w are read, and a triangle row, b = 0, is a row
+    of its LP as it is.
 
     keep lists the row of prob behind each row of the tableau; every cut
     is appended to it, so it names the rows of every dual the tableau

@@ -41,17 +41,17 @@ the value: orlp checks that.
 
 Few triangle rows ever bind, so the LP grows by cuts in one tableau, as
 every exact LP here does: it starts from every box row and the triangle
-rows x*'s certificate names, and solve_canonical's cuts callback lists the
-triangle rows its optimum w violates (lp._separate, the separation of the
-primal solves), which are appended for the dual simplex to restore
-feasibility. The callback reads the optimum as the tableau holds it, (w,
-nu) as integers xi over delta, of which _separate reads only w, so no
-round of cuts builds a Fraction. The starting rows keep the LP bounded:
-(y*, lam0) is feasible for the LP in t over the same columns (with the
-box rows alone that LP can be infeasible, and its dual unbounded). Once w
-violates none, w is feasible for the dual over every row of A, and
-optimal there as it is optimal over fewer rows: t*, theta and the clamp
-are those of the full LP, not merely sound bounds.
+rows x*'s certificate names, and its cuts callback is lp._cuts, the one
+the primal solves pass: it lists the triangle rows the optimum w violates,
+which are appended for the dual simplex to restore feasibility. It reads
+the optimum as the tableau holds it, (w, nu) as integers xi over delta, of
+which its separation reads only w, so no round of cuts builds a Fraction.
+The starting rows keep the LP bounded: (y*, lam0) is feasible for the LP
+in t over the same columns (with the box rows alone that LP can be
+infeasible, and its dual unbounded). Once w violates none, w is feasible
+for the dual over every row of A, and optimal there as it is optimal over
+fewer rows: t*, theta and the clamp are those of the full LP, not merely
+sound bounds.
 
 Weak duality makes any feasible (y, lam) a proof; LP duality at the true
 endpoint makes the bound tight, and concavity of the LP value curve makes the
@@ -71,7 +71,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import Graph
-from .lp import LpSolution, _box, _separate, verify_certificate
+from .lp import LpSolution, _box, _cuts, verify_certificate
 from .objectives import objective_shift
 from .rationals import GUARD, rat
 from .simplex import solve_canonical
@@ -131,11 +131,7 @@ def orlp(xstar: LpSolution, s: int, lam0, eps, g: Graph, objective="lamprime"):
             for r in keep]
     rows.append([(p, s) for p in range(nu)] + [(nu, s * eps_lam / (1 + eps))])
     t_row = len(keep)
-
-    def cuts(xi, d):
-        return [(prob.rows[r], 0) for r in _separate(xi, d, prob)]
-
-    res = solve_canonical(c, rows, [0] * t_row + [1], cuts=cuts)
+    res = solve_canonical(c, rows, [0] * t_row + [1], cuts=_cuts(prob, []))
     if res.dual_ub[t_row] != res.value:
         raise AssertionError("inconsistent ORLP optimum")
     t = -res.value

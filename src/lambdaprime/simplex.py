@@ -46,6 +46,8 @@ T[i][j] and T[r][j] are zero stays zero.
 
 One driver, _pivot_until, runs both the primal simplex (_run) and the dual
 simplex (dual_run; Lemke, NRLQ 1, 1954); each only picks the next pivot.
+One dual ratio test (_entering) picks the dual simplex's entering column
+and the walk's next breakpoint.
 Pivot choice is Dantzig's rule with deterministic lowest-label tie-breaks.
 The driver watches the objective and, once it stalls, switches the rule to
 Bland's for good, which restores the termination guarantee on degenerate
@@ -54,11 +56,13 @@ side included, and dual_run makes it feasible: at lam = 0 when every cost
 is >= 0, so that it ends optimal, else with every reduced cost read as 0.
 The primal simplex then goes on to the optimum.
 
-One tableau can grow, for an LP too large to write out whose rows a caller
-lists as they are needed: add_row appends a row in the current basis with
-its slack basic, writing that row alone, and dual_run restores
-feasibility. It gives exactly the integers of a tableau built with the row
-from the start and pivoted into the same basis. solve_canonical and
+Every row enters the tableau through add_row, the starting rows too: it
+writes a row in the current basis with its slack basic, and in the slack
+basis the constructor starts from that is the row scaled by its lcm. One
+tableau can so grow, for an LP too large to write out whose rows a caller
+lists as they are needed: add_row writes the new row alone, and dual_run
+restores feasibility. It gives exactly the integers of a tableau built with
+the row from the start and pivoted into the same basis. solve_canonical and
 walk_canonical grow their tableau through one callback, cuts(xi, delta),
 which reads the vertex as the tableau holds it: integers xi over delta.
 Fractions are built only for what the two return (SimplexResult,
@@ -155,42 +159,34 @@ def _entries(coeffs, hi, what):
 
 class _Tableau:
     def __init__(self, c, rows, b, slope=None, upper=None):
-        nrows, nvars = len(rows), len(c)
+        nvars = len(c)
+        if len(rows) != len(b):
+            raise ValueError("rows and b disagree on row count")
+        if slope is not None and len(slope) != nvars:
+            raise ValueError("slope and c disagree on column count")
+        if upper is not None and len(upper) != nvars:
+            raise ValueError("upper and c disagree on column count")
         c = [_exact(v) for v in c]
         slope = None if slope is None else [_exact(v) for v in slope]
         self.sigma_c = lcm(*(v.denominator for v in c + (slope or []))) if c else 1
+        self.z = [_scaled(v, self.sigma_c) for v in c] + [0]
+        self.z1 = None  # cost-slope row, live only in walk_canonical
+        if slope is not None:
+            self.z1 = [_scaled(v, self.sigma_c) for v in slope] + [0]
 
         self.nvars = nvars
-        self.nrows = nrows
-        b = [_exact(v) for v in b]
+        self.nrows = 0
         # the variable of each stored column, then of each row: labels
         # 0..nvars-1 are the structural columns, nvars + i is row i's slack
         self.cols = list(range(nvars))
         self.basis = []
         self.row_scale = []
         self.T = []
-        for i, coeffs in enumerate(rows):
-            a = _entries(coeffs, nvars, "row %d" % i)
-            s = lcm(b[i].denominator, *(v.denominator for _, v in a))
-            self.row_scale.append(s)
-            row = [0] * (nvars + 1)
-            for j, v in a:
-                row[j] = _scaled(v, s)
-            row[nvars] = _scaled(b[i], s)
-            self.T.append(row)
-            self.basis.append(nvars + i)
-
-        self.z = [_scaled(v, self.sigma_c) for v in c] + [0]
-        self.z1 = None  # cost-slope row, live only in walk_canonical
-        if slope is not None:
-            self.z1 = [_scaled(v, self.sigma_c) for v in slope] + [0]
         self.delta = 1
         self.pivots = 0
         # the bound u of each bounded structural column (x_j <= u), by
         # label; a label in flipped is complemented, x_j = u - x'_j
         self.upper = {}
-        if upper is not None and len(upper) != nvars:
-            raise ValueError("upper and c disagree on column count")
         for j, u in enumerate(upper or ()):
             if u is None:
                 continue
@@ -200,6 +196,8 @@ class _Tableau:
         self.flipped = set()
         self.flips = 0
         self._label_maps = None  # _labels(), until the next pivot
+        for coeffs, bi in zip(rows, b):
+            self.add_row(coeffs, bi)
 
     # -- pivoting -------------------------------------------------------
 
@@ -349,6 +347,26 @@ class _Tableau:
             return self.z, self.z, lam.denominator, 0
         return self.z, self.z1, lam.denominator, lam.numerator
 
+    def _entering(self, row, lam):
+        """The dual ratio test on row: among the stored columns j with
+        row[j] < 0, the one of least reduced cost at lam over -row[j],
+        lowest label on ties; None when there is none."""
+        z0, z1, q, p = self._reduced(lam)
+        cols = self.cols
+        col = best_d = best_a = None
+        for j in range(self.nvars):
+            a = row[j]
+            if a < 0:
+                d = z0[j] * q + z1[j] * p
+                if col is None:
+                    col, best_d, best_a = j, d, a
+                    continue
+                # d/-a < best_d/-best_a, cross-multiplied
+                new, old = d * best_a, best_d * a
+                if new > old or (new == old and cols[j] < cols[col]):
+                    col, best_d, best_a = j, d, a
+        return col
+
     def _pivot_until(self, step, lam):
         """Pivot at step(bland)'s (row, column), or flip the column when the
         row is None, until step returns None. Once the objective at lam
@@ -413,7 +431,8 @@ class _Tableau:
         show in this basis, and its right-hand side is negative exactly when
         the vertex breaks it. On a complemented column, x_j = u - x'_j, the
         row holds -a_j and a_j*u moves to the right. The label maps
-        (_labels) serve every row of a batch of cuts, as none moves a label.
+        (_labels) serve every row of a batch, as none moves a label: the
+        constructor's starting rows, or a batch of cuts.
         """
         a = _entries(coeffs, self.nvars, "row %d" % self.nrows)
         bi = _exact(bi)
@@ -463,8 +482,7 @@ class _Tableau:
         lam None every ratio is 0, so every candidate column ties and the
         lowest label enters, as that rule asks.
         """
-        z0, z1, q, p = self._reduced(lam)
-        T, basis, cols, ub = self.T, self.basis, self.cols, self.upper
+        T, basis, ub = self.T, self.basis, self.upper
 
         def step(bland):
             r = best = None
@@ -484,19 +502,7 @@ class _Tableau:
                 return None
             if T[r][-1] > 0:
                 self._complement_row(r)
-            tr = T[r]
-            col = best_d = best_a = None
-            for j in range(self.nvars):
-                a = tr[j]
-                if a < 0:
-                    d = z0[j] * q + z1[j] * p
-                    # d/-a < best_d/-best_a, cross-multiplied
-                    if col is None:
-                        col, best_d, best_a = j, d, a
-                        continue
-                    new, old = d * best_a, best_d * a
-                    if new > old or (new == old and cols[j] < cols[col]):
-                        col, best_d, best_a = j, d, a
+            col = self._entering(T[r], lam)
             if col is None:
                 raise Infeasible("row %d cannot be made feasible" % r)
             return r, col
@@ -530,7 +536,7 @@ class _Tableau:
         variable."""
         z0, z1, q, p = self._reduced(lam)
         den = q * self.delta * self.sigma_c
-        at = {j: k for k, j in enumerate(self.cols)}
+        at, _ = self._labels()
 
         def marginal(j, s):
             k = at.get(j)
@@ -581,8 +587,6 @@ def solve_canonical(c, rows, b, cuts=None, upper=None) -> SimplexResult:
     not a pivot. A listed row that x satisfies raises SimplexError: the
     loop would not move.
     """
-    if len(rows) != len(b):
-        raise ValueError("rows and b disagree on row count")
     tab = _Tableau(c, rows, b, upper=upper)
     tab.solve()
     while True:
@@ -604,7 +608,8 @@ def walk_canonical(c0, c1, rows, b, cuts=None, upper=None):
     tableau keeps the reduced costs of c0 and c1 as two rows z0 and z1; the
     reduced cost of column j at lam is z0[j] + lam*z1[j], so a basis optimal
     at lo stays optimal up to hi = min z0[j]/-z1[j] over the stored columns
-    with z1[j] < 0 (basic columns have z0 = z1 = 0). The walk enters the
+    with z1[j] < 0 (basic columns have z0 = z1 = 0): the dual simplex's
+    ratio test (_entering) on the row z1 at lam = 0. The walk enters the
     column that attains hi, lowest label on ties, picks the leaving row with
     the ratio test, or flips the column when its own bound comes first, and
     repeats from lam = hi until hi reaches 1. lo and hi are kept as integer
@@ -648,26 +653,15 @@ def walk_canonical(c0, c1, rows, b, cuts=None, upper=None):
     not one the tableau holds: from a finite family of rows that happens
     finitely often.
     """
-    if len(rows) != len(b) or len(c0) != len(c1):
-        raise ValueError("rows, b, c0 and c1 disagree on their lengths")
-    if any(rat(v) < 0 for v in b) or any(rat(v) < 0 for v in c0):
-        raise ValueError("the slack basis must be optimal at lam = 0")
     tab = _Tableau(c0, rows, b, slope=c1, upper=upper)
-    z0, z1, cols = tab.z, tab.z1, tab.cols
+    z0, z1 = tab.z, tab.z1
+    if any(row[-1] < 0 for row in tab.T) or any(v < 0 for v in z0):
+        raise ValueError("the slack basis must be optimal at lam = 0")
     lo_num, lo_den = 0, 1  # lo, a Fraction only where a range starts
     cur = None  # the vertex being walked; its hi is not known yet
     line = None  # z0[rhs], z1[rhs] and delta at cur's vertex
     while True:
-        col = None
-        for j in range(tab.nvars):
-            # z0[j]/-z1[j] < z0[col]/-z1[col], cross-multiplied
-            if z1[j] < 0:
-                if col is None:
-                    col = j
-                    continue
-                new, old = z0[j] * z1[col], z0[col] * z1[j]
-                if new > old or (new == old and cols[j] < cols[col]):
-                    col = j
+        col = tab._entering(z1, _ZERO)
         hi_num, hi_den = 1, 1
         if col is not None and z0[col] < -z1[col]:
             hi_num, hi_den = z0[col], -z1[col]

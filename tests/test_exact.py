@@ -96,8 +96,20 @@ def test_ring8_special_lambda():
     assert curve.breakpoints[0] == L(1, 8)
 
 
+def test_sparsest_cut_can_be_node_zero_alone():
+    # K3 on {1, 2, 3} plus the edge 0-1: only S = {0} reaches 1/3
+    g = make_graph(4, [(0, 1), (1, 2), (1, 3), (2, 3)])
+    assert scaled_sparsest_cut(g) == (L(1, 3), frozenset({0}))
+    assert scaled_sparsest_cut(make_graph(2, [(0, 1)])) == (L(1), frozenset({0}))
+    assert scaled_sparsest_cut(make_graph(2, [])) == (L(0), frozenset({0}))
+
+
 def test_first_breakpoint_is_sparsest_cut():
-    graphs = [gen_ring(3), gen_star(6), gen_path(6), gen_gnp(7, 0.5, seed=4)]
+    graphs = [gen_ring(3), gen_star(6), gen_path(6), gen_gnp(7, 0.5, seed=4),
+              make_graph(4, [(0, 1), (1, 2), (1, 3), (2, 3)])]
+    # seeded draws, some of whose sparsest cuts split node 0 off alone
+    graphs += [g for n in range(3, 9) for seed in range(40)
+               if is_connected(g := gen_gnp(n, 0.5, seed=seed))]
     for g in graphs:
         lam_star, _ = scaled_sparsest_cut(g)
         curve, family = exact_opt_curve(g)

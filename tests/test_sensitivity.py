@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from lambdaprime import sensitivity
+from lambdaprime import lp, sensitivity
 from lambdaprime.graphs import gen_gnp, gen_ring, gen_star
 from lambdaprime.lp import build_lp, lp_curve, pair_index, solve_lp
 from lambdaprime.objectives import CostLine, objective_shift
@@ -302,14 +302,14 @@ def test_column_generation_matches_every_column(corpus, monkeypatch):
     # every column of the LP in t (every row of its dual): theta and the
     # clamp in both directions; priced counts the rows cut
     priced = []
-    real = sensitivity._separate
+    real = lp._separate
 
     def counted(wi, d, prob):
         new = real(wi, d, prob)
         priced.append(len(new))
         return new
 
-    monkeypatch.setattr(sensitivity, "_separate", counted)
+    monkeypatch.setattr(lp, "_separate", counted)
     graphs = [g for _, g in corpus if g.n <= 8]
     assert len(graphs) == 24
     most_priced = 0
@@ -349,7 +349,7 @@ def test_orlp_without_pricing_falls_short(corpus, monkeypatch):
              for lam0 in (Fraction(1, 5), Fraction(3, 5))]
     exact = [orlp(sol, s, lam0, Fraction(1, 2), g)[0]
              for g, lam0, sol in calls for s in (1, -1)]
-    monkeypatch.setattr(sensitivity, "_separate", lambda wi, d, prob: [])
+    monkeypatch.setattr(lp, "_separate", lambda wi, d, prob: [])
     unpriced = [orlp(sol, s, lam0, Fraction(1, 2), g)[0]
                 for g, lam0, sol in calls for s in (1, -1)]
     assert all(t <= e for t, e in zip(unpriced, exact))

@@ -214,6 +214,30 @@ def test_int_rows_give_the_tableau_of_their_fractions(seed):
         assert ints.row_scale[:-1] == [1] * (len(A) - 1)
 
 
+def test_constructor_writes_each_row_scaled_by_hand():
+    # each starting row over the lcm of its denominators, its slack basic,
+    # delta 1: rows (1/2, 0, 1/3 | -1/4), (-1, 2, 0 | 3), (0, 2/3, 0 | 1/2)
+    tab = _Tableau([1, Fraction(-2, 3), 3],
+                   [((0, Fraction(1, 2)), (2, Fraction(1, 3))), ((1, 2), (0, -1)),
+                    ((1, Fraction(2, 3)),)],
+                   [Fraction(-1, 4), 3, Fraction(1, 2)])
+    assert tab.row_scale == [12, 1, 6]
+    assert tab.T == [[6, 0, 4, -3], [-1, 2, 0, 3], [0, 4, 0, 3]]
+    assert (tab.basis, tab.cols, tab.delta) == ([3, 4, 5], [0, 1, 2], 1)
+    assert (tab.z, tab.sigma_c, tab.nrows, tab.flipped) == ([3, -2, 9, 0], 3, 3, set())
+
+
+@pytest.mark.parametrize("rows, b, slope, upper", [
+    ([((0, 1),)], [1], [0], None),
+    ([((0, 1),)], [1, 2], None, None),
+    ([((0, 1),), ((1, 1),)], [1], None, None),
+    ([((0, 1),)], [1], None, [1]),
+], ids=["short-slope", "long-b", "short-b", "upper"])
+def test_tableau_shape_mismatch_rejected(rows, b, slope, upper):
+    with pytest.raises(ValueError):
+        _Tableau([1, 2], rows, b, slope=slope, upper=upper)
+
+
 def _assert_certificate(A, b, c, x, u):
     """x and the marginals u prove each other optimal for min c.x, Ax <= b."""
     value = sum(ci * xi for ci, xi in zip(c, x))
@@ -534,6 +558,8 @@ def growth_checked(monkeypatch):
 
     def add_row(tab, coeffs, bi):
         real_row(tab, coeffs, bi)
+        if not hasattr(tab, "given"):  # a row the constructor writes
+            return
         tab.given[1].append(list(coeffs))
         tab.given[2].append(bi)
         _assert_rebuilt(tab)
