@@ -13,8 +13,7 @@ N = sum over all pairs of (1 - x_ij). Integral x encode partitions, so the
 optimum lower-bounds the best clustering at every lam.
 
 LpProblem holds it as the simplex's A x <= b with sparse integer rows, which
-the exact simplex, the parametric walk, ORLP (homogenized) and HiGHS all read
-as they are. Each side of the optimality proof is checked in one place:
+the exact simplex, the parametric walk and HiGHS all read as they are. Each side of the optimality proof is checked in one place:
 check_solution owns the primal side (x >= 0, A x <= b, the cost line of x and
 the value on it), and check_certificate only the dual side (sparse u < 0,
 A^T u <= c, b.u = value); verify_certificate runs both, the one proof every
@@ -29,20 +28,19 @@ from no rows at all (Grotschel & Wakabayashi, Math. Programming 45, 1989):
 x <= 1 is a bound on each column of the simplex, not a row (upper=1), and
 solve_lp and lp_curve hand the simplex a cuts callback (_cuts), which lists
 the triangle rows a vertex violates; the simplex appends them to its
-tableau and re-optimizes from the basis it has, by the dual simplex. ORLP
-(sensitivity) cuts its LP dual by the same callback, _cuts. An exact solve_lp
-is one solve_canonical call and reports every pivot of its tableau. Each
-solution is still proven by verify_certificate against the full build_lp,
-box rows included: the simplex's marginal of each bound x_p <= 1 is the
-dual of the box row of p. So the proof does not depend on which rows the
-tableau holds.
+tableau and re-optimizes from the basis it has, by the dual simplex. An
+exact solve_lp is one solve_canonical call and reports every pivot of its
+tableau. Each solution is still proven by verify_certificate against the
+full build_lp, box rows included: the simplex's marginal of each bound
+x_p <= 1 is the dual of the box row of p. So the proof does not depend on
+which rows the tableau holds.
 
 A point is read against the metric polytope in one integer pass, shared by
-check_solution, the separation (_separate, for every cut, ORLP's too) and
-the cost line of x (_line_of_x). Each reads x as integers xi over one
-scale d. The cuts and the line of each solution the simplex returns read
-its vertex as the tableau holds it, over its delta, so a round of cuts
-builds no Fraction; check_solution scales an exact x once over the lcm of
+check_solution, the separation (_separate, for every cut) and the cost
+line of x (_line_of_x). Each reads x as integers xi over one scale d. The
+cuts and the line of each solution the simplex returns read its vertex as
+the tableau holds it, over its delta, so a round of cuts builds no
+Fraction; check_solution scales an exact x once over the lcm of
 its denominators (_scaled), so the proof does not trust the tableau's
 integers. _violated_rows then walks the cached triples (ij, ik, jk) of
 _triples(n), the list _metric_rows builds its rows from, with three
@@ -363,9 +361,7 @@ def _separate(xi, d, prob):
 
 def _cuts(prob, keep):
     """The simplex's cuts for prob: the triangle rows a vertex, integers xi
-    over the tableau's delta, breaks. ORLP passes it too: of its (w, nu)
-    only the pair entries w are read, and a triangle row, b = 0, is a row
-    of its LP as it is.
+    over the tableau's delta, breaks.
 
     keep lists the row of prob behind each row of the tableau; every cut
     is appended to it, so it names the rows of every dual the tableau

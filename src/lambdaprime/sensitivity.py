@@ -2,68 +2,49 @@
 
 For a solution x* optimal at lam0, orlp() finds the largest step theta so
 that x* stays a (1+eps)-approximation of the LP optimum at lam0 + s*theta.
-The trick is to search for a dual vector u <= 0 of the rows A x <= b
-feasible at the cost c(lam) of a new lambda (A^T u <= c(lam), where
-c_p(lam) = [p in E] - lam) whose certified value still nearly matches the
-value of x* there. With y = -u, and the new lambda written as
-lam = e - s*t, where e = 1 for s = +1 and e = 0 for s = -1, so that t >= 0
-is the distance of lam from the domain edge the step runs towards:
+Write L(lam) = P + lam*N for the cost line of x*, LP(lam) for the LP value
+and m' = objective_shift(objective, m), so that the objective is the
+lamprime value less lam*m'. Then x* is a (1+eps)-approximation at lam,
+L - lam*m' <= (1+eps)*(LP - lam*m'), exactly when
 
-    minimize t
-    s.t.     -(A^T y)_p - s*t <= [p in E] - e                 every pair p
-             (1+eps) b.y - s*eps_lam*t <= b_eps
-             y >= 0, t >= 0
+    g(lam) = L(lam) - (1+eps)*LP(lam) + eps*lam*m' <= 0.
 
-where b_eps = -P - e*eps_lam, eps_lam = -(eps*Q + sum x*), P is the P of
-x*'s line and Q the number of pairs. The step is
-theta = s*(lam* - lam0) = s*(e - s*t* - lam0). This is the LP in theta
-(pair rows -(A^T y)_p + s*theta <= c_p(lam0), the same epsilon row,
-0 <= theta <= distance to the domain edge) except for theta >= 0, and that
-bound is redundant: x*'s own certificate (y*, lam0) is feasible (its
-epsilon row reads -eps * value <= 0, and lamprime and lamcc values are
->= 0), so the optimum has s*lam* >= s*lam0.
+LP is concave (a minimum of lines), so g is convex, and
+g(lam0) = -eps*(LP(lam0) - lam0*m') <= 0, as both objectives are >= 0 on
+the metric polytope. So x* is admissible on an interval around lam0, whose
+end in direction s is the root of g between lam0 and the domain edge e
+(e = 1 for s = +1, 0 for s = -1), or e itself when g(e) <= 0.
 
-orlp solves the LP dual of this LP, in w_p >= 0 (one per pair row) and
-nu = (1+eps)*mu >= 0 (mu the epsilon row's dual):
+orlp finds that end by Newton's method over solve_lp, the one proven LP
+solve (Dinkelbach, Management Science 13, 1967). It solves the LP at e;
+g(e) <= 0 clamps the range to the edge. Otherwise, with L_k the line of
+the last solve, made at lam_k, it steps to the root of the line
 
-    minimize sum_p ([p in E] - e)*w_p + b_eps/(1+eps)*nu
-    s.t.     A_r w - b_r*nu <= 0                        every row r of A
-             s*(sum_p w_p + eps_lam/(1+eps)*nu) <= 1
-             w >= 0, nu >= 0
+    h_k(lam) = L(lam) - (1+eps)*L_k(lam) + eps*lam*m'
 
-and t* = -value. Each column y_r of the LP in t is the row of A it came
-from, homogenized: a triangle row reads A_r w <= 0, the box row of p
-w_p - nu <= 0 (nu's scale keeps it integer), and the column t gives the
-last row. Every right-hand side is >= 0, so the slack basis is feasible
-and the dual simplex has nothing to do; w = 0 shows t* >= 0. The last
-row's marginal is -t*, and as every other right-hand side is 0 it equals
-the value: orlp checks that.
+and solves the LP there, until g is 0 at the solve's lam. The end is exact:
 
-Few triangle rows ever bind, so the LP grows by cuts in one tableau, as
-every exact LP here does: it starts from every box row and the triangle
-rows x*'s certificate names, and its cuts callback is lp._cuts, the one
-the primal solves pass: it lists the triangle rows the optimum w violates,
-which are appended for the dual simplex to restore feasibility. It reads
-the optimum as the tableau holds it, (w, nu) as integers xi over delta, of
-which its separation reads only w, so no round of cuts builds a Fraction.
-The starting rows keep the LP bounded: (y*, lam0) is feasible for the LP
-in t over the same columns (with the box rows alone that LP can be
-infeasible, and its dual unbounded). Once w violates none, w is feasible
-for the dual over every row of A, and optimal there as it is optimal over
-fewer rows: t*, theta and the clamp are those of the full LP, not merely
-sound bounds.
+- h_k <= g everywhere, as L_k, the line of a feasible x, is >= LP; they
+  meet at lam_k, where L_k is the optimum. So h_k(lam0) <= g(lam0) <= 0 <
+  g(lam_k) = h_k(lam_k): h_k is strictly monotone, its root lam_{k+1} lies
+  from lam0 up to but short of lam_k, and g(lam_{k+1}) >= h_k(lam_{k+1})
+  = 0. A solve with g < 0 there breaks the proof, and orlp raises
+  AssertionError.
+- Sound: when g(lam_{k+1}) = 0, g is convex and <= 0 at both lam0 and
+  lam_{k+1}, so it is <= 0 between them.
+- Maximal: past lam_{k+1}, away from lam0, g >= h_k > 0.
+- Finite: the iterates move strictly towards lam0, and a line has one root,
+  so no line repeats; the lines are those of the LP's vertices.
 
-Weak duality makes any feasible (y, lam) a proof; LP duality at the true
-endpoint makes the bound tight, and concavity of the LP value curve makes the
-approximate region an interval. With eps = 0 this recovers the exact optimal
-range of x*. Reaching t* = 0, lam* = 1 (s = +1) or 0 (s = -1), records
-that the range runs into the domain edge; callers treat a clamped endpoint
-as coverage through that edge. orlp starts from lp.verify_certificate, the
-one proof of an exact solution, and builds its LP from the rows of the LP
-that proof returns.
+Every LP(lam) read is a solve_lp solution, proven by verify_certificate, and
+x*'s own by verify_certificate on entry, so each end of a range is proven.
+With eps = 0 this recovers the exact optimal range of x*. A clamped end
+records that the range runs into the domain edge; callers treat it as
+coverage through that edge, and theta stops GUARD short of it.
 
-The scaled objective lamcc (value shifted by -lambda*m) only changes the
-constant Q to Q - objective_shift(objective, m) in the epsilon row.
+The same end is the optimum of an LP in theta, over the duals of the
+metric LP's rows with one epsilon row. The tests keep that LP,
+_orlp_in_theta, as the reference orlp must agree with.
 """
 from __future__ import annotations
 
@@ -71,10 +52,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import Graph
-from .lp import LpSolution, _box, _cuts, verify_certificate
+from .lp import LpSolution, solve_lp, verify_certificate
 from .objectives import objective_shift
 from .rationals import GUARD, rat
-from .simplex import solve_canonical
 
 
 @dataclass(frozen=True)
@@ -106,7 +86,7 @@ class LambdaInterval:
 
 def orlp(xstar: LpSolution, s: int, lam0, eps, g: Graph, objective="lamprime"):
     """Largest admissible step from lam0 in direction s; (theta, clamped)."""
-    prob = verify_certificate(xstar, g)
+    verify_certificate(xstar, g)
     if s not in (1, -1):
         raise ValueError("s must be +1 or -1")
     lam0 = rat(lam0)
@@ -115,31 +95,22 @@ def orlp(xstar: LpSolution, s: int, lam0, eps, g: Graph, objective="lamprime"):
         raise ValueError("epsilon must be nonnegative")
     if rat(xstar.lam) != lam0:
         raise ValueError("x* was not solved at lambda0")
-    q_eff = len(prob.pairs) - objective_shift(objective, g.m)
+    m = objective_shift(objective, g.m)
 
-    e = 1 if s > 0 else 0  # the domain edge: lam = e - s*t, t >= 0
-    # sum x* is Q - N, as verify_certificate checked the line of x*
-    eps_lam = -(eps * q_eff + len(prob.pairs) - xstar.line.N)
-    b_eps = -xstar.line.P - e * eps_lam  # the epsilon row's right-hand side
-    nu = prob.num_vars  # the column after w, one w_p per pair
-    c = [int(g.has_edge(*p)) - e for p in prob.pairs] + [b_eps / (1 + eps)]
-
-    # rows A_r w - b_r*nu <= 0: the triangle rows x*'s certificate names, so
-    # that the LP is bounded, and every box row; then t's row
-    keep = sorted({r for r, _ in xstar.dual if not prob.b[r]}) + _box(prob.n)
-    rows = [prob.rows[r] + (((nu, -prob.b[r]),) if prob.b[r] else ())
-            for r in keep]
-    rows.append([(p, s) for p in range(nu)] + [(nu, s * eps_lam / (1 + eps))])
-    t_row = len(keep)
-    res = solve_canonical(c, rows, [0] * t_row + [1], cuts=_cuts(prob, []))
-    if res.dual_ub[t_row] != res.value:
-        raise AssertionError("inconsistent ORLP optimum")
-    t = -res.value
-    theta = s * (e - s * t - lam0)
-    clamped = t == 0
-    if clamped:  # stop GUARD short of the domain edge
-        theta = max(Fraction(0), theta - GUARD)
-    return theta, clamped
+    e = 1 if s > 0 else 0  # the domain edge the step runs towards
+    lam = Fraction(e)
+    while True:
+        opt = solve_lp(g, lam).line  # L_k, the LP's optimum at lam
+        a = xstar.line.P - (1 + eps) * opt.P  # h_k(lam) = a + b*lam
+        b = xstar.line.N - (1 + eps) * opt.N + eps * m
+        gap = a + b * lam  # the docstring's g(lam), as h_k(lam) = g(lam)
+        if lam == e and gap <= 0:  # stop GUARD short of the edge
+            return max(Fraction(0), s * (e - lam0) - GUARD), True
+        if gap == 0:
+            return s * (lam - lam0), False
+        if gap < 0:
+            raise AssertionError("Newton step passed the end of the range")
+        lam = -a / b
 
 
 def eps_range(xstar: LpSolution, lam0, eps, g: Graph, objective="lamprime"):

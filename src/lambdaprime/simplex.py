@@ -1,5 +1,5 @@
-"""Exact simplex for small sparse LPs, used by the LP relaxation and the
-sensitivity machinery.
+"""Exact simplex for small sparse LPs: the solves and the parametric walk of
+the metric LP relaxation, on which the sensitivity ranges build.
 
 Canonical form:   min c.x   s.t.  A x <= b,  0 <= x <= u
 

@@ -10,7 +10,7 @@ Three constructions:
   objective uses the same transfer argument in gamma = lambda/(1-lambda).
 
 * sweep_fe walks a frontier: solve at lambda0, push forward as far as the
-  sensitivity LP allows (orlp, s=+1), then restart at (1+eps) times the
+  sensitivity range allows (orlp, s=+1), then restart at (1+eps) times the
   frontier. Forward coverage is certified by orlp, backward coverage of
   [lambda0/(1+eps), lambda0] by the same transfer argument as above.
 

@@ -577,11 +577,9 @@ def test_solve_without_separation_rejected(monkeypatch):
 
 
 def _cuts_spied(monkeypatch, check):
-    """Route the cuts of solve_lp, lp_curve and ORLP through check(kind,
-    xi, d), before the real callback; returns the calls, (kind, rows
-    listed), in order."""
-    from lambdaprime import sensitivity
-
+    """Route the cuts of solve_lp and lp_curve through check(kind, xi, d),
+    before the real callback; returns the calls, (kind, rows listed), in
+    order."""
     calls = []
 
     def spying(module, name, kind):
@@ -598,7 +596,6 @@ def _cuts_spied(monkeypatch, check):
 
     spying(lp_module, "solve_canonical", "solve")
     spying(lp_module, "walk_canonical", "walk")
-    spying(sensitivity, "solve_canonical", "orlp")
     return calls
 
 
@@ -622,9 +619,8 @@ def test_cuts_read_the_tableau_vertex_as_integers(corpus, monkeypatch):
         x = [Fraction(v, d) for v in xi]
         assert x == tab._x()
         prob = build_lp(g, 0)
-        pairs_x = x[:prob.num_vars]  # ORLP's w, without nu
         assert lp_module._separate(xi, d, prob) == lp_module._violated_rows(
-            n, *lp_module._scaled(pairs_x), box=False)
+            n, *lp_module._scaled(x), box=False)
 
     monkeypatch.setattr(simplex._Tableau, "__init__", init)
     calls = _cuts_spied(monkeypatch, check)
@@ -634,7 +630,7 @@ def test_cuts_read_the_tableau_vertex_as_integers(corpus, monkeypatch):
             continue
         eps_range(solve_lp(g, lam), lam, Fraction(1, 2), g)
         lp_curve(g)
-    assert {kind for kind, listed in calls if listed} == {"solve", "walk", "orlp"}
+    assert {kind for kind, listed in calls if listed} == {"solve", "walk"}
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -681,7 +677,7 @@ def test_line_from_the_integer_vertex_is_checked_against_x(corpus, cache, monkey
 
 def test_fraction_vertices_are_built_for_results_only(monkeypatch):
     # _Tableau._x builds the Fraction vertex: once per range of ring8's
-    # lp_curve, once per solve_lp and per ORLP solve, never in a cut round
+    # lp_curve, once per solve_lp (ORLP's three included), never in a cut round
     from lambdaprime.sensitivity import eps_range
 
     built, seen = [], []  # seen: how many were built at each cuts call
@@ -703,12 +699,12 @@ def test_fraction_vertices_are_built_for_results_only(monkeypatch):
     sol = solve_lp(g, Fraction(1, 5))
     assert len(built) == 5
     eps_range(sol, Fraction(1, 5), Fraction(1, 2), g)
-    assert len(built) == 7
+    assert len(built) == 8
     # every cuts call that lists rows is followed by one with no build between
     for i, ((kind, listed), b) in enumerate(zip(calls, seen)):
         if listed:
             assert calls[i + 1][0] == kind and seen[i + 1] == b
-    assert {kind for kind, listed in calls if listed} == {"walk", "solve", "orlp"}
+    assert {kind for kind, listed in calls if listed} == {"walk", "solve"}
 
 
 @pytest.mark.parametrize("lam", [Fraction(1, 5), Fraction(1, 3), Fraction(3, 5)])
@@ -742,7 +738,7 @@ def test_float_mode_star():
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(st.data())
 def test_separation_line_and_first_broken_row_match_the_brute_force(data):
-    # exact entries only, >= 0 as every simplex vertex and ORLP's w are
+    # exact entries only, >= 0 as every simplex vertex is
     n = data.draw(st.integers(3, 8))
     pairs = list(combinations(range(n), 2))
     x = tuple(abs(data.draw(_EXACT_ENTRIES)) for _ in pairs)

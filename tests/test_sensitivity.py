@@ -6,7 +6,7 @@ import pytest
 
 from lambdaprime import lp, sensitivity
 from lambdaprime.graphs import gen_gnp, gen_ring, gen_star
-from lambdaprime.lp import build_lp, lp_curve, pair_index, solve_lp
+from lambdaprime.lp import lp_curve, solve_lp
 from lambdaprime.objectives import CostLine, objective_shift
 from lambdaprime.rationals import GUARD
 from lambdaprime.simplex import solve_canonical
@@ -257,46 +257,6 @@ def test_orlp_in_lambda_matches_orlp_in_theta(corpus):
     assert clamps == {(1, True), (1, False), (-1, True), (-1, False)}
 
 
-def test_orlp_lp_pair_rows_are_integer(monkeypatch):
-    # the dual of the LP in t, one column w_p per pair row of that LP: the
-    # pair costs are the integers [p in E] - e, every row but t's has
-    # integer coefficients, the right-hand sides are (0, ..., 0, 1), so the
-    # slack basis is feasible, and every cut is a triangle row of build_lp
-    # with b = 0
-    seen, cut = [], []
-
-    def capture(c, rows, b, cuts):
-        seen.append((c, rows, b))
-
-        def recorded(xi, d):
-            new = cuts(xi, d)
-            cut.extend(new)
-            return new
-        return solve_canonical(c, rows, b, cuts=recorded)
-
-    monkeypatch.setattr(sensitivity, "solve_canonical", capture)
-    g = gen_gnp(7, 0.5, seed=2)
-    lam0 = Fraction(1, 3)
-    sol = solve_lp(g, lam0)
-    on_edge = [int(g.has_edge(*p)) for p in pair_index(g.n)[0]]
-    for eps in (0, Fraction(1, 2)):
-        eps_range(sol, lam0, eps, g)
-    assert len(seen) == 4  # one LP per orlp call
-    # eps_range runs s = +1 (e = 1), then s = -1 (e = 0)
-    for (c, rows, b), e in zip(seen, (1, 0, 1, 0)):
-        assert c[:len(on_edge)] == [p - e for p in on_edge]
-        assert all(type(v) is int for v in c[:len(on_edge)])
-        for row in rows[:-1]:
-            assert all(type(v) is int for _, v in row)
-        assert b == [0] * (len(rows) - 1) + [1]
-    prob = build_lp(g, lam0)
-    triangles = {row for row, bi in zip(prob.rows, prob.b) if bi == 0}
-    assert len(cut) == 34
-    for coeffs, bi in cut:
-        assert bi == 0 and type(bi) is int
-        assert coeffs in triangles
-
-
 def test_column_generation_matches_every_column(corpus, monkeypatch):
     # the one tableau grown by cuts against _orlp_in_theta, the LP over
     # every column of the LP in t (every row of its dual): theta and the
@@ -341,16 +301,95 @@ def test_orlp_matches_orlp_in_theta_where_more_rows_are_cut(corpus):
                     assert got == _orlp_in_theta(sol, s, lam0, eps, g, "lamprime")
 
 
-def test_orlp_without_pricing_falls_short(corpus, monkeypatch):
-    # with no row ever cut, orlp's LP keeps only its starting rows, the
-    # columns of the LP in t: its theta is still a sound bound, but short of
-    # the optimum
-    calls = [(g, lam0, solve_lp(g, lam0)) for _, g in corpus if g.n <= 8
-             for lam0 in (Fraction(1, 5), Fraction(3, 5))]
-    exact = [orlp(sol, s, lam0, Fraction(1, 2), g)[0]
-             for g, lam0, sol in calls for s in (1, -1)]
-    monkeypatch.setattr(lp, "_separate", lambda wi, d, prob: [])
-    unpriced = [orlp(sol, s, lam0, Fraction(1, 2), g)[0]
-                for g, lam0, sol in calls for s in (1, -1)]
-    assert all(t <= e for t, e in zip(unpriced, exact))
-    assert any(t < e for t, e in zip(unpriced, exact))
+def _excess(line, lam, eps, g, objective):
+    """g(lam) of the sensitivity docstring: line less (1+eps) times the LP
+    value at lam, both shifted by lam*m' for the objective."""
+    m = objective_shift(objective, g.m)
+    return line.value_at(lam) - lam * m - (1 + eps) * (solve_lp(g, lam).value - lam * m)
+
+
+def test_range_ends_are_roots_or_clamps(corpus):
+    # a range's end is where x* is exactly (1+eps) times the LP optimum; a
+    # clamped end's edge has x* within (1+eps) of it
+    ends = clamps = 0
+    for _, g in corpus:
+        if g.n > 8:
+            continue
+        for lam0 in (Fraction(1, 5), Fraction(3, 5)):
+            sol = solve_lp(g, lam0)
+            for eps in (0, Fraction(1, 2)):
+                for objective in ("lamprime", "lamcc"):
+                    iv = eps_range(sol, lam0, eps, g, objective)
+                    for end, edge, clamped in ((iv.lo, 0, iv.lo_clamped),
+                                               (iv.hi, 1, iv.hi_clamped)):
+                        if clamped:
+                            assert _excess(sol.line, edge, eps, g, objective) <= 0
+                            clamps += 1
+                        else:
+                            assert _excess(sol.line, end, eps, g, objective) == 0
+                            ends += 1
+    assert ends and clamps
+
+
+def test_newton_queries_close_in_on_the_end(corpus, monkeypatch):
+    # after the solve at the edge every query lies strictly nearer lam0
+    # than the one before, none beyond the end returned, the last at it
+    queries = []
+    real = sensitivity.solve_lp
+
+    def spy(g, lam):
+        queries.append(lam)
+        return real(g, lam)
+
+    monkeypatch.setattr(sensitivity, "solve_lp", spy)
+    newton = 0
+    for _, g in corpus:
+        if g.n > 7:
+            continue
+        for lam0 in (Fraction(1, 5), Fraction(3, 5)):
+            sol = solve_lp(g, lam0)
+            for eps in (0, Fraction(1, 2)):
+                for s in (1, -1):
+                    queries.clear()
+                    theta, clamped = orlp(sol, s, lam0, eps, g)
+                    assert queries[0] == (1 if s > 0 else 0)
+                    if clamped:
+                        assert len(queries) == 1
+                        continue
+                    steps = [s * (lam - lam0) for lam in queries]
+                    assert all(a > b for a, b in zip(steps, steps[1:]))
+                    assert steps[-1] == theta
+                    newton += len(queries) - 1
+    assert newton
+    # ring8 at 1/5: the edge 1 clamps; from the edge 0 one Newton step
+    # lands on the end 4/51
+    g = gen_ring(3)
+    queries.clear()
+    eps_range(solve_lp(g, Fraction(1, 5)), Fraction(1, 5), Fraction(1, 2), g)
+    assert queries == [1, 0, Fraction(4, 51)]
+
+
+def test_overshoot_is_refused(monkeypatch):
+    # an edge solve whose value is too low puts the Newton step past the
+    # end of the range; the true solve there has x* better than (1+eps)
+    # times the optimum, which the proof rules out
+    g = gen_ring(3)
+    lam0, eps = Fraction(1, 5), Fraction(1, 2)
+    sol = solve_lp(g, lam0)
+    theta, clamped = orlp(sol, -1, lam0, eps, g)
+    assert not clamped
+    mid = lam0 - theta / 2
+    # a line 1 below the optimum at 0, on which h_0's root is mid
+    low = CostLine(solve_lp(g, 0).value - 1,
+                   (sol.line.value_at(mid) / (1 + eps) - solve_lp(g, 0).value + 1) / mid)
+    real = sensitivity.solve_lp
+
+    def forged(g, lam):
+        got = real(g, lam)
+        if lam == 0:
+            got = dataclasses.replace(got, value=low.P, line=low)
+        return got
+
+    monkeypatch.setattr(sensitivity, "solve_lp", forged)
+    with pytest.raises(AssertionError, match="passed the end"):
+        orlp(sol, -1, lam0, eps, g)

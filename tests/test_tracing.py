@@ -39,35 +39,35 @@ def test_tracer_counts_the_solver_layers():
 
 
 def test_tracer_counts_orlp():
-    # eps_range reaches ORLP's simplex through sensitivity.solve_canonical,
-    # the binding the tracer counts as its own layer
+    # eps_range reaches the simplex through solve_lp, so ORLP's solves
+    # count as lp.solve_canonical's, the primal layer; the layer the tracer
+    # keeps for sensitivity.solve_canonical reads 0
     tracing = _tracing()
     g = gen_ring(3)
     lam0 = Fraction(1, 5)
     sol = lp_module.solve_lp(g, lam0)
     pivots = []
     with tracing.Tracer(tracing.binding_sites(), 0) as tr:
-        traced = sensitivity.solve_canonical
+        traced = lp_module.solve_canonical
 
         def counted(*args, **kwargs):
             res = traced(*args, **kwargs)
             pivots.append(res.pivots)
             return res
 
-        sensitivity.solve_canonical = counted
+        lp_module.solve_canonical = counted
         try:
             sensitivity.eps_range(sol, lam0, Fraction(1, 2), g)
         finally:
-            sensitivity.solve_canonical = traced
+            lp_module.solve_canonical = traced
     assert tr.calls["sensitivity.orlp"] == 2
-    assert tr.calls["simplex.orlp"] == 2  # one growing tableau per orlp
-    assert tr.calls["simplex.primal"] == 0
-    # the traced pivots are the two calls' own: 40 + 25
-    assert pivots == [40, 25]
-    assert tr.stats["simplex.orlp.pivots"] == sum(pivots) == 65
-    # each LP has C(8, 2) + 1 = 29 columns: w, one per pair, and nu
-    assert tr.stats["simplex.orlp.cols"] == 58
-    assert sensitivity.solve_canonical is simplex.solve_canonical
+    assert tr.calls["simplex.orlp"] == 0
+    # a solve at each edge, and one Newton step from 0; x = 0 is optimal
+    # at 0 before any pivot
+    assert tr.calls["simplex.primal"] == tr.calls["lp.solve_lp"] == 3
+    assert pivots == [7, 0, 20]
+    assert tr.stats["simplex.primal.pivots"] == sum(pivots) == 27
+    assert lp_module.solve_canonical is simplex.solve_canonical
 
 
 def test_tracer_counts_every_pivot_of_the_tableau():
