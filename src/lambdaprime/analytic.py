@@ -20,6 +20,7 @@ count involve square roots and are evaluated in floating point.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 from .objectives import CostLine
@@ -127,7 +128,14 @@ def ms_gamma(x):
 def ring_sandwich(k, lam):
     """The chain q <= g <= LP <= sqrt2*g <= (4*sqrt2/3)*q on the 2^k-ring at
     lam in [8/n^2, 1/2], as (name, smaller side, larger side) float triples;
-    every link holds up to float rounding."""
+    every link holds up to float rounding. That needs the smallest lambda
+    8/n^2 = 2^(3-2k) to be a normal double, so k <= 512: past it float(lam)
+    first loses bits, then reads 0 from k = 539 on (so q = g = 0 < LP), and
+    past k = 1023 n itself overflows a float."""
+    n = _check_ring_k(k)
+    if Fraction(8, n * n) < sys.float_info.min:
+        raise ValueError("ring k=%d: its smallest lambda 8/n^2 is not a normal "
+                         "double (need k <= 512)" % k)
     q = ring_q(k, lam)
     g = ring_g(k, lam)
     lp = float(ring_lp(k, lam)[0])
@@ -147,7 +155,8 @@ def ring_lower_bound(k, p):
     if p <= 1:
         raise ValueError("approximation factor p must exceed 1")
     base = ms_gamma(p * MS_CONSTANT)
-    return math.ceil((2 / 3) * math.log(n / 4) / math.log(base))
+    # n // 4 = 2^(k-2) is exact, where n / 4 overflows a float past k = 1025
+    return math.ceil((2 / 3) * math.log(n // 4) / math.log(base))
 
 
 def lamcc_schedule(n, eps):

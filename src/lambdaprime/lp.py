@@ -354,8 +354,7 @@ def _box(n):
 
 def _separate(xi, d, prob):
     """The triangle rows of prob that the point x = xi / d violates, in
-    build_lp order. It reads only the pair entries of xi, and any scale d
-    gives the same rows."""
+    build_lp order. Any scale d gives the same rows."""
     return _violated_rows(prob.n, xi, d, box=False)
 
 

@@ -260,8 +260,9 @@ def certify_cover(family: CoverFamily, g: Graph, curve=None):
     domain, or a family whose envelope passes could still hand a member
     out where it is no (1+eps)-approximation. The excess of line over bound
     times curve is an affine function minus a concave one, so convex (the
-    lamcc shift is affine too), and its largest value on that interval
-    sits at an end or at a curve breakpoint inside: those points suffice.
+    lamcc shift is affine too), and a convex function on an interval is at
+    most the larger of its values at the two ends: the ends suffice, and a
+    failing member is reported at lo if lo fails, else at hi.
     """
     for mem in family.members:
         check_solution(mem.solution, g)
@@ -297,9 +298,8 @@ def certify_cover(family: CoverFamily, g: Graph, curve=None):
         hi = min(hi_d, mem.interval.covered_hi())
         if lo > hi:
             continue
-        line = mem.solution.line
-        at = {lo, hi}.union(b for b in curve.breakpoints if lo < b < hi)
-        over = [lam for lam in sorted(at) if line.value_at(lam) - lam * shift_m
+        over = [lam for lam in (lo, hi)
+                if mem.solution.line.value_at(lam) - lam * shift_m
                 > bound * (curve.value_at(lam) - lam * shift_m)]
         if over:
             member_fail = (i, over[0])

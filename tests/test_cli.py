@@ -523,6 +523,22 @@ def test_bounds_ring(capsys):
     assert "B = 1" in out
 
 
+def test_bounds_ring_on_a_ring_too_big_for_a_float(capsys):
+    # n / 4 overflows a float at k = 2000; log(n // 4) does not
+    assert main(["bounds", "ring", "--k", "2000", "--p", "1.1"]) == 0
+    assert "B = 170" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("k,rc", [("512", 0), ("513", 3), ("539", 3), ("1100", 3)])
+def test_verify_ring_past_normal_doubles_is_an_error(k, rc, capsys):
+    # 8/n^2 = 2^(3-2k) is subnormal from k = 513, reads 0.0 from k = 539 and
+    # n overflows a float past k = 1023: none is a sandwich to verify
+    assert main(["verify", "ring", "--k", k, "--grid", "5"]) == rc
+    captured = capsys.readouterr()
+    assert ("ring k=%s:" % k in captured.err) == (rc == 3)
+    assert "FAIL" not in captured.out
+
+
 @pytest.mark.parametrize("p", ["1/2", "1"])
 def test_bounds_ring_rejects_p_at_most_one(p, capsys):
     assert main(["bounds", "ring", "--k", "3", "--p", p]) == 3

@@ -257,10 +257,11 @@ def test_orlp_in_lambda_matches_orlp_in_theta(corpus):
     assert clamps == {(1, True), (1, False), (-1, True), (-1, False)}
 
 
-def test_column_generation_matches_every_column(corpus, monkeypatch):
-    # the one tableau grown by cuts against _orlp_in_theta, the LP over
-    # every column of the LP in t (every row of its dual): theta and the
-    # clamp in both directions; priced counts the rows cut
+def test_orlp_matches_orlp_in_theta_through_cut_solves(corpus, monkeypatch):
+    # ORLP's Newton steps, each a solve_lp whose tableau grows by the
+    # triangle rows its vertex breaks, against _orlp_in_theta, the LP in
+    # theta over every row of the metric LP: theta and the clamp in both
+    # directions; priced counts the triangle rows those solves cut
     priced = []
     real = lp._separate
 

@@ -1,6 +1,7 @@
 """Cover-family construction and certification."""
 import functools
 import itertools
+import random
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from lambdaprime.curves import envelope_of
 from lambdaprime.graphs import gen_gnp, gen_path, gen_ring, gen_star, make_graph
 from lambdaprime.lp import LpSolution, lp_curve
-from lambdaprime.objectives import CostLine
+from lambdaprime.objectives import CostLine, objective_shift
 from lambdaprime.rationals import GUARD, ceil_log, floor_log
 from lambdaprime.sensitivity import LambdaInterval, eps_range, orlp
 from lambdaprime.sweeps import (
@@ -367,6 +368,85 @@ def test_member_stretched_past_its_range_fails_its_own_audit():
     assert rep.gap is None and 1 <= rep.worst_ratio <= rep.bound == 2
     assert rep.member_fail == (0, F(1))
     assert not rep.ok
+
+
+def _clipped(mem, fam):
+    return (max(fam.domain[0], mem.interval.covered_lo()),
+            min(fam.domain[1], mem.interval.covered_hi()))
+
+
+def _over(mem, fam, curve, shift_m, lam):
+    return (mem.solution.line.value_at(lam) - lam * shift_m
+            > (1 + fam.eps) * (curve.value_at(lam) - lam * shift_m))
+
+
+def _fails_at_a_breakpoint(mem, fam, curve, shift_m):
+    """The member audit written out over every point that can decide it: both
+    ends of the member's interval within the domain and every LP-curve
+    breakpoint inside."""
+    lo, hi = _clipped(mem, fam)
+    at = {lo, hi}.union(b for b in curve.breakpoints if lo < b < hi)
+    return lo <= hi and any(_over(mem, fam, curve, shift_m, lam) for lam in at)
+
+
+@functools.lru_cache(maxsize=None)
+def _stretch_case(name, algo):
+    g = {"ring8": gen_ring(3), "star6": gen_star(6), "path7": gen_path(7),
+         "gnp7_3": gen_gnp(7, 0.3, seed=5), "gnp8_3": gen_gnp(8, 0.3, seed=2),
+         "gnp8_5": gen_gnp(8, 0.5, seed=1), "gnp7_8": gen_gnp(7, 0.8, seed=3)}[name]
+    if algo == "febe":
+        return g, sweep_febe(g, F(1, 2)), lp_curve(g)
+    return g, sweep_geometric(g, F(1, 2), objective=algo), lp_curve(g)
+
+
+# FEBE keeps one member on path7 and gnp7_8, admissible on the whole domain,
+# so no stretch can fail there: those two graphs run geometric covers only
+@pytest.mark.parametrize(
+    "name,algo",
+    [(name, "lamprime") for name in ("ring8", "star6", "path7", "gnp7_3",
+                                     "gnp8_5", "gnp7_8")]
+    + [(name, "lamcc") for name in ("ring8", "gnp7_3", "gnp7_8")]
+    + [(name, "febe") for name in ("ring8", "star6", "gnp7_3", "gnp8_3",
+                                   "gnp8_5")],
+)
+def test_member_audit_at_its_ends_matches_the_breakpoint_rule(name, algo):
+    # stretch or shrink one member to a seeded interval, its ends drawn from
+    # the curve's breakpoints, the domain ends, the solve points and random
+    # fractions, clamped or not: checking the member's two ends gives the
+    # verdict that checking every breakpoint inside gives too
+    g, fam, curve = _stretch_case(name, algo)
+    shift_m = objective_shift(fam.objective, g.m)
+    rng = random.Random("%s/%s" % (name, algo))
+    ends = sorted({b for b in curve.breakpoints if 0 < b < 1}
+                  | {v for v in fam.domain if 0 < v < 1}
+                  | {F(m.solution.lam) for m in fam.members})
+    fails = 0
+    for _ in range(30):
+        i = rng.randrange(len(fam.members))
+        lo, hi = sorted(rng.choice(ends) if rng.random() < 0.5
+                        else F(rng.randrange(1, 60), 60) for _ in range(2))
+        first = fam.members[i]
+        iv = replace(first.interval, lo=lo, hi=hi, lo_clamped=rng.random() < 0.3,
+                     hi_clamped=rng.random() < 0.3)
+        others = fam.members[:i] + fam.members[i + 1:]
+        members = tuple(sorted(others + (replace(first, interval=iv),),
+                               key=lambda m: (m.interval.lo, m.interval.hi)))
+        stretched = replace(fam, members=members)
+        rep = certify_cover(stretched, g, curve=curve)
+        failing = [j for j, m in enumerate(members)
+                   if _fails_at_a_breakpoint(m, stretched, curve, shift_m)]
+        fails += bool(failing)
+        assert (rep.member_fail is None) == (not failing)
+        assert rep.ok == (rep.gap is None and rep.worst_ratio <= rep.bound
+                          and not failing)
+        if failing:
+            # reported at the lower end if it fails, else at the upper one
+            j, lam = rep.member_fail
+            assert j == failing[0]
+            lo, hi = _clipped(members[j], stretched)
+            assert lam == (lo if _over(members[j], stretched, curve, shift_m, lo)
+                           else hi)
+    assert fails  # the draws reach members that fail their own audit
 
 
 def test_certify_reports_gap_for_truncated_family():
