@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from .objectives import CostLine
@@ -60,20 +61,32 @@ def ring_lp(k, lam):
     return min((_h(n, u, lam), u) for u in {t, min(t + 1, n)})
 
 
+def _float_lam(k, lam):
+    """float(lam) for the float oracles on the 2^k-ring, or ValueError naming
+    k and lam: past k = 1023 n = 2^k overflows a double, and a lam with
+    0 < lam < sys.float_info.min would lose bits or read 0."""
+    if k > 1023 or 0 < lam < sys.float_info.min:
+        raise ValueError("ring k=%d: lambda=%s; the float oracles need k <= 1023 "
+                         "and lambda 0 or a normal double"
+                         % (k, format(Decimal(lam.numerator) / lam.denominator, ".4g")))
+    return float(lam)
+
+
 def ring_g(k, lam):
     """Continuous lower bound n(sqrt(2 lam) - lam/2); float."""
     n = _check_ring_k(k)
     lam = rat(lam)
     if not 0 <= lam <= 1:
         raise ValueError("lambda outside [0, 1]")
-    lf = float(lam)
+    lf = _float_lam(k, lam)
     return n * (math.sqrt(2 * lf) - lf / 2)
 
 
 def ring_q(k, lam):
     """The (3n/4) sqrt(2 lam) comparison function; float."""
     n, lam = _check_ring_lam(k, lam)
-    return (3 * n / 4) * math.sqrt(2 * float(lam))
+    lf = _float_lam(k, lam)
+    return (3 * n / 4) * math.sqrt(2 * lf)
 
 
 def ring_special_lambdas(k):
@@ -128,14 +141,10 @@ def ms_gamma(x):
 def ring_sandwich(k, lam):
     """The chain q <= g <= LP <= sqrt2*g <= (4*sqrt2/3)*q on the 2^k-ring at
     lam in [8/n^2, 1/2], as (name, smaller side, larger side) float triples;
-    every link holds up to float rounding. That needs the smallest lambda
-    8/n^2 = 2^(3-2k) to be a normal double, so k <= 512: past it float(lam)
-    first loses bits, then reads 0 from k = 539 on (so q = g = 0 < LP), and
-    past k = 1023 n itself overflows a float."""
-    n = _check_ring_k(k)
-    if Fraction(8, n * n) < sys.float_info.min:
-        raise ValueError("ring k=%d: its smallest lambda 8/n^2 is not a normal "
-                         "double (need k <= 512)" % k)
+    every link holds up to float rounding. ring_q and ring_g refuse a k past
+    1023 and a positive lam whose double is subnormal or 0, where the links
+    would not hold; so the whole domain, down to 8/n^2 = 2^(3-2k), needs
+    k <= 512."""
     q = ring_q(k, lam)
     g = ring_g(k, lam)
     lp = float(ring_lp(k, lam)[0])

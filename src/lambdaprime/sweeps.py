@@ -9,10 +9,14 @@ Three constructions:
   [lambda_s/(1+eps), (1+eps)*lambda_s] with factor 1+eps. The scaled
   objective uses the same transfer argument in gamma = lambda/(1-lambda).
 
-* sweep_fe walks a frontier: solve at lambda0, push forward as far as the
-  sensitivity range allows (orlp, s=+1), then restart at (1+eps) times the
-  frontier. Forward coverage is certified by orlp, backward coverage of
-  [lambda0/(1+eps), lambda0] by the same transfer argument as above.
+* sweep_fe walks a frontier. Each member, solved at lambda0, starts from
+  the transfer interval [lambda0/(1+eps), (1+eps)*lambda0] above. Where
+  that stops short of 1, orlp (s=+1) pushes its end forward as far as the
+  sensitivity range allows. Where it reaches 1, orlp could only clamp: by
+  the transfer argument, and as the LP value is nondecreasing, the member's
+  line at 1 is at most LP(lambda0)/lambda0 <= LP(1)/lambda0 <= (1+eps)*LP(1),
+  so reuse covers [lambda0, 1). The next member is solved at (1+eps)
+  times the end, or at the end when that reaches 1.
 
 * sweep_febe re-runs orlp backward on every FE member to get its full
   approximate range, then greedily keeps a minimum subfamily that still
@@ -159,20 +163,17 @@ def sweep_fe(g: Graph, eps) -> CoverFamily:
     if g.n < 3:
         raise ValueError("frontier sweep needs n >= 3")
     domain = (Fraction(4, g.n * g.n), Fraction(1))
-    lam0, frontier, members = domain[0], False, []
+    lam0, members = domain[0], []
     while True:
         sol = solve_lp(g, lam0)
-        if frontier:
-            # (1+eps)*lam0 >= 1: reuse of this solution covers [lam0, 1)
-            iv = _transfer_interval(lam0, eps)
-        else:
+        iv = _transfer_interval(lam0, eps)
+        if not iv.hi_clamped:
             theta, clamped = orlp(sol, 1, lam0, eps, g)
-            iv = LambdaInterval(lam0 / (1 + eps), lam0 + theta, eps, hi_clamped=clamped)
+            iv = replace(iv, hi=lam0 + theta, hi_clamped=clamped)
         members.append(CoverMember(sol, iv))
         if iv.hi_clamped:
             break
-        frontier = (1 + eps) * iv.hi >= 1
-        lam0 = iv.hi if frontier else (1 + eps) * iv.hi
+        lam0 = iv.hi if (1 + eps) * iv.hi >= 1 else (1 + eps) * iv.hi
     return CoverFamily(tuple(members), eps, domain, len(members), "lamprime", "fe")
 
 

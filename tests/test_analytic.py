@@ -123,6 +123,20 @@ def test_ring_g_and_q_frozen():
         ring_q(3, Fraction(1, 9))
 
 
+@pytest.mark.parametrize("k,lam", [(539, Fraction(8, 4 ** 539)), (1100, Fraction(1, 4))])
+def test_float_ring_oracles_refuse_what_a_double_cannot_hold(k, lam):
+    # 8/n^2 reads 0.0 as a double at k = 539; n = 2^k overflows past k = 1023
+    for oracle in (ring_q, ring_g):
+        with pytest.raises(ValueError, match="ring k=%d:" % k):
+            oracle(k, lam)
+
+
+def test_float_ring_oracles_past_the_old_limit():
+    # a normal lambda on a ring past k = 512, where 8/n^2 is subnormal
+    assert ring_q(600, Fraction(1, 4)) == float.fromhex("0x1.0f876ccdf6cdap+599")
+    assert ring_g(600, Fraction(1, 4)) == float.fromhex("0x1.2a09e667f3bcdp+599")
+
+
 def test_ring_sandwich_quick():
     for j in range(25):
         lam = Fraction(1, 8) + j * Fraction(3, 192)

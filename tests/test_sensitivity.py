@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from lambdaprime import lp, sensitivity
-from lambdaprime.graphs import gen_gnp, gen_ring, gen_star
+from lambdaprime.graphs import gen_gnp, gen_path, gen_ring, gen_star, is_connected
 from lambdaprime.lp import lp_curve, solve_lp
 from lambdaprime.objectives import CostLine, objective_shift
 from lambdaprime.rationals import GUARD
@@ -300,6 +300,42 @@ def test_orlp_matches_orlp_in_theta_where_more_rows_are_cut(corpus):
                 for s in (1, -1):
                     got = orlp(sol, s, lam0, eps, g)
                     assert got == _orlp_in_theta(sol, s, lam0, eps, g, "lamprime")
+
+
+def _end_on_curve(xstar, s, lam0, eps, g, objective, curve):
+    """ORLP's (theta, clamped) read off the proven LP curve: walk its pieces
+    from lam0 towards the edge; on the first whose far end has g > 0, g is
+    that piece's line h and the end is h's root; with none, g(edge) <= 0."""
+    m = objective_shift(objective, g.m)
+    ahead = [p for p in curve.pieces if (p.hi > lam0 if s > 0 else p.lo < lam0)]
+    for p in ahead if s > 0 else reversed(ahead):
+        a = xstar.line.P - (1 + eps) * p.line.P
+        b = xstar.line.N - (1 + eps) * p.line.N + eps * m
+        if a + b * (p.hi if s > 0 else p.lo) > 0:
+            return s * (-a / b - lam0), False
+    return max(Fraction(0), s * ((1 if s > 0 else 0) - lam0) - GUARD), True
+
+
+def test_every_orlp_end_is_the_end_read_off_the_lp_curve():
+    # Newton over solve_lp against a walk of lp_curve, both proven: each
+    # end in both directions, at three lam0, for both objectives, on 66
+    # connected graphs with n <= 8
+    graphs = [gen_ring(3), gen_star(6), gen_path(7)]
+    graphs += [g for n in range(4, 9) for g in (gen_gnp(n, 0.5, seed=s) for s in range(15))
+               if g.m and is_connected(g)]
+    assert len(graphs) == 66
+    ends = set()
+    for g in graphs:
+        curve = lp_curve(g)
+        for lam0 in (Fraction(1, 5), Fraction(1, 3), Fraction(3, 5)):
+            sol = solve_lp(g, lam0)
+            for eps in (0, Fraction(1, 2)):
+                for objective in ("lamprime", "lamcc"):
+                    for s in (1, -1):
+                        got = orlp(sol, s, lam0, eps, g, objective)
+                        assert got == _end_on_curve(sol, s, lam0, eps, g, objective, curve)
+                        ends.add((s, got[1]))
+    assert ends == {(1, True), (1, False), (-1, True), (-1, False)}
 
 
 def _excess(line, lam, eps, g, objective):

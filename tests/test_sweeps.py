@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lambdaprime import sweeps
 from lambdaprime.curves import envelope_of
 from lambdaprime.graphs import gen_gnp, gen_path, gen_ring, gen_star, make_graph
 from lambdaprime.lp import LpSolution, lp_curve
@@ -26,6 +27,7 @@ from lambdaprime.sweeps import (
     sweep_febe,
     sweep_geometric,
     _greedy_cover,
+    _transfer_interval,
 )
 
 
@@ -174,6 +176,39 @@ def test_fe_ring8_frozen():
     assert m1.interval.lo == F(2, 5)
     assert m1.interval.hi == 1 - GUARD and m1.interval.hi_clamped
     assert fam.coverage_gap() is None
+
+
+def _orlp_spy(monkeypatch):
+    calls = []
+    real = sweeps.orlp
+
+    def spy(sol, s, lam0, eps, g):
+        calls.append(lam0)
+        return real(sol, s, lam0, eps, g)
+
+    monkeypatch.setattr(sweeps, "orlp", spy)
+    return calls
+
+
+def test_fe_ring8_asks_orlp_only_short_of_one(monkeypatch):
+    # at 4/5, (1+eps)*lam0 = 8/5 reaches 1: the transfer interval is the end
+    calls = _orlp_spy(monkeypatch)
+    fam = sweep_fe(gen_ring(3), 1)
+    assert calls == [F(1, 16)]
+    assert fam.members[1].interval == _transfer_interval(F(4, 5), 1)
+
+
+@pytest.mark.parametrize("eps", [F(1, 4), F(1, 2), F(1)])
+def test_fe_runs_orlp_exactly_where_transfer_stops_short_of_one(corpus, monkeypatch, eps):
+    calls = _orlp_spy(monkeypatch)
+    for _, g in corpus:
+        calls.clear()
+        fam = sweep_fe(g, eps)
+        lams = [m.solution.lam for m in fam.members]
+        assert calls == [lam for lam in lams if (1 + eps) * lam < 1]
+        for m in fam.members:
+            if (1 + eps) * m.solution.lam >= 1:
+                assert m.interval == _transfer_interval(m.solution.lam, eps)
 
 
 @pytest.mark.parametrize(
