@@ -42,7 +42,9 @@ cuts and the line of each solution the simplex returns read its vertex as
 the tableau holds it, over its delta, so a round of cuts builds no
 Fraction; check_solution scales an exact x once over the lcm of
 its denominators (_scaled), so the proof does not trust the tableau's
-integers. _violated_rows then walks the cached triples (ij, ik, jk) of
+integers. The proof reads each entry of x and of the dual once, as an
+integer pair, and compares by integers and cross-multiplication: it
+builds no Fraction. _violated_rows then walks the cached triples (ij, ik, jk) of
 _triples(n), the list _metric_rows builds its rows from, with three
 integer compares per triple for rows 3t, 3t+1 and 3t+2 and one compare per
 box row against the scale. A float x (HiGHS) is read as it is, with a
@@ -61,7 +63,7 @@ from .curves import PwlCurve, PwlPiece
 from .graphs import Graph
 from .objectives import CostLine
 from .rationals import rat
-from .simplex import solve_canonical, walk_canonical
+from .simplex import _ZERO, solve_canonical, walk_canonical
 
 
 @dataclass(frozen=True)
@@ -183,9 +185,16 @@ def check_solution(sol: LpSolution, g: Graph):
         raise ValueError("%s fails at row %d" % (
             "x <= 1" if len(rows[r]) == 1 else "triangle inequality", r))
     if sol.exact:
-        if _line_of_x(g, xi, d) != sol.line:
+        # P and N of x are p/d and nval/d; each stored value is read once as
+        # an integer pair and compared by cross-multiplication
+        p, nval = _line_sums(g, xi, d)
+        pn, pd = sol.line.P.as_integer_ratio()
+        nn, nd = sol.line.N.as_integer_ratio()
+        if p * pd != pn * d or nval * nd != nn * d:
             raise ValueError("cost line at lambda=%s is not the line of x" % sol.lam)
-        if sol.line.value_at(sol.lam) != sol.value:
+        ln, ld = rat(sol.lam).as_integer_ratio()
+        vn, vd = sol.value.as_integer_ratio()
+        if (p * ld + ln * nval) * vd != vn * d * ld:
             raise ValueError("value at lambda=%s is not on the cost line" % sol.lam)
 
 
@@ -195,8 +204,9 @@ def _scaled(x, exact=True):
     compare; a float x as it is, over d = 1."""
     if not exact:
         return x, 1
-    d = lcm(*{v.denominator for v in x})
-    return [v.numerator * (d // v.denominator) for v in x], d
+    x = [v.as_integer_ratio() for v in x]
+    d = lcm(*{den for _, den in x})
+    return [num * (d // den) for num, den in x], d
 
 
 def _violated_rows(n, xi, d, tol=0, box=True):
@@ -228,34 +238,46 @@ def check_certificate(prob: LpProblem, dual, value):
     and A^T u <= c; and attain value: b.u + constant = value. With a feasible
     x of that value (check_solution) this proves value optimal.
 
-    u and c are scaled once by d, the lcm of the denominators of every u and
-    of lam (c is 1 - lam or -lam), so both sides are integer sums and
-    compares.
+    Each u is read once as an integer pair. u and c are scaled by d, the
+    lcm of the denominators of every u and of lam (c is 1 - lam or -lam),
+    so both sides are integer sums and compares, and b.u + constant = value
+    is one cross-multiplication.
     """
-    d = lcm(prob.lam.denominator, *(u.denominator for _, u in dual))
+    dual = [(r, u.as_integer_ratio()) for r, u in dual]
+    d = lcm(prob.lam.denominator, *(den for _, (_, den) in dual))
     aty = [0] * prob.num_vars
     bu = 0
-    for r, u in dual:
+    for r, (num, den) in dual:
         if not 0 <= r < prob.num_rows:
             raise ValueError("dual certificate names row %s outside the LP" % (r,))
-        if u >= 0:
+        if num >= 0:
             raise ValueError("dual certificate has an entry u >= 0")
-        u = u.numerator * (d // u.denominator)
+        u = num * (d // den)
         for var, coeff in prob.rows[r]:
             aty[var] += coeff * u
         bu += prob.b[r] * u
-    if any(a > ci.numerator * (d // ci.denominator) for a, ci in zip(aty, prob.c)):
-        raise ValueError("dual certificate infeasible")
-    if Fraction(bu, d) + prob.constant != value:
+    for a, ci in zip(aty, prob.c):
+        cn, cd = ci.as_integer_ratio()
+        if a > cn * (d // cd):
+            raise ValueError("dual certificate infeasible")
+    cn, cd = prob.constant.as_integer_ratio()
+    vn, vd = value.as_integer_ratio()
+    if (bu * cd + cn * d) * vd != vn * d * cd:
         raise ValueError("dual certificate does not prove optimality")
 
 
-def _line_of_x(g: Graph, xi, d, exact=True):
-    """The cost line of x = xi / d (_scaled): P sums x over the edges of g
-    and N sums 1 - x over every pair; for an exact x each is one Fraction of
-    integer sums."""
+def _line_sums(g: Graph, xi, d):
+    """(p, nval) with P = p / d and N = nval / d the cost line of x = xi / d
+    (_scaled): P sums x over the edges of g and N sums 1 - x over every
+    pair."""
     p = sum(v for v, e in zip(xi, pair_index(g.n)[0]) if e in g.edges)
-    nval = len(xi) * d - sum(xi)
+    return p, len(xi) * d - sum(xi)
+
+
+def _line_of_x(g: Graph, xi, d, exact=True):
+    """The cost line of x = xi / d (_scaled); for an exact x each of P and N
+    is one Fraction of the integer sums of _line_sums."""
+    p, nval = _line_sums(g, xi, d)
     if not exact:
         return CostLine(p, nval)
     return CostLine(Fraction(p, d), Fraction(nval, d))
@@ -287,13 +309,15 @@ def _proven(g: Graph, lam, vertex, keep, dual_ub) -> LpSolution:
     vertex.xi over vertex.delta; check_solution reads it again from x.
     dual_ub holds a marginal per row held, then one per bound x_p <= 1: its
     dual pairs row keep[i] of the LP with each nonzero row marginal and the
-    box row of p with each nonzero bound marginal."""
+    box row of p with each nonzero bound marginal. Every zero marginal is
+    the simplex's one shared _ZERO, so it is dropped by identity; any other
+    zero stays in the dual, where check_certificate refuses it."""
     x = vertex.x
     line = _line_of_x(g, vertex.xi, vertex.delta)
     rows = keep[:len(dual_ub) - len(x)] + _box(g.n)
     sol = LpSolution(
         n=g.n, lam=lam, x=tuple(x), value=line.value_at(lam), line=line,
-        dual=tuple((r, u) for r, u in zip(rows, dual_ub) if u), exact=True,
+        dual=tuple((r, u) for r, u in zip(rows, dual_ub) if u is not _ZERO), exact=True,
         pivots=vertex.pivots,
     )
     verify_certificate(sol, g)

@@ -7,6 +7,7 @@ decimal inputs (0.3 != 3/10); callers pass Fraction, int, or a string such as
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from numbers import Rational
 
@@ -24,19 +25,37 @@ def rat(x) -> Fraction:
         return x
     if isinstance(x, Rational):
         return Fraction(x.numerator, x.denominator)
+    if isinstance(x, str):
+        return parse_rat(x)
     return Fraction(x)
+
+
+# The one grammar of a rational text, after strip(): an optional sign, then
+# D+, D+/D+, D+.D* or .D+, where D is an ASCII digit. Fraction(str) reads a
+# wider grammar that differs between Python releases (digit underscores,
+# spaces around '/', any Unicode digit), so a file would parse on one
+# interpreter and not on another.
+_RATIONAL = re.compile(r"([-+]?)(?=\.?\d)(\d*)(?:/(\d+)|\.(\d*))?", re.ASCII)
 
 
 def parse_rat(text: str) -> Fraction:
     """Parse 'num/den' or decimal text into a Fraction; ValueError otherwise.
 
-    Exponents are refused: a few bytes such as '1e999999999' would make
-    Fraction build an integer of a billion digits."""
-    if isinstance(text, str) and ("e" in text or "E" in text):
+    The value is built from Python ints, never by Fraction(str). Exponents
+    are refused: a few bytes such as '1e999999999' would build an integer
+    of a billion digits."""
+    if not isinstance(text, str):
+        raise ValueError("not a rational: %r" % (text,))
+    if "e" in text or "E" in text:
         raise ValueError("exponent in rational refused: %r" % (text,))
+    m = _RATIONAL.fullmatch(text.strip())
+    if m is None:
+        raise ValueError("Invalid literal for Fraction: %r" % (text.strip(),))
+    sign, whole, den, frac = m.groups()
+    frac = frac or ""
     try:
-        return Fraction(text.strip())
-    except (AttributeError, TypeError, ZeroDivisionError):  # not text, or n/0
+        return Fraction(int(sign + whole + frac), int(den) if den else 10 ** len(frac))
+    except ZeroDivisionError:  # n/0
         raise ValueError("not a rational: %r" % (text,)) from None
 
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import groupby
 
 from .analytic import lamcc_schedule
 from .curves import PwlCurve, envelope_of
@@ -69,8 +70,12 @@ class CoverFamily:
             raise ValueError("members must be ordered by interval.lo")
         if not 0 <= self.domain[0] <= self.domain[1] <= 1:
             raise ValueError("domain must have 0 <= lo <= hi <= 1")
-        if len(set(self.members)) < len(self.members):
-            raise ValueError("members must be distinct")
+        # equal members have equal lo, so only a run of equal lo can hold
+        # two; comparing within runs hashes no member's Fractions
+        for _, run in groupby(self.members, key=lambda m: m.interval.lo):
+            run = list(run)
+            if any(a == b for i, a in enumerate(run) for b in run[i + 1:]):
+                raise ValueError("members must be distinct")
 
     def coverage_gap(self):
         """First uncovered subinterval of the domain, or None."""

@@ -3,6 +3,7 @@ import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -201,6 +202,38 @@ def _check_certificate_in_fractions(prob, dual, value):
         raise ValueError("dual certificate does not prove optimality")
 
 
+def _check_solution_in_fractions(sol, g):
+    """The reference check_solution must agree with: the line and the value
+    compared as Fractions."""
+    n = g.n
+    if sol.n != n:
+        raise ValueError("solution is for n=%d, graph has n=%d" % (sol.n, n))
+    if len(sol.x) != n * (n - 1) // 2:
+        raise ValueError("solution vector has wrong length")
+    x = sol.x
+    if sol.exact:
+        d = lcm(*{v.denominator for v in x})
+        xi = [v.numerator * (d // v.denominator) for v in x]
+    else:
+        xi, d = x, 1
+    tol = 0 if sol.exact else 1e-8
+    for v, entry in zip(xi, x):
+        if v < -tol:
+            raise ValueError("entry %s outside [0, 1]" % (entry,))
+    rows = lp_module._metric_rows(n)[0]
+    for r in lp_module._violated_rows(n, xi, d, tol):
+        raise ValueError("%s fails at row %d" % (
+            "x <= 1" if len(rows[r]) == 1 else "triangle inequality", r))
+    if sol.exact:
+        pairs = lp_module.pair_index(n)[0]
+        line = CostLine(sum(v for v, p in zip(x, pairs) if p in g.edges),
+                        sum(1 - v for v in x))
+        if line != sol.line:
+            raise ValueError("cost line at lambda=%s is not the line of x" % sol.lam)
+        if sol.line.value_at(sol.lam) != sol.value:
+            raise ValueError("value at lambda=%s is not on the cost line" % sol.lam)
+
+
 def _verdict(check, *args):
     try:
         check(*args)
@@ -239,6 +272,39 @@ def test_integer_certificate_check_matches_fractions(data):
     if change == "none":
         assert got is None
     elif change in ("row", "value") or (change == "sign" and dual):
+        assert got is not None
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.data())
+def test_integer_solution_check_matches_fractions(data):
+    g = data.draw(_small_graphs())
+    lam = data.draw(st.fractions(min_value=0, max_value=1, max_denominator=12))
+    change = data.draw(st.sampled_from(
+        ["none", "float", "x", "P", "N", "value", "lam", "n", "length"]))
+    sol = solve_lp(g, lam, mode="float" if change == "float" else "exact")
+    step = Fraction(data.draw(st.sampled_from([-1, 1])), data.draw(st.integers(1, 12)))
+    if change == "x" and sol.x:
+        k = data.draw(st.integers(0, len(sol.x) - 1))
+        x = list(sol.x)
+        x[k] += step  # k = 1 puts it outside [0, 1]
+        sol = dataclasses.replace(sol, x=tuple(x))
+    elif change in ("P", "N"):
+        line = sol.line
+        sol = dataclasses.replace(sol, line=dataclasses.replace(
+            line, **{change: getattr(line, change) + step}))
+    elif change in ("value", "lam"):
+        sol = dataclasses.replace(sol, **{change: getattr(sol, change) + step})
+    elif change == "n":
+        sol = dataclasses.replace(sol, n=sol.n + data.draw(st.sampled_from([-1, 1])))
+    elif change == "length":
+        x = sol.x[:-1] if sol.x and data.draw(st.booleans()) else sol.x + (Fraction(0),)
+        sol = dataclasses.replace(sol, x=x)
+    got = _verdict(lp_module.check_solution, sol, g)
+    assert got == _verdict(_check_solution_in_fractions, sol, g)
+    if change in ("none", "float"):
+        assert got is None
+    elif change in ("P", "N", "value", "n", "length") or (change == "x" and sol.x):
         assert got is not None
 
 

@@ -1,6 +1,7 @@
 """Round-trip serialization of solutions, covers, curves, clusterings."""
 import json
 import os
+import re
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -12,7 +13,7 @@ from lambdaprime.curves import PwlCurve, PwlPiece
 from lambdaprime.graphs import gen_ring, gen_star, save_graph
 from lambdaprime.lp import LpSolution, lp_curve, solve_lp
 from lambdaprime.objectives import CostLine
-from lambdaprime.rationals import ceil_log, floor_log, format_rat, parse_rat
+from lambdaprime.rationals import ceil_log, floor_log, format_rat, parse_rat, rat
 from lambdaprime.rounding import build_clustering_family
 from lambdaprime.serialize import (
     atomic_write_text,
@@ -261,6 +262,85 @@ def test_parse_rat_reads_fractions_and_decimals():
     assert parse_rat("7") == 7
     with pytest.raises(ValueError):
         parse_rat("3/0")
+
+
+@pytest.mark.parametrize("text, value", [
+    ("0", F(0)), ("-0", F(0)), ("+3", F(3)), (" 7 ", F(7)), ("007", F(7)),
+    ("13/21", F(13, 21)), ("-3/10", F(-3, 10)), ("+4/6", F(2, 3)),
+    ("00/04", F(0)), ("0.3", F(3, 10)), ("1.", F(1)), (".5", F(1, 2)),
+    ("-.25", F(-1, 4)), ("1.50", F(3, 2)), ("\t1/2\n", F(1, 2)),
+])
+def test_parse_rat_accepts_its_grammar(text, value):
+    assert parse_rat(text) == value
+    assert type(parse_rat(text)) is F
+
+
+@pytest.mark.parametrize("text, message", [
+    # Fraction(str) reads each of these on some Python release only
+    ("1_0/3", "Invalid literal for Fraction: '1_0/3'"),
+    ("1.0_0", "Invalid literal for Fraction: '1.0_0'"),
+    ("1 / 2", "Invalid literal for Fraction: '1 / 2'"),
+    ("\u0661/2", "Invalid literal for Fraction: '\u0661/2'"),
+    ("\uff11/2", "Invalid literal for Fraction: '\uff11/2'"),
+    # and these on none
+    ("", "Invalid literal for Fraction: ''"),
+    ("  ", "Invalid literal for Fraction: ''"),
+    ("1/-2", "Invalid literal for Fraction: '1/-2'"),
+    ("1.5/2", "Invalid literal for Fraction: '1.5/2'"),
+    ("/2", "Invalid literal for Fraction: '/2'"),
+    (" 1/ ", "Invalid literal for Fraction: '1/'"),
+    (".", "Invalid literal for Fraction: '.'"),
+    ("-", "Invalid literal for Fraction: '-'"),
+    ("- 1", "Invalid literal for Fraction: '- 1'"),
+    ("0x10", "Invalid literal for Fraction: '0x10'"),
+    ("inf", "Invalid literal for Fraction: 'inf'"),
+    ("nan", "Invalid literal for Fraction: 'nan'"),
+    ("1e5", "exponent in rational refused: '1e5'"),
+    ("3/0", "not a rational: '3/0'"),
+    (" 3/00 ", "not a rational: ' 3/00 '"),
+    (3, "not a rational: 3"),
+    (None, "not a rational: None"),
+    (b"1/2", "not a rational: b'1/2'"),
+])
+def test_parse_rat_refuses_everything_else(text, message):
+    with pytest.raises(ValueError) as e:
+        parse_rat(text)
+    assert str(e.value) == message
+
+
+def test_rat_reads_text_by_parse_rat():
+    assert rat(" 1/3 ") == F(1, 3) and rat("-.5") == F(-1, 2)
+    for text in ("1_0", "1 / 2", "\u0661", "1e5"):
+        with pytest.raises(ValueError) as e:
+            rat(text)
+        with pytest.raises(ValueError) as f:
+            parse_rat(text)
+        assert str(e.value) == str(f.value)
+    assert solve_lp(gen_star(4), "1/3") == solve_lp(gen_star(4), F(1, 3))
+
+
+# the grammar in ASCII, with the whitespace strip() removes around it
+_RATIONAL_TEXT = re.compile(r"\s*[-+]?(\d+(/\d+|\.\d*)?|\.\d+)\s*", re.ASCII)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.fractions())
+def test_parse_rat_reads_back_format_rat(q):
+    assert parse_rat(format_rat(q)) == q
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(st.one_of(
+    st.from_regex(_RATIONAL_TEXT, fullmatch=True),
+    st.text(alphabet="0123456789+-/. _\t\u0661\uff11", max_size=10)))
+def test_every_text_parse_rat_accepts_has_the_value_fraction_gives_it(text):
+    zero_den = "/" in text and not text.split("/")[1].strip().strip("0")
+    try:
+        q = parse_rat(text)
+    except ValueError:
+        assert not _RATIONAL_TEXT.fullmatch(text) or zero_den, text
+        return
+    assert _RATIONAL_TEXT.fullmatch(text) and q == F(text), text
 
 
 def test_floor_and_ceil_log_below_one():

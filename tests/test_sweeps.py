@@ -1,6 +1,7 @@
 """Cover-family construction and certification."""
 import functools
 import itertools
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction as F
@@ -16,6 +17,7 @@ from lambdaprime.lp import LpSolution, lp_curve
 from lambdaprime.objectives import CostLine, objective_shift
 from lambdaprime.rationals import GUARD, ceil_log, floor_log
 from lambdaprime.sensitivity import LambdaInterval, eps_range, orlp
+from lambdaprime.serialize import family_from_dict, family_to_dict
 from lambdaprime.sweeps import (
     CoverFamily,
     CoverMember,
@@ -514,6 +516,38 @@ def test_family_requires_ordered_members():
             fam.domain,
             fam.lp_solve_count,
         )
+
+
+def _family_of(members, fam):
+    return CoverFamily(tuple(members), fam.eps, fam.domain, fam.lp_solve_count)
+
+
+def test_equal_members_apart_in_a_run_of_equal_lo_are_found():
+    fam = sweep_geometric(gen_star(5), 1)
+    a = fam.members[0]
+    iv = a.interval
+    assert iv.lo < iv.hi
+    b = CoverMember(a.solution, replace(iv, hi=(iv.lo + iv.hi) / 2))  # only hi differs
+    x = list(a.solution.x)
+    x[0] += F(1, 7)
+    c = CoverMember(replace(a.solution, x=tuple(x)), iv)  # only one x entry differs
+    assert len(_family_of([a, b, c], fam).members) == 3
+    for members in ([a, b, a], [b, a, c, a], [a, b, c, b]):
+        with pytest.raises(ValueError, match="^members must be distinct$"):
+            _family_of(members, fam)
+
+
+def test_cover_family_hashes_no_member(monkeypatch):
+    def unhashable(sol):
+        raise AssertionError("a member's solution was hashed")
+
+    monkeypatch.setattr(LpSolution, "__hash__", unhashable)
+    with pytest.raises(AssertionError):
+        hash(sweep_geometric(gen_star(4), 1).members[0].solution)
+    g = gen_ring(3)
+    fam = sweep_febe(g, F(1, 2))
+    d = json.loads(json.dumps(family_to_dict(fam)))
+    assert family_to_dict(family_from_dict(d, g.n)) == d  # the dual is not stored
 
 
 def _line_through(p, q):
